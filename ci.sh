@@ -19,6 +19,10 @@ done
 
 cargo build --release --workspace
 cargo test -q
+# The benchmark's contract test: every workload at smoke size (a few
+# seconds). It builds against the library crates' public API, so
+# removing an item the benchmark calls fails here.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace -- -D warnings
 
 # The adversarial degradation corpus: 200+ seeded hostile programs must
@@ -59,12 +63,12 @@ grep -q '"balanced-scratch"' target/BENCH_EVAL_SANITIZE.json
 cmp target/BENCH_EVAL_W1.json target/BENCH_EVAL_W4.json
 
 # Device smoke gate: the 4- and 16-PU device scenarios (command
-# processor + ring workers) under the reference slice loop, the serial
-# event core and the threaded event core, with the clobber sanitizer on
-# the Ladder-compiled runs. The command exits non-zero on any report
-# divergence between cores, any digest mismatch, any stalled PU or any
-# sanitizer finding.
-./target/release/regbal device --smoke --sanitize --out target/BENCH_DEVICE_SMOKE.json
+# processor + ring workers) under both chip cores — the reference slice
+# loop and the event core — with the clobber sanitizer on the
+# Ladder-compiled runs. The command exits non-zero on any report
+# divergence between the cores, any digest mismatch, any stalled PU or
+# any sanitizer finding.
+./target/release/regbal device --smoke --sanitize --out target/device_smoke.json
 
 # Serve gate: the resident server must answer a replayed 100-request
 # seeded trace with (a) a second pass served entirely from the

@@ -104,21 +104,18 @@ USAGE:
   regbal device [OPTS]                        device-scale scenario family: a
                                               command processor feeding 4/16/64
                                               worker PUs, run under the
-                                              reference slice loop, the serial
-                                              event core and the threaded event
-                                              core; fails on any report
+                                              reference slice loop and the
+                                              event core; fails on any report
                                               divergence, digest mismatch or
                                               sanitizer finding
       --smoke          4- and 16-PU scenarios only (the CI gate)
       --nreg <N>       register file for the Ladder-compiled build (default 64)
       --cycles <N>     cycle budget per run (default 20000000)
       --seed <N>       packet-generator seed (default 53710)
-      --os-threads <N> OS threads for the threaded-core identity gate
-                       (default 4)
       --sanitize       arm the clobber sanitizer on the compiled runs;
                        any violation fails the family
       --out <FILE>     also write the machine-readable report
-                       (regbal-device/1 JSON)
+                       (regbal-device/2 JSON)
   regbal serve [MODE] [OPTS]                  resident allocation server
                                               (line-delimited JSON requests,
                                               regbal-serve/2; responses are
@@ -623,7 +620,7 @@ fn eval(args: Vec<String>, out: &mut String) -> Result<(), String> {
 }
 
 /// The `regbal device` subcommand: run the device scenario family
-/// (command processor + worker PUs) under all three chip cores and
+/// (command processor + worker PUs) under both chip cores and
 /// check report identity, digest correctness and sanitizer silence.
 fn device(args: Vec<String>, out: &mut String) -> Result<(), String> {
     let mut smoke = false;
@@ -632,7 +629,6 @@ fn device(args: Vec<String>, out: &mut String) -> Result<(), String> {
     let mut nreg: Option<usize> = None;
     let mut cycles: Option<u64> = None;
     let mut seed: Option<u64> = None;
-    let mut os_threads: Option<usize> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -663,14 +659,6 @@ fn device(args: Vec<String>, out: &mut String) -> Result<(), String> {
                         .map_err(|e| format!("--seed: {e}"))?,
                 );
             }
-            "--os-threads" => {
-                os_threads = Some(
-                    it.next()
-                        .ok_or("--os-threads needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--os-threads: {e}"))?,
-                );
-            }
             other => return Err(format!("unknown option `{other}`\n{USAGE}")),
         }
     }
@@ -688,9 +676,6 @@ fn device(args: Vec<String>, out: &mut String) -> Result<(), String> {
     }
     if let Some(s) = seed {
         config.seed = s;
-    }
-    if let Some(t) = os_threads {
-        config.os_threads = t.max(1);
     }
     config.sanitize = sanitize;
     let report = run_device_eval(&config);
@@ -713,12 +698,6 @@ fn device(args: Vec<String>, out: &mut String) -> Result<(), String> {
             out,
             "  event        reports identical: {}",
             gate(s.event_identical)
-        );
-        let _ = writeln!(
-            out,
-            "  event+{}thr   reports identical: {}",
-            config.os_threads,
-            gate(s.threads_identical)
         );
         let _ = writeln!(
             out,
@@ -1680,6 +1659,14 @@ mod tests {
         let mut out = String::new();
         let err = run_cli(&["frobnicate".into()], &mut out).unwrap_err();
         assert!(err.contains("unknown command"));
+    }
+
+    #[test]
+    fn device_has_no_os_threads_option() {
+        let mut out = String::new();
+        let args = ["device", "--os-threads", "4"].map(String::from);
+        let err = run_cli(&args, &mut out).unwrap_err();
+        assert!(err.contains("unknown option `--os-threads`"), "{err}");
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! trajectory answers every hybrid cell
 //! ([`regbal_core::allocate_threads_with_spill_sweep`]).
 //!
-//! This cache therefore stores whole-sweep verdict vectors keyed by
+//! This cache therefore stores one [`SweepColumn`] per
 //! `(scenario index, pu)`: within a scenario the PU's function set is
 //! fixed and the engine config is the default everywhere, so the key
 //! pins every input of the search, and a lookup at any `Nreg` of the
-//! sweep costs one shared computation for the whole column.
+//! sweep costs one shared computation for the whole column. The
+//! allocation server keeps one column per resident module for the same
+//! reason.
 //!
 //! Sharing is behaviour-preserving by construction: the engine is
 //! deterministic and the sweep entry points return bit-identical
@@ -35,34 +37,181 @@ use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// One cache key: (scenario index in the suite, PU, register-file
-/// size). The strategy is implied by which table the entry lives in.
+/// size). The strategy is implied by which verdict is asked for.
 pub type CacheKey = (usize, usize, usize);
 
 /// The key of one whole-sweep column: (scenario index, PU).
 type GroupKey = (usize, usize);
 
-type SweepSlot<T> = Arc<OnceLock<Vec<Result<T, AllocError>>>>;
+type Verdicts<T> = OnceLock<Vec<Result<T, AllocError>>>;
+
+/// The whole-sweep descents of one fixed thread set: the balanced
+/// sweep, plus the hybrid and scratch-tier spill sweeps whose round 0
+/// is seeded from it. Each descent runs at most once, on first demand,
+/// and answers every swept size; a size off the sweep falls back to an
+/// uncached dedicated run. Callers racing on one column block on its
+/// [`OnceLock`]s, so exactly one of them runs each descent.
+///
+/// A column does not own its functions: every call must pass the same
+/// thread set, and every on-sweep spilling call the same spill base
+/// (and scratch parameters), since the first call fixes the stored
+/// trajectory.
+#[derive(Debug)]
+pub struct SweepColumn {
+    sweep: Vec<usize>,
+    descents: Arc<AtomicU64>,
+    balanced: Verdicts<MultiAllocation>,
+    hybrid: Verdicts<HybridAllocation>,
+    scratch: Verdicts<HybridAllocation>,
+}
+
+impl SweepColumn {
+    /// An empty column over the register-file sizes `sweep`, counting
+    /// every descent it actually runs into `descents`.
+    pub fn new(sweep: Vec<usize>, descents: Arc<AtomicU64>) -> SweepColumn {
+        SweepColumn {
+            sweep,
+            descents,
+            balanced: OnceLock::new(),
+            hybrid: OnceLock::new(),
+            scratch: OnceLock::new(),
+        }
+    }
+
+    fn position(&self, nreg: usize) -> Option<usize> {
+        self.sweep.iter().position(|&n| n == nreg)
+    }
+
+    /// Fills `slot` with `run`'s descent on first demand, counting it.
+    fn descend<'a, T>(
+        &self,
+        slot: &'a Verdicts<T>,
+        run: impl FnOnce() -> Vec<Result<T, AllocError>>,
+    ) -> &'a [Result<T, AllocError>] {
+        slot.get_or_init(|| {
+            self.descents.fetch_add(1, Ordering::Relaxed);
+            run()
+        })
+    }
+
+    fn balanced_sweep(&self, funcs: &[Func]) -> &[Result<MultiAllocation, AllocError>] {
+        self.descend(&self.balanced, || {
+            allocate_threads_sweep(funcs, &self.sweep, EngineConfig::default())
+        })
+    }
+
+    /// The balanced-engine verdict for `funcs` at `nreg` registers —
+    /// bit-identical to a dedicated [`regbal_core::allocate_threads`]
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// The engine's own verdict — [`AllocError::Infeasible`] and
+    /// friends are cached and replayed like successes.
+    pub fn balanced(&self, funcs: &[Func], nreg: usize) -> Result<MultiAllocation, AllocError> {
+        match self.position(nreg) {
+            Some(pos) => self.balanced_sweep(funcs)[pos].clone(),
+            None => allocate_threads(funcs, nreg),
+        }
+    }
+
+    /// The hybrid (balancing + last-resort spilling) verdict for
+    /// `funcs` at `nreg` registers with spill slots above `spill_base`.
+    /// On-sweep, all sizes share one spill trajectory whose round 0 is
+    /// seeded from the balanced sweep, so a column that already ran
+    /// (or will run) the balanced descent never pays for it twice.
+    ///
+    /// # Errors
+    ///
+    /// The hybrid allocator's own verdict.
+    pub fn hybrid(
+        &self,
+        funcs: &[Func],
+        nreg: usize,
+        spill_base: i64,
+    ) -> Result<HybridAllocation, AllocError> {
+        match self.position(nreg) {
+            Some(pos) => self.descend(&self.hybrid, || {
+                allocate_threads_with_spill_sweep(
+                    funcs,
+                    &self.sweep,
+                    spill_base,
+                    EngineConfig::default(),
+                    Some(self.balanced_sweep(funcs)),
+                )
+            })[pos]
+                .clone(),
+            None => allocate_threads_with_spill_seeded(
+                funcs,
+                nreg,
+                spill_base,
+                EngineConfig::default(),
+                None,
+            ),
+        }
+    }
+
+    /// The scratch-tier hybrid verdict (balancing + spilling with the
+    /// cheapest slots packed into the scratchpad) for `funcs` at `nreg`
+    /// registers, seeded exactly like [`SweepColumn::hybrid`] and priced
+    /// with `costs` (one [`SpillCosts`] per thread of `funcs`).
+    ///
+    /// # Errors
+    ///
+    /// The hybrid allocator's own verdict.
+    pub fn scratch(
+        &self,
+        funcs: &[Func],
+        nreg: usize,
+        spill_base: i64,
+        params: ScratchParams,
+        costs: &[SpillCosts],
+    ) -> Result<HybridAllocation, AllocError> {
+        match self.position(nreg) {
+            Some(pos) => self.descend(&self.scratch, || {
+                allocate_threads_with_spill_sweep_scratch(
+                    funcs,
+                    &self.sweep,
+                    spill_base,
+                    EngineConfig::default(),
+                    Some(self.balanced_sweep(funcs)),
+                    Some(&params),
+                    Some(costs),
+                )
+            })[pos]
+                .clone(),
+            None => allocate_threads_with_spill_scratch(
+                funcs,
+                nreg,
+                spill_base,
+                EngineConfig::default(),
+                None,
+                &params,
+                Some(costs),
+            ),
+        }
+    }
+}
 
 /// One column's shared spill-cost models, filled once on first use.
 type CostSlot = Arc<OnceLock<Arc<Vec<SpillCosts>>>>;
 
 /// Shared allocation verdicts of one evaluation run. Cloning the
 /// stored results is cheap relative to the searches they replace; the
-/// map locks are held only to fetch a slot, never during allocation,
+/// map locks are held only to fetch a column, never during allocation,
 /// so concurrent workers computing *different* columns don't serialise
-/// (workers racing on the *same* slot block on its [`OnceLock`], which
-/// is precisely the work-sharing we want).
+/// (workers racing on the *same* column share its descents).
 pub struct AllocCache {
     /// The swept register-file sizes, in report order. Lookups at a
     /// size outside this list fall back to uncached dedicated runs.
     sweep: Vec<usize>,
-    balanced: Mutex<HashMap<GroupKey, SweepSlot<MultiAllocation>>>,
-    hybrid: Mutex<HashMap<GroupKey, SweepSlot<HybridAllocation>>>,
-    scratch: Mutex<HashMap<GroupKey, SweepSlot<HybridAllocation>>>,
+    columns: Mutex<HashMap<GroupKey, Arc<SweepColumn>>>,
+    /// Descents run across every column.
+    descents: Arc<AtomicU64>,
     /// The per-thread spill-cost models of one column, computed once
     /// per (scenario, PU) and shared by every spilling strategy and
     /// every swept size of that column.
@@ -72,25 +221,28 @@ pub struct AllocCache {
     cost_computes: AtomicUsize,
 }
 
-fn slot<T>(map: &Mutex<HashMap<GroupKey, SweepSlot<T>>>, key: GroupKey) -> SweepSlot<T> {
-    map.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
-        .or_default()
-        .clone()
-}
-
 impl AllocCache {
     /// A fresh cache for the given `Nreg` sweep.
     pub fn new(sweep: Vec<usize>) -> AllocCache {
         AllocCache {
             sweep,
-            balanced: Mutex::default(),
-            hybrid: Mutex::default(),
-            scratch: Mutex::default(),
+            columns: Mutex::default(),
+            descents: Arc::default(),
             costs: Mutex::default(),
             cost_computes: AtomicUsize::new(0),
         }
+    }
+
+    /// The column of `key`, created empty on first sight.
+    fn column(&self, key: GroupKey) -> Arc<SweepColumn> {
+        self.columns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert_with(|| {
+                Arc::new(SweepColumn::new(self.sweep.clone(), self.descents.clone()))
+            })
+            .clone()
     }
 
     /// The per-thread [`SpillCosts`] of one column, computed on first
@@ -119,39 +271,18 @@ impl AllocCache {
     }
 
     /// The balanced-engine verdict for `funcs` at `key.2` registers,
-    /// computed via one whole-sweep descent per (scenario, PU)
-    /// ([`regbal_core::allocate_threads_sweep`] with the default
-    /// engine) — bit-identical to a dedicated
-    /// [`regbal_core::allocate_threads`] run.
+    /// from the `(scenario, PU)` column ([`SweepColumn::balanced`]).
     ///
     /// # Errors
     ///
-    /// The engine's own verdict — [`AllocError::Infeasible`] and
-    /// friends are cached and replayed like successes.
-    pub fn balanced(
-        &self,
-        key: CacheKey,
-        funcs: &[Func],
-    ) -> Result<MultiAllocation, AllocError> {
-        match self.sweep.iter().position(|&n| n == key.2) {
-            Some(pos) => {
-                let slot = slot(&self.balanced, (key.0, key.1));
-                slot.get_or_init(|| {
-                    allocate_threads_sweep(funcs, &self.sweep, EngineConfig::default())
-                })[pos]
-                    .clone()
-            }
-            None => allocate_threads(funcs, key.2),
-        }
+    /// The engine's own verdict, replayed like a success.
+    pub fn balanced(&self, key: CacheKey, funcs: &[Func]) -> Result<MultiAllocation, AllocError> {
+        self.column((key.0, key.1)).balanced(funcs, key.2)
     }
 
-    /// The hybrid (balancing + last-resort spilling) verdict for
-    /// `funcs` at `key.2` registers and the given spill base, computed
-    /// via one whole-sweep spill trajectory per (scenario, PU), its
-    /// round 0 seeded from [`AllocCache::balanced`] — so a sweep that
-    /// already ran (or will run) the balanced column never pays for
-    /// that search twice, and all hybrid cells of the column share one
-    /// spill loop.
+    /// The hybrid verdict for `funcs` at `key.2` registers and the
+    /// given spill base, from the `(scenario, PU)` column
+    /// ([`SweepColumn::hybrid`]).
     ///
     /// # Errors
     ///
@@ -162,39 +293,13 @@ impl AllocCache {
         funcs: &[Func],
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        match self.sweep.iter().position(|&n| n == key.2) {
-            Some(pos) => {
-                let hybrid_slot = slot(&self.hybrid, (key.0, key.1));
-                hybrid_slot.get_or_init(|| {
-                    let balanced_slot = slot(&self.balanced, (key.0, key.1));
-                    let seeds = balanced_slot.get_or_init(|| {
-                        allocate_threads_sweep(funcs, &self.sweep, EngineConfig::default())
-                    });
-                    allocate_threads_with_spill_sweep(
-                        funcs,
-                        &self.sweep,
-                        spill_base,
-                        EngineConfig::default(),
-                        Some(seeds),
-                    )
-                })[pos]
-                    .clone()
-            }
-            None => allocate_threads_with_spill_seeded(
-                funcs,
-                key.2,
-                spill_base,
-                EngineConfig::default(),
-                None,
-            ),
-        }
+        self.column((key.0, key.1)).hybrid(funcs, key.2, spill_base)
     }
 
-    /// The scratch-tier hybrid verdict (balancing + spilling with the
-    /// cheapest slots packed into the scratchpad) for `funcs` at
-    /// `key.2` registers, computed via one whole-sweep spill trajectory
-    /// per (scenario, PU) exactly like [`AllocCache::hybrid`], with the
-    /// column's shared [`AllocCache::spill_costs`] model.
+    /// The scratch-tier hybrid verdict for `funcs` at `key.2`
+    /// registers, from the `(scenario, PU)` column
+    /// ([`SweepColumn::scratch`]) priced with the column's shared
+    /// [`AllocCache::spill_costs`] model.
     ///
     /// # Errors
     ///
@@ -207,36 +312,8 @@ impl AllocCache {
         params: ScratchParams,
     ) -> Result<HybridAllocation, AllocError> {
         let costs = self.spill_costs((key.0, key.1), funcs);
-        match self.sweep.iter().position(|&n| n == key.2) {
-            Some(pos) => {
-                let scratch_slot = slot(&self.scratch, (key.0, key.1));
-                scratch_slot.get_or_init(|| {
-                    let balanced_slot = slot(&self.balanced, (key.0, key.1));
-                    let seeds = balanced_slot.get_or_init(|| {
-                        allocate_threads_sweep(funcs, &self.sweep, EngineConfig::default())
-                    });
-                    allocate_threads_with_spill_sweep_scratch(
-                        funcs,
-                        &self.sweep,
-                        spill_base,
-                        EngineConfig::default(),
-                        Some(seeds),
-                        Some(&params),
-                        Some(&costs),
-                    )
-                })[pos]
-                    .clone()
-            }
-            None => allocate_threads_with_spill_scratch(
-                funcs,
-                key.2,
-                spill_base,
-                EngineConfig::default(),
-                None,
-                &params,
-                Some(&costs),
-            ),
-        }
+        self.column((key.0, key.1))
+            .scratch(funcs, key.2, spill_base, params, &costs)
     }
 }
 
@@ -459,30 +536,31 @@ mod tests {
         assert!(h.spills.iter().sum::<usize>() > 0);
     }
 
-    /// One whole-sweep descent answers every size of the column: after
-    /// the first lookup the slot is initialised, and every other size
-    /// replays from the same shared vector.
+    /// One whole-sweep descent answers every size of the column: the
+    /// first lookup runs it, and every other size replays the stored
+    /// verdict instead of searching again.
     #[test]
-    fn sweep_slots_are_computed_once_and_reused() {
+    fn sweep_descents_are_computed_once_and_reused() {
         let sweep = vec![8, 16, 24, 32];
         let cache = AllocCache::new(sweep.clone());
         let funcs = vec![hot(), hot()];
         let first = cache.balanced((0, 0, 32), &funcs).unwrap();
-        let slot = slot(&cache.balanced, (0, 0));
-        let vec = slot.get().expect("first lookup filled the sweep slot");
-        assert_eq!(vec.len(), sweep.len(), "one verdict per swept size");
-        // Every subsequent size is a replay of the stored vector, not a
-        // recomputation: the stored verdict and the lookup agree.
-        for (pos, &nreg) in sweep.iter().enumerate() {
+        assert_eq!(cache.descents.load(Ordering::Relaxed), 1);
+        for &nreg in &sweep {
             let replayed = cache.balanced((0, 0, nreg), &funcs);
             assert_eq!(
                 format!("{replayed:?}"),
-                format!("{:?}", vec[pos]),
+                format!("{:?}", allocate_threads(&funcs, nreg)),
                 "size {nreg} must replay the trajectory verdict"
             );
         }
         let again = cache.balanced((0, 0, 32), &funcs).unwrap();
         assert_eq!(first.total_registers(), again.total_registers());
+        // The hybrid descent reuses the balanced one as its seed, and
+        // an off-sweep size runs no descent at all.
+        let _ = cache.hybrid((0, 0, 8), &funcs, 0x8_0000);
+        let _ = cache.balanced((0, 0, 12), &funcs);
+        assert_eq!(cache.descents.load(Ordering::Relaxed), 2);
     }
 
     /// SimCache key distinctness: binaries, sanitizer layouts and

@@ -4,9 +4,9 @@
 //! Each scenario runs three gates:
 //!
 //! 1. **Core identity** — the virtual-register device under the
-//!    reference granularity-1 slice loop, the serial event core, and
-//!    the threaded event core must produce *equal* per-PU
-//!    [`RunReport`]s (field-for-field, trace/violation/idle included).
+//!    reference granularity-1 slice loop and the event core must
+//!    produce *equal* per-PU [`RunReport`]s (field-for-field,
+//!    trace/violation/idle included).
 //! 2. **Model check** — the device's order-insensitive global digest
 //!    must equal the host-side fold
 //!    ([`regbal_workloads::expected_total_digest`]), and every offered
@@ -215,8 +215,6 @@ pub struct DeviceEvalConfig {
     pub seed: u64,
     /// Arm the register-clobber sanitizer on the physical runs.
     pub sanitize: bool,
-    /// OS threads for the threaded-core identity gate.
-    pub os_threads: usize,
     /// Restrict to the 4- and 16-PU scenarios.
     pub smoke: bool,
 }
@@ -229,7 +227,6 @@ impl DeviceEvalConfig {
             cycle_budget: 20_000_000,
             seed: 0xD1CE,
             sanitize: false,
-            os_threads: 4,
             smoke: false,
         }
     }
@@ -260,8 +257,6 @@ pub struct DeviceScenarioReport {
     pub reference: DeviceOutcome,
     /// Serial event core reports equal the reference's.
     pub event_identical: bool,
-    /// Threaded event core reports equal the reference's.
-    pub threads_identical: bool,
     /// Event-core run of the Ladder-compiled build.
     pub physical: DeviceOutcome,
     /// Ring admission limits of the physical build.
@@ -274,7 +269,6 @@ impl DeviceScenarioReport {
     /// Whether every gate of this scenario passed.
     pub fn ok(&self) -> bool {
         self.event_identical
-            && self.threads_identical
             && self.reference.halted
             && self.reference.digest == self.expected_digest
             && self.reference.processed == u64::from(self.packets)
@@ -302,17 +296,13 @@ impl DeviceEvalReport {
         self.scenarios.iter().all(DeviceScenarioReport::ok)
     }
 
-    /// The machine-readable report (`regbal-device/1`).
+    /// The machine-readable report (`regbal-device/2`).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("schema".into(), Json::str("regbal-device/1")),
+            ("schema".into(), Json::str("regbal-device/2")),
             ("nreg".into(), Json::uint(self.config.nreg as u64)),
             ("seed".into(), Json::uint(self.config.seed)),
             ("sanitize".into(), Json::Bool(self.config.sanitize)),
-            (
-                "os_threads".into(),
-                Json::uint(self.config.os_threads as u64),
-            ),
             (
                 "scenarios".into(),
                 Json::Arr(self.scenarios.iter().map(scenario_json).collect()),
@@ -350,7 +340,6 @@ fn scenario_json(s: &DeviceScenarioReport) -> Json {
         ),
         ("reference".into(), outcome(&s.reference)),
         ("event_identical".into(), Json::Bool(s.event_identical)),
-        ("threads_identical".into(), Json::Bool(s.threads_identical)),
         ("physical".into(), outcome(&s.physical)),
         (
             "physical_limits".into(),
@@ -403,16 +392,6 @@ pub fn run_device_scenario(
         config.seed,
         false,
     );
-    let threads_run = run_device(
-        spec,
-        &reference,
-        ChipCore::EventThreads {
-            threads: config.os_threads,
-        },
-        config.cycle_budget,
-        config.seed,
-        false,
-    );
     let physical_program = compile_program(spec, &Ladder, config.nreg)
         .expect("the Ladder strategy never fails");
     let physical = run_device(
@@ -430,7 +409,6 @@ pub fn run_device_scenario(
         packets: spec.packets,
         expected_digest,
         event_identical: event_run.reports == ref_run.reports,
-        threads_identical: threads_run.reports == ref_run.reports,
         reference: ref_run,
         physical,
         physical_limits: physical_program.limits.clone(),
@@ -488,12 +466,29 @@ mod tests {
             ..DeviceEvalConfig::smoke()
         };
         let report = run_device_scenario(&scenario, &config);
-        assert!(report.event_identical, "serial event core diverged");
-        assert!(report.threads_identical, "threaded event core diverged");
+        assert!(report.event_identical, "event core diverged");
         assert_eq!(report.reference.digest, report.expected_digest);
         assert_eq!(report.physical.digest, report.expected_digest);
         assert_eq!(report.physical.processed, 32);
         assert_eq!(report.physical.sanitizer_violations, 0);
         assert!(report.ok());
+
+        // The `regbal-device/2` members of the document.
+        let doc = DeviceEvalReport {
+            config,
+            scenarios: vec![report],
+        }
+        .to_json();
+        let cell = &doc.get("scenarios").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("regbal-device/2")
+        );
+        assert_eq!(
+            cell.get("event_identical").and_then(Json::as_bool),
+            Some(true)
+        );
+        assert!(doc.get("os_threads").is_none());
+        assert!(cell.get("threads_identical").is_none());
     }
 }

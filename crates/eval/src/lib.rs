@@ -48,7 +48,7 @@ pub mod report;
 pub mod scenario;
 pub mod strategy;
 
-pub use cache::{AllocCache, Lru, SimCache, SimKey};
+pub use cache::{AllocCache, Lru, SimCache, SimKey, SweepColumn};
 pub use device::{
     compile_program, device_scenarios, occupancy_limit, reference_program, run_device,
     run_device_eval, run_device_scenario, DeviceEvalConfig, DeviceEvalReport, DeviceOutcome,

@@ -7,15 +7,15 @@
 //!   holding finished outcomes (the `regbal-alloc/1` document, or a
 //!   cached failure). A hit answers without touching the allocator.
 //! * **trajectories** — keyed `(content hash, Nthd)`, holding the
-//!   loaded thread programs plus the engine's *whole-sweep* descent
-//!   vectors ([`regbal_core::allocate_threads_sweep`] and
-//!   [`regbal_core::allocate_threads_with_spill_sweep`] at the
-//!   one-shot default spill base). The greedy descent never consults
+//!   loaded thread programs plus their [`SweepColumn`] of *whole-sweep*
+//!   descents (balanced, and hybrid at the one-shot default spill
+//!   base) — the same column type the eval sweep caches per
+//!   `(scenario, PU)`. The greedy descent never consults
 //!   the register-file size while choosing steps, so one cached
 //!   descent answers **every** swept `Nreg` — a request at a new
 //!   budget for a known module replays the trajectory instead of
 //!   re-searching. The ladder's balanced rungs are seeded from the
-//!   same vectors ([`regbal_core::allocate_ladder_seeded`]), which is
+//!   same column ([`regbal_core::allocate_ladder_seeded`]), which is
 //!   behaviour-preserving because the engine is deterministic and the
 //!   ladder's first spilling rung uses the same default base
 //!   ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] ==
@@ -23,21 +23,17 @@
 //!
 //! All map mutation happens on the dispatcher thread (deterministic
 //! hit/miss/eviction accounting); worker threads only race on the
-//! trajectories' interior [`OnceLock`]s, so exactly one worker runs
-//! each descent and the others share it.
+//! trajectories' columns, so exactly one worker runs each descent and
+//! the others share it.
 
 use crate::oneshot::{self, ServeStrategy};
 use crate::store::{DiskRead, DiskStore};
-use regbal_core::{
-    allocate_ladder_seeded, allocate_threads_sweep, allocate_threads_with_spill_sweep,
-    AllocError, EngineConfig, HybridAllocation, LadderConfig, MultiAllocation, RungProviders,
-    DEFAULT_SPILL_BASE,
-};
-use regbal_eval::{Json, Lru};
+use regbal_core::{allocate_ladder_seeded, LadderConfig, RungProviders, DEFAULT_SPILL_BASE};
+use regbal_eval::{Json, Lru, SweepColumn};
 use regbal_ir::Func;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The response-cache key: content hash, replica count, register-file
 /// size, strategy.
@@ -67,109 +63,43 @@ pub enum Outcome {
 }
 
 /// One module's loaded programs plus its lazily-computed whole-sweep
-/// descent vectors. Shared by `Arc` with the worker pool.
+/// descents. Shared by `Arc` with the worker pool.
 #[derive(Debug)]
 pub struct Trajectory {
     /// The replicated thread programs (roots × `nthd`).
     pub funcs: Vec<Func>,
-    sweep: Vec<usize>,
-    balanced: OnceLock<Vec<Result<MultiAllocation, AllocError>>>,
-    hybrid: OnceLock<Vec<Result<HybridAllocation, AllocError>>>,
+    column: SweepColumn,
 }
 
 impl Trajectory {
-    fn new(funcs: Vec<Func>, sweep: Vec<usize>) -> Trajectory {
-        Trajectory {
-            funcs,
-            sweep,
-            balanced: OnceLock::new(),
-            hybrid: OnceLock::new(),
-        }
-    }
-
-    fn balanced_verdicts(
-        &self,
-        descents: &AtomicU64,
-    ) -> &[Result<MultiAllocation, AllocError>] {
-        self.balanced.get_or_init(|| {
-            descents.fetch_add(1, Ordering::Relaxed);
-            allocate_threads_sweep(&self.funcs, &self.sweep, EngineConfig::default())
-        })
-    }
-
-    fn hybrid_verdicts(&self, descents: &AtomicU64) -> &[Result<HybridAllocation, AllocError>] {
-        self.hybrid.get_or_init(|| {
-            descents.fetch_add(1, Ordering::Relaxed);
-            let seeds = self.balanced_verdicts(descents);
-            allocate_threads_with_spill_sweep(
-                &self.funcs,
-                &self.sweep,
-                DEFAULT_SPILL_BASE,
-                EngineConfig::default(),
-                Some(seeds),
-            )
-        })
-    }
-
-    /// The balanced verdict at `nreg`, from the shared descent when
-    /// `nreg` is on the sweep and from a dedicated run otherwise —
-    /// bit-identical either way (the core crate's sweep-equivalence
-    /// guarantee).
-    fn balanced_at(
-        &self,
-        nreg: usize,
-        descents: &AtomicU64,
-    ) -> Result<MultiAllocation, AllocError> {
-        match self.sweep.iter().position(|&n| n == nreg) {
-            Some(pos) => self.balanced_verdicts(descents)[pos].clone(),
-            None => regbal_core::allocate_threads(&self.funcs, nreg),
-        }
-    }
-
-    /// The hybrid verdict at `nreg` and the one-shot default spill
-    /// base, trajectory-shared on-sweep.
-    fn hybrid_at(
-        &self,
-        nreg: usize,
-        descents: &AtomicU64,
-    ) -> Result<HybridAllocation, AllocError> {
-        match self.sweep.iter().position(|&n| n == nreg) {
-            Some(pos) => self.hybrid_verdicts(descents)[pos].clone(),
-            None => regbal_core::allocate_threads_with_spill(&self.funcs, nreg),
-        }
-    }
-
     /// Computes the outcome for one request against this trajectory:
     /// allocate under `strategy`, build the CLI-identical document.
-    /// Runs on a worker thread; only the [`OnceLock`] descents are
-    /// shared state.
-    pub fn outcome(
-        &self,
-        nreg: usize,
-        strategy: ServeStrategy,
-        descents: &AtomicU64,
-    ) -> Outcome {
+    /// Runs on a worker thread; only the column's descents are shared
+    /// state.
+    pub fn outcome(&self, nreg: usize, strategy: ServeStrategy) -> Outcome {
         let fail = |code: &'static str, message: String| Outcome::Fail {
             code: code.into(),
             message,
         };
+        let balanced = || self.column.balanced(&self.funcs, nreg);
+        let hybrid = || self.column.hybrid(&self.funcs, nreg, DEFAULT_SPILL_BASE);
         let verdict = match strategy {
-            ServeStrategy::Balanced => match self.balanced_at(nreg, descents) {
+            ServeStrategy::Balanced => match balanced() {
                 Ok(alloc) => oneshot::Verdict::Balanced(alloc),
                 Err(e) => return fail(e.code(), e.to_string()),
             },
-            ServeStrategy::BalancedSpill => match self.hybrid_at(nreg, descents) {
+            ServeStrategy::BalancedSpill => match hybrid() {
                 Ok(h) => oneshot::Verdict::Spill(h),
                 Err(e) => return fail(e.code(), e.to_string()),
             },
             ServeStrategy::Ladder => {
                 let providers = RungProviders {
-                    balanced: Some(Box::new(|| self.balanced_at(nreg, descents))),
+                    balanced: Some(Box::new(balanced)),
                     // No seed for the scratch rung: the server's cache
                     // keys predate the scratch tier, so the ladder
                     // computes that rung itself when it gets there.
                     balanced_scratch: None,
-                    balanced_spill: Some(Box::new(|| self.hybrid_at(nreg, descents))),
+                    balanced_spill: Some(Box::new(hybrid)),
                 };
                 match allocate_ladder_seeded(
                     &self.funcs,
@@ -202,9 +132,9 @@ pub struct Counters {
     pub evictions: u64,
     /// Trajectory-cache evictions.
     pub trajectory_evictions: u64,
-    /// Whole-sweep descents actually run (monotonic; shared with the
-    /// worker pool, but each [`OnceLock`] initialises exactly once, so
-    /// the total is deterministic at any worker count).
+    /// Whole-sweep descents actually run (monotonic; shared with every
+    /// trajectory's [`SweepColumn`], which runs each descent at most
+    /// once, so the total is deterministic at any worker count).
     pub descents: Arc<AtomicU64>,
     /// Alloc misses that reused an already-resident trajectory
     /// instead of loading the module afresh.
@@ -394,7 +324,10 @@ impl ServeCache {
             },
         })?;
         let funcs = oneshot::replicate(&roots, nthd);
-        let traj = Arc::new(Trajectory::new(funcs, self.sweep.clone()));
+        let traj = Arc::new(Trajectory {
+            column: SweepColumn::new(self.sweep.clone(), self.counters.descents.clone()),
+            funcs,
+        });
         if let Some(store) = &self.store {
             if retry_write(&mut self.counters.disk_retries, || {
                 store.store_module(hash, text)
@@ -503,7 +436,7 @@ mod tests {
                 ServeStrategy::BalancedSpill,
                 ServeStrategy::Ladder,
             ] {
-                let outcome = traj.outcome(nreg, strategy, &descents);
+                let outcome = traj.outcome(nreg, strategy);
                 match outcome {
                     Outcome::Doc(doc) => {
                         assert_eq!(doc.get("nreg").and_then(Json::as_u64), Some(nreg as u64));
@@ -525,7 +458,6 @@ mod tests {
         let cache_sweep = vec![8, 32];
         let mut cache = ServeCache::new(16, 16, cache_sweep);
         let traj = cache.admit_trajectory(content_hash(PROG), 2, PROG).unwrap();
-        let descents = AtomicU64::new(0);
         for nreg in [8, 32, 20] {
             // 20 is off-sweep: a dedicated run, still identical.
             for strategy in [
@@ -533,7 +465,7 @@ mod tests {
                 ServeStrategy::BalancedSpill,
                 ServeStrategy::Ladder,
             ] {
-                let served = traj.outcome(nreg, strategy, &descents);
+                let served = traj.outcome(nreg, strategy);
                 let direct = oneshot::allocate(&traj.funcs, nreg, strategy)
                     .map(|v| oneshot::verdict_doc(&traj.funcs, nreg, &v));
                 match (served, direct) {

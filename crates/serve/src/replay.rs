@@ -292,8 +292,7 @@ fn drive(
     Ok(reports)
 }
 
-/// The JSON member summarising one pass (for `BENCH_SERVE.json` and
-/// `--out` reports).
+/// The JSON member summarising one pass (for `--out` reports).
 pub fn pass_json(report: &PassReport) -> Json {
     Json::Obj(vec![
         ("wall_us".into(), Json::uint(report.wall_us)),

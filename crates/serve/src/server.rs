@@ -12,8 +12,8 @@
 //! work-stealing pool ([`regbal_eval::pool::shard_metered`]), then
 //! writes every response in admission order. Because all cache mutation
 //! is serial and the workers only race on each trajectory's
-//! [`std::sync::OnceLock`], the response stream is byte-identical at
-//! any worker count.
+//! [`regbal_eval::SweepColumn`], the response stream is byte-identical
+//! at any worker count.
 //!
 //! The TCP server admits N connections into the same queue: one accept
 //! thread, one reader thread per connection, one dispatcher owning all
@@ -45,7 +45,7 @@ use regbal_eval::{pool, Json};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -351,13 +351,12 @@ fn resolve_wave(
     }
 
     // The parallel phase: shard the misses across the pool. Workers
-    // race only on trajectory OnceLocks, so overlapping descents are
-    // computed once and shared.
-    let descents: &AtomicU64 = &cache.counters.descents.clone();
+    // race only on the trajectories' sweep columns, so overlapping
+    // descents are computed once and shared.
     let meter = metrics.map(|m| &m.pool);
     let outcomes = pool::shard_metered(compute.len(), config.workers, meter, |i| {
         let item = &compute[i];
-        item.trajectory.outcome(item.nreg, item.strategy, descents)
+        item.trajectory.outcome(item.nreg, item.strategy)
     });
 
     // Serial epilogue in admission order: publish fresh outcomes to

@@ -13,14 +13,12 @@
 //!   min-heap picks the PU with the smallest local clock and advances
 //!   it one `granularity`-cycle slice, so a store on one PU is visible
 //!   to the others within at most one slice.
-//! * [`Chip::run_event`] / [`Chip::run_event_threads`] — the
-//!   event-driven core: each PU runs in a *batch* to its next
-//!   shared-memory instruction (or the cycle horizon) and only those
-//!   memory steps are globally ordered, by `(local clock, PU index)`.
-//!   Everything between two memory steps is PU-local, so batches of
-//!   different PUs commute and may run on OS threads; the heap merge
-//!   keeps reports bit-identical to `run(cycles, 1)` at any thread
-//!   count (see DESIGN.md §7 for the argument).
+//! * [`Chip::run_event`] — the event-driven core: each PU runs in a
+//!   *batch* to its next shared-memory instruction (or the cycle
+//!   horizon) and only those memory steps are globally ordered, by
+//!   `(local clock, PU index)`. Everything between two memory steps is
+//!   PU-local, so the heap merge keeps reports bit-identical to
+//!   `run(cycles, 1)` (see DESIGN.md §7 for the argument).
 
 use crate::config::SimConfig;
 use crate::machine::{PuEvent, RunReport, SimError, Simulator, StopWhen};
@@ -29,7 +27,6 @@ use crate::sanitizer::SanitizerConfig;
 use regbal_ir::Func;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{mpsc, Mutex};
 
 /// A chip of several processing units over shared memories.
 #[derive(Debug)]
@@ -175,94 +172,6 @@ impl Chip {
         }
         self.pus.iter().map(Simulator::report).collect()
     }
-
-    /// [`run_event`](Self::run_event) with the pure (non-memory)
-    /// batches farmed out to `threads` OS threads.
-    ///
-    /// Memory steps still execute serially on the calling thread, in
-    /// heap order; a heap event commits only once every in-flight
-    /// batch provably cannot produce an earlier key (each in-flight PU
-    /// carries a lower bound on its next event). The committed event
-    /// sequence is thus a pure function of the simulation, and reports
-    /// stay bit-identical to `run(cycles, 1)` at any thread count.
-    pub fn run_event_threads(&mut self, cycles: u64, threads: usize) -> Vec<RunReport> {
-        let workers = threads.max(1);
-        if workers == 1 || self.pus.len() == 1 {
-            return self.run_event(cycles);
-        }
-        let stop = StopWhen::Cycles(cycles);
-        let slots: Vec<Mutex<Simulator>> = std::mem::take(&mut self.pus)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let (job_tx, job_rx) = mpsc::channel::<usize>();
-        let job_rx = Mutex::new(job_rx);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, PuEvent)>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = &job_rx;
-                let res_tx = res_tx.clone();
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let job = job_rx.lock().expect("job queue poisoned").recv();
-                    let Ok(idx) = job else { break };
-                    let event = slots[idx].lock().expect("PU poisoned").run_to_event(stop);
-                    if res_tx.send((idx, event)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // In-flight bound per PU: its next event key is >= the
-            // bound, so heap entries below every `(bound, pu)` are
-            // safe to commit. The initial batches start at clock 0.
-            let mut inflight: Vec<Option<u64>> = vec![Some(0); slots.len()];
-            let mut live = slots.len();
-            for idx in 0..slots.len() {
-                job_tx.send(idx).expect("worker pool alive");
-            }
-            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-            loop {
-                if let Some(&Reverse((at, idx))) = heap.peek() {
-                    let safe = inflight
-                        .iter()
-                        .enumerate()
-                        .all(|(pu, bound)| bound.is_none_or(|b| (at, idx) < (b, pu)));
-                    if safe {
-                        heap.pop();
-                        let mut pu = slots[idx].lock().expect("PU poisoned");
-                        pu.run_mem_op(&mut self.memory, stop);
-                        if !pu.all_halted() && pu.now() < cycles {
-                            let bound = pu.next_event_bound();
-                            drop(pu);
-                            inflight[idx] = Some(bound);
-                            live += 1;
-                            job_tx.send(idx).expect("worker pool alive");
-                        }
-                        continue;
-                    }
-                }
-                if live == 0 {
-                    break;
-                }
-                let (idx, event) = res_rx.recv().expect("a worker is live");
-                inflight[idx] = None;
-                live -= 1;
-                if let PuEvent::Mem { at } = event {
-                    heap.push(Reverse((at, idx)));
-                }
-            }
-            drop(job_tx); // workers drain and exit
-        });
-
-        self.pus = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("PU poisoned"))
-            .collect();
-        self.pus.iter().map(Simulator::report).collect()
-    }
 }
 
 #[cfg(test)]
@@ -389,21 +298,15 @@ done:
 
         let mut event = pipeline_chip();
         let got = event.run_event(2_000_000);
-        assert_eq!(expected, got, "serial event core diverged");
+        assert_eq!(expected, got, "event core diverged");
         assert_eq!(
             reference.memory().read_bytes(MemSpace::Scratch, 0, 1024),
             event.memory().read_bytes(MemSpace::Scratch, 0, 1024)
         );
-
-        for threads in [1usize, 4, 8] {
-            let mut par = pipeline_chip();
-            let got = par.run_event_threads(2_000_000, threads);
-            assert_eq!(expected, got, "{threads}-thread event core diverged");
-            assert_eq!(
-                reference.memory().read_bytes(MemSpace::Sram, 0, 2048),
-                par.memory().read_bytes(MemSpace::Sram, 0, 2048)
-            );
-        }
+        assert_eq!(
+            reference.memory().read_bytes(MemSpace::Sram, 0, 2048),
+            event.memory().read_bytes(MemSpace::Sram, 0, 2048)
+        );
         assert_eq!(
             event.memory().read_word(MemSpace::Scratch, 512),
             1080,
@@ -436,10 +339,7 @@ done:
         let ra = a.run(5_000, 1);
         let mut b = build();
         let rb = b.run_event(5_000);
-        let mut c = build();
-        let rc = c.run_event_threads(5_000, 4);
         assert_eq!(ra, rb);
-        assert_eq!(ra, rc);
         assert!(ra[0].cycles >= 5_000);
         assert_eq!(ra[1].cycles, 0);
     }

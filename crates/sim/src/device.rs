@@ -222,18 +222,13 @@ impl DeviceSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChipCore {
     /// The slice-interleaved reference loop at the given granularity
-    /// (1 for the interleaving the event cores are identical to).
+    /// (1 for the interleaving the event core is identical to).
     Reference {
         /// Slice length in cycles.
         granularity: u64,
     },
     /// The serial event-driven core.
     Event,
-    /// The event-driven core with pure batches on OS threads.
-    EventThreads {
-        /// Worker OS threads.
-        threads: usize,
-    },
 }
 
 /// A chip wired with the device memory protocol.
@@ -306,7 +301,6 @@ impl Device {
         match core {
             ChipCore::Reference { granularity } => self.chip.run(cycles, granularity),
             ChipCore::Event => self.chip.run_event(cycles),
-            ChipCore::EventThreads { threads } => self.chip.run_event_threads(cycles, threads),
         }
     }
 

@@ -422,14 +422,14 @@ impl Simulator {
     /// building block of [`crate::Chip`], where several PUs share the
     /// off-chip memories. The PU's own memory is ignored.
     pub fn run_shared(&mut self, mem: &mut Memory, stop: StopWhen) -> RunReport {
-        self.run_batch(mem, stop, u64::MAX, false);
+        self.run_batch(mem, stop, u64::MAX);
         self.report()
     }
 
     /// Runs only *pure* work: executes the PU up to (but not into) its
     /// next shared-memory instruction, or to `stop` / halt. Pure work
     /// reads and writes nothing outside this PU, so calls on different
-    /// PUs commute — the parallel chip core farms them to OS threads.
+    /// PUs commute and the event core need order only the memory steps.
     ///
     /// On `Mem { at }` the PU is *poised*: the scheduling step at local
     /// time `at` would issue a load or store, and none of that step
@@ -438,35 +438,14 @@ impl Simulator {
         // The batch provably executes no memory instruction (fuel 0
         // stops it poised first), so a placeholder memory suffices.
         let mut dummy = Memory::new(0, 0, 0, 0);
-        self.run_batch(&mut dummy, stop, 0, false)
+        self.run_batch(&mut dummy, stop, 0)
     }
 
     /// Resolves a poised shared-memory event against `mem`, then keeps
     /// running pure work to the next event. The serial event-driven
     /// core's per-event step: returns the PU's next event key.
     pub(crate) fn run_through_event(&mut self, mem: &mut Memory, stop: StopWhen) -> PuEvent {
-        self.run_batch(mem, stop, 1, false)
-    }
-
-    /// Resolves a poised shared-memory event against `mem` and stops
-    /// immediately after the issuing step — the parallel core's
-    /// serial portion; the pure continuation goes to a worker via
-    /// [`run_to_event`](Self::run_to_event).
-    pub(crate) fn run_mem_op(&mut self, mem: &mut Memory, stop: StopWhen) {
-        self.run_batch(mem, stop, 1, true);
-    }
-
-    /// A lower bound on the key of this PU's next shared-memory event:
-    /// no future [`run_to_event`](Self::run_to_event) returns
-    /// `Mem { at }` with `at` below this. `u64::MAX` when every thread
-    /// has halted.
-    pub(crate) fn next_event_bound(&self) -> u64 {
-        self.threads
-            .iter()
-            .filter(|t| !t.halted)
-            .map(|t| t.ready_at.max(self.now))
-            .min()
-            .unwrap_or(u64::MAX)
+        self.run_batch(mem, stop, 1)
     }
 
     /// The scheduling loop shared by the slice core and the event core.
@@ -475,21 +454,13 @@ impl Simulator {
     /// execute; when the next scheduling step would issue one with no
     /// fuel left, the loop returns `Mem { at: self.now }` *before*
     /// committing anything (no rotation, no context-switch cost), so
-    /// re-entering with fuel replays the step exactly. With
-    /// `stop_after_op` the batch ends right after the fueled memory
-    /// instruction issues.
+    /// re-entering with fuel replays the step exactly.
     ///
     /// Invariant behind the event-driven chip: every effect on state
     /// outside this PU happens in a fueled memory step, and the key
     /// `at` equals the `now` the reference granularity-1 interleaving
     /// would schedule that step at.
-    fn run_batch(
-        &mut self,
-        mem: &mut Memory,
-        stop: StopWhen,
-        mut fuel: u64,
-        stop_after_op: bool,
-    ) -> PuEvent {
+    fn run_batch(&mut self, mem: &mut Memory, stop: StopWhen, mut fuel: u64) -> PuEvent {
         loop {
             if self.now >= self.config.max_cycles || self.stopped(stop) {
                 return PuEvent::Done;
@@ -508,9 +479,6 @@ impl Simulator {
                         fuel -= 1;
                     }
                     self.step(i, mem);
-                    if is_mem && stop_after_op {
-                        return PuEvent::Done;
-                    }
                     continue;
                 }
             }
@@ -530,9 +498,6 @@ impl Simulator {
                     }
                     self.resume(j);
                     self.step(j, mem);
-                    if is_mem && stop_after_op {
-                        return PuEvent::Done;
-                    }
                 }
                 None => {
                     // All blocked: advance to the earliest wake-up.

@@ -1,9 +1,8 @@
 //! Event-driven chip core vs the reference interleaving, end to end:
-//! the serial event core and the threaded event core must reproduce the
-//! granularity-1 slice loop's per-PU reports **exactly** — cycles,
-//! per-thread statistics, traces and memory — on cross-PU handshakes,
-//! CSB-dense benchmark kernels, devices with halted and empty PUs, and
-//! at every OS-thread count.
+//! the event core must reproduce the granularity-1 slice loop's per-PU
+//! reports **exactly** — cycles, per-thread statistics, traces and
+//! memory — on cross-PU handshakes, CSB-dense benchmark kernels,
+//! devices with halted and empty PUs, and a full packet device.
 
 use regbal_ir::{parse_func, Func, MemSpace};
 use regbal_sim::device::{ChipCore, PKT_BASE};
@@ -77,48 +76,24 @@ fn handshake_chip() -> Chip {
     chip
 }
 
-/// Runs the same chip construction under the reference loop, the serial
-/// event core and the threaded core at several thread counts, asserting
-/// every run's reports and memory equal the reference's.
-fn assert_cores_identical(
-    build: impl Fn() -> Chip,
-    cycles: u64,
-    thread_counts: &[usize],
-) -> Vec<RunReport> {
+/// Runs the same chip construction under the reference loop and the
+/// event core, asserting the event core's reports and memory equal the
+/// reference's.
+fn assert_cores_identical(build: impl Fn() -> Chip, cycles: u64) -> Vec<RunReport> {
     let mut reference = build();
     let ref_reports = reference.run(cycles, 1);
-    let ref_mem = (
-        reference.memory().read_bytes(MemSpace::Scratch, 0, 4096),
-        reference.memory().read_bytes(MemSpace::Sram, 0, 4096),
-    );
 
     let mut event = build();
     let event_reports = event.run_event(cycles);
     assert_eq!(
         event_reports, ref_reports,
-        "serial event core diverged from the reference interleaving"
+        "event core diverged from the reference interleaving"
     );
-    assert_eq!(
-        event.memory().read_bytes(MemSpace::Scratch, 0, 4096),
-        ref_mem.0
-    );
-
-    for &threads in thread_counts {
-        let mut par = build();
-        let par_reports = par.run_event_threads(cycles, threads);
+    for space in [MemSpace::Scratch, MemSpace::Sram] {
         assert_eq!(
-            par_reports, ref_reports,
-            "event core at {threads} OS thread(s) diverged from the reference"
-        );
-        assert_eq!(
-            par.memory().read_bytes(MemSpace::Scratch, 0, 4096),
-            ref_mem.0,
-            "scratch diverged at {threads} OS thread(s)"
-        );
-        assert_eq!(
-            par.memory().read_bytes(MemSpace::Sram, 0, 4096),
-            ref_mem.1,
-            "sram diverged at {threads} OS thread(s)"
+            event.memory().read_bytes(space, 0, 4096),
+            reference.memory().read_bytes(space, 0, 4096),
+            "{space:?} diverged"
         );
     }
     ref_reports
@@ -128,7 +103,7 @@ fn assert_cores_identical(
 /// batch boundary at every shared store/load pair.
 #[test]
 fn cross_pu_handshake_is_identical_across_cores() {
-    let reports = assert_cores_identical(handshake_chip, 3_000_000, &[1, 4, 8]);
+    let reports = assert_cores_identical(handshake_chip, 3_000_000);
     assert!(reports.iter().all(|r| r.threads.iter().all(|t| t.halted)));
 }
 
@@ -138,7 +113,7 @@ fn cross_pu_handshake_is_identical_across_cores() {
 #[test]
 fn truncated_run_is_identical_across_cores() {
     for budget in [0, 1, 97, 1_000, 14_401] {
-        assert_cores_identical(handshake_chip, budget, &[1, 4, 8]);
+        assert_cores_identical(handshake_chip, budget);
     }
 }
 
@@ -161,7 +136,7 @@ fn csb_heavy_kernels_are_identical_across_cores() {
         }
         chip
     };
-    let reports = assert_cores_identical(build, 4_000_000, &[1, 4, 8]);
+    let reports = assert_cores_identical(build, 4_000_000);
     assert!(reports.iter().all(|r| r.threads.iter().all(|t| t.halted)));
 }
 
@@ -183,14 +158,14 @@ fn halted_and_empty_pus_are_identical_across_cores() {
         );
         chip
     };
-    assert_cores_identical(build, 20_000, &[1, 4, 8]);
+    assert_cores_identical(build, 20_000);
 }
 
 /// The full device — command processor, 8 worker PUs, 16 rings — is
-/// byte-identical across the reference loop and the event cores at
-/// 1/4/8 OS threads, and drains every packet to the model digest.
+/// byte-identical across the reference loop and the event core, and
+/// drains every packet to the model digest.
 #[test]
-fn device_reports_identical_across_os_thread_counts() {
+fn device_reports_identical_across_cores() {
     let spec = DeviceSpec {
         pus: 8,
         threads_per_pu: 2,
@@ -221,7 +196,4 @@ fn device_reports_identical_across_os_thread_counts() {
     assert_eq!(reference.1, expected, "device digest must match the model");
     assert_eq!(reference.2, u64::from(spec.packets));
     assert_eq!(run(ChipCore::Event), reference);
-    for threads in [1, 4, 8] {
-        assert_eq!(run(ChipCore::EventThreads { threads }), reference);
-    }
 }

@@ -39,6 +39,16 @@ cargo test -q --test degradation
 ./target/release/regbal eval --validate target/BENCH_EVAL_SMOKE.json
 ./target/release/regbal eval --validate BENCH_EVAL.json
 
+# Full-sweep oracle: the code must still reproduce the committed
+# BENCH_EVAL.json. Only the wall-clock members (`elapsed_ms`, `wall_ms`)
+# and the machine's worker and thread counts may differ; the cells'
+# `"threads": [` arrays stay in the comparison.
+./target/release/regbal eval --out target/BENCH_EVAL_FULL.json
+wallclock='"elapsed_ms"\|"wall_ms"\|"workers": [0-9]\|"threads": [0-9]'
+grep -v "$wallclock" BENCH_EVAL.json > target/BENCH_EVAL.filtered
+grep -v "$wallclock" target/BENCH_EVAL_FULL.json > target/BENCH_EVAL_FULL.filtered
+cmp target/BENCH_EVAL.filtered target/BENCH_EVAL_FULL.filtered
+
 # The smoke documents must cover all five strategies — in particular
 # the scratchpad tier (`balanced-scratch`), whose cells `--validate`
 # holds to the scratch-accounting rules (scratch_spills <= spills, and

@@ -189,21 +189,27 @@ impl ThreadAlloc {
     /// Total `mov` instructions implied by the current partition: flow
     /// edges whose endpoints lie in fragments of different colors.
     pub fn moves(&self) -> usize {
-        let mut total = 0;
-        for vi in 0..self.live.num_vregs() {
-            let v = VReg(vi as u32);
-            if self.num_fragments(v) <= 1 {
-                continue;
-            }
-            for &(a, b) in self.live.flows(v) {
-                let na = self.node_at(v, a).expect("flow endpoint is live");
-                let nb = self.node_at(v, b).expect("flow endpoint is live");
-                if self.nodes[na.index()].color != self.nodes[nb.index()].color {
-                    total += 1;
-                }
-            }
+        (0..self.live.num_vregs())
+            .map(|vi| self.vreg_moves(VReg(vi as u32)))
+            .sum()
+    }
+
+    /// The moves `v` alone contributes to [`moves`](Self::moves): its
+    /// flow edges whose endpoint fragments differ in color (none while
+    /// it is unsplit).
+    fn vreg_moves(&self, v: VReg) -> usize {
+        if self.num_fragments(v) <= 1 {
+            return 0;
         }
-        total
+        let color = |h| {
+            let id = self.node_at(v, h).expect("flow endpoint is live");
+            self.nodes[id.index()].color
+        };
+        self.live
+            .flows(v)
+            .iter()
+            .filter(|&&(a, b)| color(a) != color(b))
+            .count()
     }
 
     /// The moves as concrete `(from, to, vreg, old_color, new_color)`
@@ -732,6 +738,15 @@ impl ThreadAlloc {
     /// neighbours merge when one side can adopt the other's color
     /// without conflicts and the merge strictly reduces the move count.
     pub fn eliminate_unnecessary_moves(&mut self) {
+        self.eliminate_moves_with(ThreadAlloc::try_merge_recolored);
+    }
+
+    /// The merge pass of [`eliminate_unnecessary_moves`](Self::eliminate_unnecessary_moves)
+    /// with the differently-colored merge decided by `try_merge`.
+    fn eliminate_moves_with(
+        &mut self,
+        try_merge: impl Fn(&mut ThreadAlloc, NodeId, NodeId) -> bool,
+    ) {
         loop {
             let mut changed = false;
             'scan: for vi in 0..self.live.num_vregs() {
@@ -753,7 +768,7 @@ impl ThreadAlloc {
                     }
                     // Try adopting either side's color for the union.
                     for (keep, give) in [(na, nb), (nb, na)] {
-                        if self.try_merge_recolored(keep, give) {
+                        if try_merge(self, keep, give) {
                             changed = true;
                             continue 'scan;
                         }
@@ -768,28 +783,40 @@ impl ThreadAlloc {
 
     /// Attempts to merge `give` into `keep` under `keep`'s color;
     /// commits only if legal and strictly move-reducing.
+    ///
+    /// The merge happens in place and is undone when `vreg`'s own move
+    /// count does not fall. That count decides exactly: a merge touches
+    /// only `vreg`'s fragments, so every other register's term of
+    /// [`moves`](Self::moves) is unchanged.
     fn try_merge_recolored(&mut self, keep: NodeId, give: NodeId) -> bool {
-        let color = self.nodes[keep.index()].color;
+        if !self.can_merge_recolored(keep, give) {
+            return false;
+        }
         let vreg = self.nodes[keep.index()].vreg;
-        let gpoints = self.nodes[give.index()].points.clone();
-        // Boundary fragments can only adopt private colors.
-        let union_boundary =
-            self.nodes[keep.index()].boundary || self.nodes[give.index()].boundary;
-        if union_boundary && !self.private.contains(&color) {
+        let before = self.vreg_moves(vreg);
+        let saved = (
+            self.nodes[keep.index()].points.clone(),
+            self.nodes[keep.index()].boundary,
+        );
+        self.merge(keep, give);
+        if self.vreg_moves(vreg) < before {
+            return true;
+        }
+        let node = &mut self.nodes[keep.index()];
+        (node.points, node.boundary) = saved;
+        self.nodes[give.index()].alive = true;
+        false
+    }
+
+    /// Whether `give` may join `keep` under `keep`'s color: a boundary
+    /// union needs a private color, and the color must be free over
+    /// `give`'s points.
+    fn can_merge_recolored(&self, keep: NodeId, give: NodeId) -> bool {
+        let (k, g) = (&self.nodes[keep.index()], &self.nodes[give.index()]);
+        if (k.boundary || g.boundary) && !self.private.contains(&k.color) {
             return false;
         }
-        if !self.color_free(&gpoints, color, vreg) {
-            return false;
-        }
-        let before = self.moves();
-        let mut trial = self.clone();
-        trial.merge(keep, give);
-        if trial.moves() < before {
-            *self = trial;
-            true
-        } else {
-            false
-        }
+        self.color_free(&g.points, k.color, k.vreg)
     }
 
     // ------------------------------------------------------------------
@@ -826,7 +853,7 @@ mod tests {
     use regbal_analysis::ProgramInfo;
     use regbal_ir::parse_func;
 
-    fn setup(src: &str) -> (ProgramInfo, ThreadAlloc) {
+    pub(super) fn setup(src: &str) -> (ProgramInfo, ThreadAlloc) {
         let f = parse_func(src).unwrap();
         let info = ProgramInfo::compute(&f);
         let est = estimate_bounds(&info);
@@ -837,7 +864,7 @@ mod tests {
 
     /// Paper Figure 3 thread 1: `a` across the ctx, `b`/`c` internal.
     /// MinPR = 1, MinR = 2; the initial estimate uses more.
-    const FIG3_T1: &str = "
+    pub(super) const FIG3_T1: &str = "
 func t1 {
 bb0:
     v0 = mov 1
@@ -863,7 +890,7 @@ bb3:
     /// Paper Figure 9: three values interfering pairwise at three
     /// different CSBs: a 3-clique on the BIG, but only two co-live at
     /// any single CSB — splitting reaches MinPR = 2.
-    const FIG9: &str = "
+    pub(super) const FIG9: &str = "
 func fig9 {
 bb0:
     v0 = mov 1            ; A
@@ -1020,13 +1047,9 @@ mod demotion_tests {
         ThreadAlloc::new(live, &est.coloring, est.bounds.max_pr, est.bounds.max_r)
     }
 
-    /// A demoted private color whose internal users remain migrates to
-    /// the shared palette: R is preserved (paper Fig. 11 semantics).
-    #[test]
-    fn demotion_moves_color_to_shared() {
-        // v0 and v1 boundary (across ctx); v2/v3 internal and colorable
-        // only with a third color at their pressure point.
-        let src = "
+    /// v0 and v1 boundary (across ctx); v2/v3 internal and colorable
+    /// only with a third color at their pressure point.
+    pub(super) const DEMOTION: &str = "
 func d {
 bb0:
     v0 = mov 1
@@ -1040,28 +1063,10 @@ bb0:
     store scratch[v0+0], v1
     halt
 }";
-        let mut a = setup2(src);
-        let (pr0, sr0, r0) = (a.pr(), a.sr(), a.r());
-        if a.reduce_private().is_some() {
-            assert_eq!(a.pr(), pr0 - 1);
-            // Either the color was demoted (SR grew, R same) or dropped
-            // entirely (R shrank).
-            assert!(
-                (a.sr() == sr0 + 1 && a.r() == r0) || (a.sr() == sr0 && a.r() == r0 - 1),
-                "pr {} sr {} r {}",
-                a.pr(),
-                a.sr(),
-                a.r()
-            );
-            a.assert_consistent();
-        }
-    }
 
-    /// The Lemma-1 fallback really fires: a pairwise-boundary pattern
-    /// (paper Fig. 9) where per-node vacating alone wedges.
-    #[test]
-    fn lemma1_reaches_min_pr_on_fig9_pattern() {
-        let src = "
+    /// A pairwise-boundary pattern (paper Fig. 9) where per-node
+    /// vacating alone wedges.
+    pub(super) const LEMMA1_PATTERN: &str = "
 func p {
 bb0:
     v0 = mov 1
@@ -1082,9 +1087,34 @@ bb3:
     store scratch[v4+4], v4
     halt
 }";
-        let f = parse_func(src).unwrap();
+
+    /// A demoted private color whose internal users remain migrates to
+    /// the shared palette: R is preserved (paper Fig. 11 semantics).
+    #[test]
+    fn demotion_moves_color_to_shared() {
+        let mut a = setup2(DEMOTION);
+        let (pr0, sr0, r0) = (a.pr(), a.sr(), a.r());
+        if a.reduce_private().is_some() {
+            assert_eq!(a.pr(), pr0 - 1);
+            // Either the color was demoted (SR grew, R same) or dropped
+            // entirely (R shrank).
+            assert!(
+                (a.sr() == sr0 + 1 && a.r() == r0) || (a.sr() == sr0 && a.r() == r0 - 1),
+                "pr {} sr {} r {}",
+                a.pr(),
+                a.sr(),
+                a.r()
+            );
+            a.assert_consistent();
+        }
+    }
+
+    /// The Lemma-1 fallback really fires on [`LEMMA1_PATTERN`].
+    #[test]
+    fn lemma1_reaches_min_pr_on_fig9_pattern() {
+        let f = parse_func(LEMMA1_PATTERN).unwrap();
         let info = ProgramInfo::compute(&f);
-        let mut a = setup2(src);
+        let mut a = setup2(LEMMA1_PATTERN);
         let min_pr = info.pressure.min_pr();
         while a.pr() > min_pr {
             if a.reduce_private().is_none() {
@@ -1109,5 +1139,209 @@ bb3:
         // Live halves: Out(p0)=1, In(p1)=2+Out(p1)=3 fused, In(p2)=4.
         let flat: Vec<Vec<usize>> = atoms.iter().map(|a| a.iter().collect()).collect();
         assert_eq!(flat, vec![vec![1], vec![2, 3], vec![4]]);
+    }
+}
+
+/// The in-place, per-register merge check against the rule it
+/// replaced: merge on a clone of the whole allocation and commit when
+/// the whole-program move recount strictly falls.
+#[cfg(test)]
+mod merge_oracle_tests {
+    use super::demotion_tests::{DEMOTION, LEMMA1_PATTERN};
+    use super::tests::{setup, FIG3_T1, FIG9};
+    use super::*;
+    use std::cell::Cell;
+
+    /// Every move of the partition, recounted flow edge by flow edge.
+    fn recount(a: &ThreadAlloc) -> usize {
+        let mut total = 0;
+        for vi in 0..a.live.num_vregs() {
+            let v = VReg(vi as u32);
+            if a.num_fragments(v) <= 1 {
+                continue;
+            }
+            for &(x, y) in a.live.flows(v) {
+                let nx = a.node_at(v, x).unwrap();
+                let ny = a.node_at(v, y).unwrap();
+                if a.nodes[nx.index()].color != a.nodes[ny.index()].color {
+                    total += 1;
+                }
+            }
+        }
+        total
+    }
+
+    /// The replaced merge rule, verbatim but for [`recount`].
+    fn merge_by_recount(a: &mut ThreadAlloc, keep: NodeId, give: NodeId) -> bool {
+        let color = a.nodes[keep.index()].color;
+        let vreg = a.nodes[keep.index()].vreg;
+        let gpoints = a.nodes[give.index()].points.clone();
+        let union_boundary = a.nodes[keep.index()].boundary || a.nodes[give.index()].boundary;
+        if union_boundary && !a.private.contains(&color) {
+            return false;
+        }
+        if !a.color_free(&gpoints, color, vreg) {
+            return false;
+        }
+        let before = recount(a);
+        let mut trial = a.clone();
+        trial.merge(keep, give);
+        if recount(&trial) < before {
+            *a = trial;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Every legal merge of two adjacent fragments of `raw` that the
+    /// in-place rule rejects must leave `raw` exactly as it was. Returns
+    /// how many of those undid a merge that made `keep` a boundary
+    /// fragment.
+    fn assert_rejected_merges_undo(raw: &ThreadAlloc, what: &str) -> usize {
+        let mut flips = 0;
+        for vi in 0..raw.live.num_vregs() {
+            let v = VReg(vi as u32);
+            for &(x, y) in raw.live.flows(v) {
+                let (nx, ny) = (raw.node_at(v, x).unwrap(), raw.node_at(v, y).unwrap());
+                if nx == ny {
+                    continue;
+                }
+                for (keep, give) in [(nx, ny), (ny, nx)] {
+                    let mut trial = raw.clone();
+                    if !trial.can_merge_recolored(keep, give)
+                        || trial.try_merge_recolored(keep, give)
+                    {
+                        continue;
+                    }
+                    assert_eq!(format!("{trial:?}"), format!("{raw:?}"), "{what}: undo");
+                    flips += usize::from(
+                        !raw.nodes[keep.index()].boundary && raw.nodes[give.index()].boundary,
+                    );
+                }
+            }
+        }
+        flips
+    }
+
+    /// Runs both merge rules on clones of `raw` and demands identical
+    /// states and exact move accounting. Returns how many legal merges
+    /// the in-place rule tried and undid.
+    fn assert_rules_agree(raw: &ThreadAlloc, what: &str) -> usize {
+        assert_eq!(raw.moves(), recount(raw), "{what}: raw moves");
+        let undone = Cell::new(0);
+        let mut fast = raw.clone();
+        fast.eliminate_moves_with(|a, keep, give| {
+            let legal = a.can_merge_recolored(keep, give);
+            let merged = a.try_merge_recolored(keep, give);
+            undone.set(undone.get() + usize::from(legal && !merged));
+            merged
+        });
+        let mut reference = raw.clone();
+        reference.eliminate_moves_with(merge_by_recount);
+        assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{what}");
+        fast.assert_consistent();
+        let per_vreg: usize = (0..fast.live.num_vregs())
+            .map(|v| fast.vreg_moves(VReg(v as u32)))
+            .sum();
+        assert_eq!(fast.moves(), recount(&fast), "{what}: merged moves");
+        assert_eq!(per_vreg, recount(&fast), "{what}: per-register sum");
+        undone.get()
+    }
+
+    type Step = fn(&mut ThreadAlloc, u32) -> Option<()>;
+
+    /// A loop of `n` values, each live across two consecutive switches,
+    /// plus a counter live everywhere: for odd `n` the BIG is an odd
+    /// cycle needing one more private color than any switch carries
+    /// (the engine tests' `odd_cycle` is `ring(5, 0)`). Each switch is
+    /// followed by `extra` chained internal temporaries.
+    fn ring(n: usize, extra: usize) -> String {
+        let mut src = format!(
+            "func ring {{\nbb0:\n v{n} = mov 10\n v{} = mov 44\n jump bb1\nbb1:\n",
+            n - 1
+        );
+        let mut next = n + 1;
+        for i in 0..n {
+            let prev = (i + n - 1) % n;
+            src += &format!(" v{i} = mov {i}\n ctx\n");
+            let mut acc = prev;
+            for _ in 0..extra {
+                src += &format!(" v{next} = add v{acc}, v{i}\n");
+                acc = next;
+                next += 1;
+            }
+            src += &format!(" store scratch[v{acc}+0], v{prev}\n");
+        }
+        src + &format!(" v{n} = sub v{n}, 1\n bne v{n}, 0, bb1, bb2\nbb2:\n halt\n}}")
+    }
+
+    /// Every raw reduction step, on every color, at every state of each
+    /// fixture's descent to its bounds — and once more on each state a
+    /// step (and the merge pass) leads to.
+    #[test]
+    fn per_register_merge_check_matches_the_whole_program_recount() {
+        let private_steps: [(&str, Step); 3] = [
+            ("demote", ThreadAlloc::demote_private),
+            ("lemma1", ThreadAlloc::demote_private_lemma1),
+            ("eliminate", ThreadAlloc::eliminate_color),
+        ];
+        let (mut checked, mut merged, mut undone, mut flips) = (0, 0, 0, 0);
+        let rings = [ring(5, 0), ring(7, 0), ring(9, 2)];
+        for (name, src) in [
+            ("fig3", FIG3_T1),
+            ("fig9", FIG9),
+            ("lemma1", LEMMA1_PATTERN),
+            ("demotion", DEMOTION),
+            ("ring5", rings[0].as_str()),
+            ("ring7", rings[1].as_str()),
+            ("ring9x2", rings[2].as_str()),
+        ] {
+            let (info, mut state) = setup(src);
+            let mut frontier = vec![state.clone()];
+            loop {
+                let stepped = (state.pr() > info.pressure.min_pr()
+                    && state.reduce_private().is_some())
+                    || (state.r() > info.pressure.min_r()
+                        && state.sr() > 0
+                        && state.reduce_shared().is_some());
+                if !stepped {
+                    break;
+                }
+                frontier.push(state.clone());
+            }
+            for _depth in 0..2 {
+                let mut next = Vec::new();
+                for state in &frontier {
+                    let mut trials: Vec<(&str, Step, u32)> = Vec::new();
+                    for &c in &state.private {
+                        trials.extend(private_steps.iter().map(|&(step, f)| (step, f, c)));
+                    }
+                    for &c in &state.shared {
+                        trials.push(("eliminate", ThreadAlloc::eliminate_color, c));
+                    }
+                    for (step, f, c) in trials {
+                        let mut raw = state.clone();
+                        if f(&mut raw, c).is_none() {
+                            continue;
+                        }
+                        let what =
+                            format!("{name}: {step} {c} at pr={} sr={}", state.pr(), state.sr());
+                        undone += assert_rules_agree(&raw, &what);
+                        flips += assert_rejected_merges_undo(&raw, &what);
+                        let mut after = raw.clone();
+                        after.eliminate_unnecessary_moves();
+                        merged += usize::from(after.moves() < raw.moves());
+                        checked += 1;
+                        next.push(after);
+                    }
+                }
+                frontier = next;
+            }
+        }
+        assert!(checked >= 30, "only {checked} raw states checked");
+        assert!(merged > 0, "no raw state had a move to merge away");
+        assert!(undone > 0, "no merge trial was ever undone");
+        assert!(flips > 0, "no undone merge had a boundary flag to restore");
     }
 }

@@ -199,13 +199,51 @@ impl MultiAllocation {
 /// Builds the initial (upper-bound) allocation state for one function.
 pub(crate) fn initial_thread(func: &Func) -> ThreadResult {
     let info = ProgramInfo::compute(func);
-    let est = estimate_bounds(&info);
-    let live = Arc::new(LiveMap::compute(&info));
-    let alloc = ThreadAlloc::new(live, &est.coloring, est.bounds.max_pr, est.bounds.max_r);
+    let (bounds, alloc) = initial_state(&info);
     ThreadResult {
         info,
-        bounds: est.bounds,
+        bounds,
         alloc,
+    }
+}
+
+/// The bounds and upper-bound allocation state [`initial_thread`]
+/// derives from an already computed analysis bundle.
+pub(crate) fn initial_state(info: &ProgramInfo) -> (Bounds, ThreadAlloc) {
+    let est = estimate_bounds(info);
+    let live = Arc::new(LiveMap::compute(info));
+    let alloc = ThreadAlloc::new(live, &est.coloring, est.bounds.max_pr, est.bounds.max_r);
+    (est.bounds, alloc)
+}
+
+/// The demand floor `max_j (Σ_{i≠j} MinPRᵢ + MinRⱼ)` over each
+/// thread's `(MinPR, MinR)`. Every reachable state keeps `PRᵢ ≥ MinPRᵢ`
+/// and `PRᵢ + SRᵢ ≥ MinRᵢ` per thread, so the objective
+/// `Σ PRᵢ + max SRᵢ` never drops below it.
+pub(crate) fn demand_floor(mins: &[(usize, usize)]) -> usize {
+    let sum_min_pr: usize = mins.iter().map(|&(min_pr, _)| min_pr).sum();
+    mins.iter()
+        .map(|&(min_pr, min_r)| sum_min_pr - min_pr + min_r)
+        .max()
+        .unwrap_or(0)
+}
+
+/// The verdict for a target of `available` registers below the demand
+/// `floor`, as a single-target run gives it on its first pass: the cap
+/// check precedes the floor check, so a zero budget reports
+/// [`AllocError::IterationCapHit`] instead. (The adaptive budget never
+/// resolves to zero.)
+pub(crate) fn below_floor(budget: IterationBudget, floor: usize, available: usize) -> AllocError {
+    if budget == IterationBudget::Fixed(0) {
+        AllocError::IterationCapHit {
+            iterations: 0,
+            cap: 0,
+        }
+    } else {
+        AllocError::Infeasible {
+            needed: floor,
+            available,
+        }
     }
 }
 
@@ -426,84 +464,62 @@ fn worker_count(parallel: bool, njobs: usize) -> usize {
         .min(njobs)
 }
 
-/// Evaluates `jobs` against the current `threads`, concurrently when
-/// configured and worthwhile. Results are positionally aligned with
-/// `jobs`; candidate evaluation is deterministic, so the schedule cannot
-/// affect the outcome.
-fn run_jobs(threads: &[ThreadResult], jobs: &[Job], parallel: bool) -> Vec<Candidate> {
-    let eval = |job: &Job| match *job {
-        Job::Private { thread, m_others } => private_candidate(&threads[thread], m_others),
-        Job::Shared { thread } => shared_candidate(&threads[thread]),
-    };
-    let workers = worker_count(parallel, jobs.len());
+/// Maps `f` over `items`, concurrently when `parallel` and worthwhile.
+/// Results are positionally aligned with `items`; every caller maps a
+/// deterministic function, so the schedule cannot affect the outcome.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    parallel: bool,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = worker_count(parallel, items.len());
     if workers <= 1 {
-        return jobs.iter().map(eval).collect();
+        return items.iter().map(f).collect();
     }
-    let mut results: Vec<Candidate> = vec![None; jobs.len()];
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                let eval = &eval;
+                let (next, f) = (&next, &f);
                 s.spawn(move || {
                     let mut out = Vec::new();
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= jobs.len() {
+                        if k >= items.len() {
                             break;
                         }
-                        out.push((k, eval(&jobs[k])));
+                        out.push((k, f(&items[k])));
                     }
                     out
                 })
             })
             .collect();
         for h in handles {
-            for (k, cand) in h.join().expect("candidate worker panicked") {
-                results[k] = cand;
-            }
-        }
-    });
-    results
-}
-
-/// Builds the initial allocation state of every thread, concurrently
-/// when configured (the per-thread analyses are independent).
-fn initial_threads(funcs: &[Func], parallel: bool) -> Vec<ThreadResult> {
-    let workers = worker_count(parallel, funcs.len());
-    if workers <= 1 {
-        return funcs.iter().map(initial_thread).collect();
-    }
-    let mut results: Vec<Option<ThreadResult>> = (0..funcs.len()).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= funcs.len() {
-                            break;
-                        }
-                        out.push((k, initial_thread(&funcs[k])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (k, t) in h.join().expect("bounds worker panicked") {
-                results[k] = Some(t);
+            for (k, r) in h.join().expect("engine worker panicked") {
+                results[k] = Some(r);
             }
         }
     });
     results
         .into_iter()
-        .map(|t| t.expect("every thread initialised"))
+        .map(|r| r.expect("every item mapped"))
         .collect()
+}
+
+/// Evaluates `jobs` against the current `threads`; results are
+/// positionally aligned with `jobs`.
+fn run_jobs(threads: &[ThreadResult], jobs: &[Job], parallel: bool) -> Vec<Candidate> {
+    par_map(jobs, parallel, |job| match *job {
+        Job::Private { thread, m_others } => private_candidate(&threads[thread], m_others),
+        Job::Shared { thread } => shared_candidate(&threads[thread]),
+    })
+}
+
+/// Builds the initial allocation state of every thread, concurrently
+/// when configured (the per-thread analyses are independent).
+pub(crate) fn initial_threads(funcs: &[Func], parallel: bool) -> Vec<ThreadResult> {
+    par_map(funcs, parallel, initial_thread)
 }
 
 /// Allocates registers for `Nthd = funcs.len()` threads sharing `nreg`
@@ -584,55 +600,48 @@ fn snapshot(threads: &[ThreadResult], nreg: usize) -> Result<MultiAllocation, Al
     })
 }
 
-/// The shared engine core: one greedy descent serving every target.
+/// The shared engine core: the initial states of `funcs`, then one
+/// greedy descent serving every target.
 fn sweep_stats(
     funcs: &[Func],
     targets: &[usize],
     config: EngineConfig,
 ) -> (Vec<Result<MultiAllocation, AllocError>>, EngineStats) {
     let start = Instant::now();
-    let mut stats = EngineStats::default();
+    let threads = initial_threads(funcs, config.parallel);
+    let init = start.elapsed();
+    let (results, mut stats) = sweep_from(threads, targets, config);
+    stats.init = init;
+    stats.total = start.elapsed();
+    (results, stats)
+}
 
-    let mut threads = initial_threads(funcs, config.parallel);
-    stats.init = start.elapsed();
-
+/// One greedy descent serving every target, from the given initial
+/// states ([`initial_thread`] of each function). The returned stats
+/// cover the descent alone: `init` is zero.
+pub(crate) fn sweep_from(
+    mut threads: Vec<ThreadResult>,
+    targets: &[usize],
+    config: EngineConfig,
+) -> (Vec<Result<MultiAllocation, AllocError>>, EngineStats) {
     let search_start = Instant::now();
+    let mut stats = EngineStats::default();
     let n = threads.len();
     let ranges: usize = threads.iter().map(|t| t.alloc.node_ids().count()).sum();
     let budget = config.max_iterations.resolve(ranges, n);
-    // The demand lower bound: every reachable state keeps
-    // `PRᵢ ≥ MinPRᵢ` and `PRᵢ + SRᵢ ≥ MinRᵢ` per thread, so the
-    // objective `Σ PRᵢ + max SRᵢ` can never drop below
-    // `max_j (Σ_{i≠j} MinPRᵢ + MinRⱼ)`. When that bound exceeds `nreg`
-    // the search is provably hopeless and the loop reports it without
-    // burning the iteration budget on an exhaustive descent.
-    let sum_min_pr: usize = threads.iter().map(|t| t.bounds.min_pr).sum();
-    let demand_floor = threads
+    // When the demand floor exceeds a target, that target is provably
+    // hopeless: it resolves immediately, without burning the iteration
+    // budget on an exhaustive descent.
+    let floor = demand_floor(
+        &threads
+            .iter()
+            .map(|t| (t.bounds.min_pr, t.bounds.min_r))
+            .collect::<Vec<_>>(),
+    );
+    let mut results: Vec<Option<Result<MultiAllocation, AllocError>>> = targets
         .iter()
-        .map(|t| sum_min_pr - t.bounds.min_pr + t.bounds.min_r)
-        .max()
-        .unwrap_or(0);
-    // Verdict slots, one per input target. Targets below the demand
-    // floor are hopeless and resolve immediately, exactly as a
-    // single-target run would on its first pass (where the cap check
-    // precedes the floor check, so a zero budget reports
-    // `IterationCapHit` instead).
-    let mut results: Vec<Option<Result<MultiAllocation, AllocError>>> =
-        targets.iter().map(|_| None).collect();
-    for (i, &t) in targets.iter().enumerate() {
-        if demand_floor > t {
-            results[i] = Some(Err(match budget {
-                Some(0) => AllocError::IterationCapHit {
-                    iterations: 0,
-                    cap: 0,
-                },
-                _ => AllocError::Infeasible {
-                    needed: demand_floor,
-                    available: t,
-                },
-            }));
-        }
-    }
+        .map(|&t| (floor > t).then(|| Err(below_floor(config.max_iterations, floor, t))))
+        .collect();
     // The live targets, easiest (largest) first: the descent satisfies
     // them in exactly this order, peeling each off at the state where
     // the demand first fits its file.
@@ -801,7 +810,7 @@ fn sweep_stats(
         }
     }
     stats.search = search_start.elapsed().saturating_sub(stats.verify);
-    stats.total = start.elapsed();
+    stats.total = search_start.elapsed();
     (
         results
             .into_iter()
@@ -1177,7 +1186,14 @@ mod tests {
             allocate_threads_stats(&funcs, 8, EngineConfig::default()).unwrap();
         assert!(alloc.total_registers() <= 8);
         assert!(stats.total >= stats.search);
-        assert!(stats.total > std::time::Duration::ZERO);
+        assert!(stats.total > Duration::ZERO);
+        // The phases are disjoint parts of the run, and the initial
+        // states are timed apart from the descent that starts from them.
+        assert!(
+            stats.init + stats.search + stats.verify <= stats.total,
+            "{stats:?}"
+        );
+        assert!(stats.init > Duration::ZERO, "{stats:?}");
     }
 
     /// One shared descent must give every swept register-file size the

@@ -16,8 +16,13 @@
 //! into a small fast shared store before the overflow falls back to
 //! ~20-cycle memory (the RegDem idea applied to a multithreaded NPU).
 
+use crate::alloc::ThreadAlloc;
+use crate::bounds::Bounds;
 use crate::chaitin::insert_spill_code;
-use crate::engine::{allocate_threads_sweep, EngineConfig, MultiAllocation};
+use crate::engine::{
+    below_floor, demand_floor, initial_state, initial_threads, par_map, sweep_from, EngineConfig,
+    MultiAllocation, ThreadResult,
+};
 use crate::error::AllocError;
 use regbal_analysis::{ProgramInfo, SpillCosts};
 use regbal_igraph::build_gig;
@@ -201,7 +206,7 @@ pub fn allocate_threads_with_spill_scratch(
 /// balancing verdict is no longer [`AllocError::Infeasible`], receiving
 /// exactly the result a dedicated [`allocate_threads_with_spill_seeded`]
 /// run would produce, while the expensive balancing search per round is
-/// paid once via [`allocate_threads_sweep`].
+/// paid once via [`crate::allocate_threads_sweep`].
 ///
 /// `first`, when given, must hold one balancing verdict per target for
 /// the *unmodified* `funcs` under the same `config` (e.g. a cached
@@ -262,20 +267,11 @@ pub fn allocate_threads_with_spill_sweep_scratch(
             &owned_costs
         }
     };
-    let mut work: Vec<Func> = funcs.to_vec();
-    let mut spills = vec![0usize; funcs.len()];
-    let mut scratch_spills = vec![0usize; funcs.len()];
-    let mut picks: Vec<SpillPick> = Vec::new();
-    let mut spad_used = 0usize;
-    let mut next_slot = vec![0i64; funcs.len()];
-    let mut already: Vec<Vec<bool>> = funcs
-        .iter()
-        .map(|f| vec![false; f.num_vregs as usize])
-        .collect();
-    // Per-thread `RegPmax`, filled on the first infeasible round and
-    // then refreshed only for the thread that spilled (spilling cannot
-    // change the pressure of the other threads' programs).
-    let mut pressure: Option<Vec<usize>> = None;
+    let mut state = SpillState::new(funcs, spill_base, scratch);
+    // Each thread's analyses, filled on first need and then refreshed
+    // only for the thread that spilled: spilling cannot change the
+    // other threads' programs.
+    let mut analyses: Vec<Analysis> = Vec::new();
 
     let mut results: Vec<Option<Result<HybridAllocation, AllocError>>> =
         targets.iter().map(|_| None).collect();
@@ -287,21 +283,13 @@ pub fn allocate_threads_with_spill_sweep_scratch(
             _ => {
                 let pending_targets: Vec<usize> =
                     pending.iter().map(|&i| targets[i]).collect();
-                allocate_threads_sweep(&work, &pending_targets, config)
+                balance_round(&mut analyses, &state.work, &pending_targets, config)
             }
         };
         let mut still = Vec::with_capacity(pending.len());
         for (&i, verdict) in pending.iter().zip(verdicts) {
             match verdict {
-                Ok(alloc) => {
-                    results[i] = Some(Ok(HybridAllocation {
-                        funcs: work.clone(),
-                        alloc,
-                        spills: spills.clone(),
-                        scratch_spills: scratch_spills.clone(),
-                        picks: picks.clone(),
-                    }));
-                }
+                Ok(alloc) => results[i] = Some(Ok(state.allocation(alloc))),
                 Err(AllocError::Infeasible { .. }) => still.push(i),
                 Err(other) => results[i] = Some(Err(other)),
             }
@@ -310,41 +298,24 @@ pub fn allocate_threads_with_spill_sweep_scratch(
         if pending.is_empty() {
             break;
         }
-        let p = pressure.get_or_insert_with(|| work.iter().map(thread_pressure).collect());
-        let t = most_demanding_thread(p);
-        let Some(v) = spill_candidate(&work[t], &already[t], &costs[t]) else {
-            let rounds = spills.iter().sum();
-            for &i in &pending {
-                results[i] = Some(Err(AllocError::SpillDiverged { rounds }));
-            }
-            pending.clear();
+        if analyses.is_empty() {
+            analyses = par_map(&state.work, config.parallel, |f| Analysis {
+                info: ProgramInfo::compute(f),
+                start: None,
+            });
+        }
+        let pressure: Vec<usize> = analyses.iter().map(|a| a.info.pressure.regp_max).collect();
+        let t = most_demanding_thread(&pressure);
+        let Some(v) = spill_candidate(&analyses[t].info, &state.already[t], &costs[t]) else {
             break;
         };
-        let (slot, space, to_scratch) = match scratch {
-            Some(sp) if spad_used < sp.capacity => {
-                let slot = sp.base + (spad_used as i64) * 4;
-                spad_used += 1;
-                (slot, MemSpace::Spad, true)
-            }
-            _ => {
-                let slot = spill_base + (t as i64) * 0x1000 + next_slot[t];
-                next_slot[t] += 4;
-                (slot, SPILL_SPACE, false)
-            }
+        state.spill(t, v, costs[t].cost(v.0));
+        analyses[t] = Analysis {
+            info: ProgramInfo::compute(&state.work[t]),
+            start: None,
         };
-        already[t][v.index()] = true;
-        insert_spill_code(&mut work[t], v, slot, space);
-        spills[t] += 1;
-        scratch_spills[t] += usize::from(to_scratch);
-        picks.push(SpillPick {
-            thread: t,
-            vreg: v.0,
-            cost: costs[t].cost(v.0),
-            to_scratch,
-        });
-        p[t] = thread_pressure(&work[t]);
     }
-    let rounds: usize = spills.iter().sum();
+    let rounds = state.rounds();
     for &i in &pending {
         results[i] = Some(Err(AllocError::SpillDiverged { rounds }));
     }
@@ -354,9 +325,146 @@ pub fn allocate_threads_with_spill_sweep_scratch(
         .collect()
 }
 
-/// The pressure measure of one thread's program (`RegPmax`).
-fn thread_pressure(func: &Func) -> usize {
-    ProgramInfo::compute(func).pressure.regp_max
+/// The spill-augmented programs and the record of every eviction so
+/// far.
+struct SpillState<'a> {
+    work: Vec<Func>,
+    spills: Vec<usize>,
+    scratch_spills: Vec<usize>,
+    picks: Vec<SpillPick>,
+    /// Per thread, which original registers are already spilled.
+    already: Vec<Vec<bool>>,
+    next_slot: Vec<i64>,
+    spad_used: usize,
+    spill_base: i64,
+    scratch: Option<&'a ScratchParams>,
+}
+
+impl<'a> SpillState<'a> {
+    fn new(funcs: &[Func], spill_base: i64, scratch: Option<&'a ScratchParams>) -> Self {
+        SpillState {
+            work: funcs.to_vec(),
+            spills: vec![0; funcs.len()],
+            scratch_spills: vec![0; funcs.len()],
+            picks: Vec::new(),
+            already: funcs
+                .iter()
+                .map(|f| vec![false; f.num_vregs as usize])
+                .collect(),
+            next_slot: vec![0; funcs.len()],
+            spad_used: 0,
+            spill_base,
+            scratch,
+        }
+    }
+
+    /// Spills `v` of thread `t`, whose static cost is `cost`: to the
+    /// next scratchpad word while capacity lasts, else to the thread's
+    /// next memory slot.
+    fn spill(&mut self, t: usize, v: VReg, cost: u64) {
+        let (slot, space, to_scratch) = match self.scratch {
+            Some(sp) if self.spad_used < sp.capacity => {
+                let slot = sp.base + (self.spad_used as i64) * 4;
+                self.spad_used += 1;
+                (slot, MemSpace::Spad, true)
+            }
+            _ => {
+                let slot = self.spill_base + (t as i64) * 0x1000 + self.next_slot[t];
+                self.next_slot[t] += 4;
+                (slot, SPILL_SPACE, false)
+            }
+        };
+        self.already[t][v.index()] = true;
+        insert_spill_code(&mut self.work[t], v, slot, space);
+        self.spills[t] += 1;
+        self.scratch_spills[t] += usize::from(to_scratch);
+        self.picks.push(SpillPick {
+            thread: t,
+            vreg: v.0,
+            cost,
+            to_scratch,
+        });
+    }
+
+    /// Spill rounds taken so far.
+    fn rounds(&self) -> usize {
+        self.spills.iter().sum()
+    }
+
+    /// The hybrid result of a balancing allocation of the current
+    /// programs.
+    fn allocation(&self, alloc: MultiAllocation) -> HybridAllocation {
+        HybridAllocation {
+            funcs: self.work.clone(),
+            alloc,
+            spills: self.spills.clone(),
+            scratch_spills: self.scratch_spills.clone(),
+            picks: self.picks.clone(),
+        }
+    }
+}
+
+/// One thread's analyses, kept across spill rounds.
+struct Analysis {
+    info: ProgramInfo,
+    /// The engine's initial state over `info`, built on the first round
+    /// that descends.
+    start: Option<(Bounds, ThreadAlloc)>,
+}
+
+/// One round's balancing verdicts for `targets` — each exactly what
+/// [`crate::allocate_threads_sweep`] over `work` returns. A round whose demand
+/// floor exceeds every target resolves from the analyses alone; any
+/// other descends from the kept initial states, building only the
+/// missing ones.
+fn balance_round(
+    analyses: &mut Vec<Analysis>,
+    work: &[Func],
+    targets: &[usize],
+    config: EngineConfig,
+) -> Vec<Result<MultiAllocation, AllocError>> {
+    if analyses.is_empty() {
+        *analyses = initial_threads(work, config.parallel)
+            .into_iter()
+            .map(|t| Analysis {
+                info: t.info,
+                start: Some((t.bounds, t.alloc)),
+            })
+            .collect();
+    }
+    let floor = demand_floor(
+        &analyses
+            .iter()
+            .map(|a| (a.info.pressure.min_pr(), a.info.pressure.min_r()))
+            .collect::<Vec<_>>(),
+    );
+    if targets.iter().all(|&t| floor > t) {
+        return targets
+            .iter()
+            .map(|&t| Err(below_floor(config.max_iterations, floor, t)))
+            .collect();
+    }
+    let missing: Vec<usize> = (0..analyses.len())
+        .filter(|&t| analyses[t].start.is_none())
+        .collect();
+    let built = par_map(&missing, config.parallel, |&t| {
+        initial_state(&analyses[t].info)
+    });
+    for (t, start) in missing.into_iter().zip(built) {
+        analyses[t].start = Some(start);
+    }
+    let threads = analyses
+        .iter()
+        .map(|a| {
+            let (bounds, alloc) = a.start.clone().expect("every start state built");
+            ThreadResult {
+                info: a.info.clone(),
+                bounds,
+                alloc,
+            }
+        })
+        .collect();
+    sweep_from(threads, targets, config).0
 }
 
 /// The thread whose register floor is highest — the one whose pressure
@@ -375,16 +483,15 @@ fn most_demanding_thread(pressure: &[usize]) -> usize {
 /// The cheapest eviction per unit of pressure relief: Chaitin's spill
 /// metric with the static cost model ([`SpillCosts`]:
 /// loop-depth-weighted occurrence counts) as the numerator and the
-/// range's interference degree in the *current* program as the
-/// denominator. A raw-cost order ignores how much pressure an eviction
-/// actually relieves and can grind through dozens of useless spills on
-/// clique-heavy programs; dividing by degree keeps the loop convergent
-/// while still serving the cheapest ranges first. Ties fall back to
-/// the deterministic `(cost, register id)` key.
-fn spill_candidate(func: &Func, already: &[bool], costs: &SpillCosts) -> Option<VReg> {
-    let info = ProgramInfo::compute(func);
-    let gig = build_gig(&info);
-    let nv = func.num_vregs as usize;
+/// range's interference degree in the *current* program (analysed as
+/// `info`) as the denominator. A raw-cost order ignores how much
+/// pressure an eviction actually relieves and can grind through dozens
+/// of useless spills on clique-heavy programs; dividing by degree keeps
+/// the loop convergent while still serving the cheapest ranges first.
+/// Ties fall back to the deterministic `(cost, register id)` key.
+fn spill_candidate(info: &ProgramInfo, already: &[bool], costs: &SpillCosts) -> Option<VReg> {
+    let gig = build_gig(info);
+    let nv = info.num_vregs();
     // Only original ranges: spill temporaries (v >= already.len()) and
     // already-spilled ranges cannot relieve pressure further. A zero
     // cost means the register has no occurrences — nothing to spill.
@@ -404,7 +511,9 @@ fn spill_candidate(func: &Func, already: &[bool], costs: &SpillCosts) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{allocate_threads, allocate_threads_with};
+    use crate::engine::{
+        allocate_threads, allocate_threads_sweep, allocate_threads_with, IterationBudget,
+    };
     use regbal_ir::parse_func;
 
     /// A function with five co-live values across a switch.
@@ -704,6 +813,145 @@ bb0:
             same_thread_overflow.iter().all(|&c| c >= max_scratch),
             "overflow spills must not be cheaper than the packed ones: \
              {max_scratch} vs {same_thread_overflow:?}"
+        );
+    }
+
+    /// Several values live across every one of four switches.
+    fn csb_dense() -> Func {
+        parse_func(
+            "
+func dense {
+bb0:
+    v0 = mov 1
+    v1 = mov 2
+    v2 = mov 3
+    v3 = mov 4
+    ctx
+    v4 = add v0, v1
+    ctx
+    v5 = add v2, v3
+    ctx
+    v6 = add v4, v5
+    ctx
+    v7 = add v6, v0
+    store scratch[v7+0], v1
+    store scratch[v3+0], v2
+    halt
+}",
+        )
+        .unwrap()
+    }
+
+    /// The spill loop without kept state: every round descends over all
+    /// programs through [`allocate_threads_sweep`] and recomputes each
+    /// analysis for the pressure and the candidate.
+    fn recomputing_spill_sweep(
+        funcs: &[Func],
+        targets: &[usize],
+        config: EngineConfig,
+        first: Option<&[Result<MultiAllocation, AllocError>]>,
+        scratch: Option<&ScratchParams>,
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        let costs: Vec<SpillCosts> = funcs.iter().map(SpillCosts::compute).collect();
+        let mut state = SpillState::new(funcs, DEFAULT_SPILL_BASE, scratch);
+        let mut results: Vec<Option<Result<HybridAllocation, AllocError>>> =
+            targets.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..targets.len()).collect();
+        for round in 0..MAX_SPILL_ROUNDS {
+            let verdicts = match (round, first) {
+                (0, Some(seeds)) => pending.iter().map(|&i| seeds[i].clone()).collect(),
+                _ => {
+                    let pending_targets: Vec<usize> = pending.iter().map(|&i| targets[i]).collect();
+                    allocate_threads_sweep(&state.work, &pending_targets, config)
+                }
+            };
+            let mut still = Vec::new();
+            for (&i, verdict) in pending.iter().zip(verdicts) {
+                match verdict {
+                    Ok(alloc) => results[i] = Some(Ok(state.allocation(alloc))),
+                    Err(AllocError::Infeasible { .. }) => still.push(i),
+                    Err(other) => results[i] = Some(Err(other)),
+                }
+            }
+            pending = still;
+            if pending.is_empty() {
+                break;
+            }
+            let pressure: Vec<usize> = state
+                .work
+                .iter()
+                .map(|f| ProgramInfo::compute(f).pressure.regp_max)
+                .collect();
+            let t = most_demanding_thread(&pressure);
+            let info = ProgramInfo::compute(&state.work[t]);
+            let Some(v) = spill_candidate(&info, &state.already[t], &costs[t]) else {
+                break;
+            };
+            state.spill(t, v, costs[t].cost(v.0));
+        }
+        let rounds = state.rounds();
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or(Err(AllocError::SpillDiverged { rounds })))
+            .collect()
+    }
+
+    /// Keeping each thread's analyses and initial state across rounds,
+    /// and resolving floor-only rounds without a descent, changes no
+    /// verdict: across iteration budgets, seeded and unseeded round 0,
+    /// the scratchpad tier's settings, and targets below the floor,
+    /// that spill and then fit, and that diverge.
+    #[test]
+    fn kept_state_loop_matches_the_recomputing_reference() {
+        let funcs = vec![hot(), csb_dense(), hot()];
+        let targets = [1usize, 4, 8, 11, 14, 20, 32];
+        // Round-0 seeds from the default engine: under a starved budget
+        // their `Infeasible` verdicts still lead to floor-only rounds.
+        let seeds = allocate_threads_sweep(&funcs, &targets, EngineConfig::default());
+        let mut kinds = std::collections::BTreeSet::new();
+        for budget in [
+            IterationBudget::Adaptive,
+            IterationBudget::Fixed(0),
+            IterationBudget::Fixed(1),
+            IterationBudget::Fixed(4),
+            IterationBudget::Unbounded,
+        ] {
+            let config = EngineConfig {
+                max_iterations: budget,
+                ..EngineConfig::default()
+            };
+            for first in [None, Some(seeds.as_slice())] {
+                for params in [None, Some(scratch(0)), Some(scratch(2))] {
+                    let got = allocate_threads_with_spill_sweep_scratch(
+                        &funcs,
+                        &targets,
+                        DEFAULT_SPILL_BASE,
+                        config,
+                        first,
+                        params.as_ref(),
+                        None,
+                    );
+                    let want =
+                        recomputing_spill_sweep(&funcs, &targets, config, first, params.as_ref());
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{budget:?}, seeded: {}, scratch: {params:?}",
+                        first.is_some()
+                    );
+                    kinds.extend(got.iter().map(|v| match v {
+                        Ok(h) if h.picks.is_empty() => "fit",
+                        Ok(_) => "spilled-then-fit",
+                        Err(AllocError::SpillDiverged { .. }) => "spill-diverged",
+                        Err(AllocError::IterationCapHit { .. }) => "iteration-cap",
+                        Err(_) => "other",
+                    }));
+                }
+            }
+        }
+        assert_eq!(
+            kinds.into_iter().collect::<Vec<_>>(),
+            ["fit", "iteration-cap", "spill-diverged", "spilled-then-fit"]
         );
     }
 }

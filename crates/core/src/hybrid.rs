@@ -11,10 +11,12 @@
 //!
 //! "Cheapest" is the static [`SpillCosts`] model of `regbal-analysis`:
 //! loop-depth-weighted occurrence counts with a deterministic
-//! register-id tie-break. An optional scratchpad tier
-//! ([`ScratchParams`]) packs the earliest — hence cheapest — evictions
-//! into a small fast shared store before the overflow falls back to
-//! ~20-cycle memory (the RegDem idea applied to a multithreaded NPU).
+//! register-id tie-break. The scratchpad tier ([`ScratchParams`]) packs
+//! the earliest — hence cheapest — evictions into a small fast shared
+//! store before the overflow falls back to ~20-cycle memory (the RegDem
+//! idea applied to a multithreaded NPU). It is a post-pass over a plain
+//! result ([`HybridAllocation::with_scratch`]): no decision of the loop
+//! can see where a slot lives, so the loop always spills to memory.
 
 use crate::alloc::ThreadAlloc;
 use crate::bounds::Bounds;
@@ -63,7 +65,7 @@ pub struct HybridAllocation {
     /// Number of live ranges spilled per thread.
     pub spills: Vec<usize>,
     /// How many of each thread's spills live in the scratchpad tier
-    /// (all zero without [`ScratchParams`]).
+    /// (all zero unless made by [`HybridAllocation::with_scratch`]).
     pub scratch_spills: Vec<usize>,
     /// Every spill decision in eviction order, with its cost.
     pub picks: Vec<SpillPick>,
@@ -73,6 +75,31 @@ impl HybridAllocation {
     /// Rewrites every thread to physical registers.
     pub fn rewrite(&self) -> Vec<Func> {
         self.alloc.rewrite_funcs(&self.funcs)
+    }
+
+    /// The same allocation with the scratchpad tier: the picks are
+    /// replayed in eviction order over `funcs` — the unmodified
+    /// programs this result was allocated from, with spill slots above
+    /// `spill_base` — packing the first `scratch.capacity` of them into
+    /// scratchpad words from `scratch.base` and numbering the overflow's
+    /// memory slots exactly as the plain loop numbers its own.
+    ///
+    /// The allocation is reused unchanged. That is exact: every load
+    /// and store is a context switch whatever its memory space, and
+    /// spill code has the same shape and registers for any slot, so the
+    /// loop would have picked the same victims and reached the same
+    /// balancing verdict with the scratch slots in place.
+    pub fn with_scratch(
+        &self,
+        funcs: &[Func],
+        spill_base: i64,
+        scratch: &ScratchParams,
+    ) -> HybridAllocation {
+        let mut state = SpillState::new(funcs, spill_base, Some(scratch));
+        for pick in &self.picks {
+            state.spill(pick.thread, VReg(pick.vreg), pick.cost);
+        }
+        state.allocation(self.alloc.clone())
     }
 }
 
@@ -161,42 +188,9 @@ pub fn allocate_threads_with_spill_seeded(
     first: Option<Result<MultiAllocation, AllocError>>,
 ) -> Result<HybridAllocation, AllocError> {
     let seeds = first.map(|verdict| vec![verdict]);
-    allocate_threads_with_spill_sweep(funcs, &[nreg], spill_base, config, seeds.as_deref())
+    allocate_threads_with_spill_sweep(funcs, &[nreg], spill_base, config, seeds.as_deref(), None)
         .pop()
         .expect("one verdict per target")
-}
-
-/// Like [`allocate_threads_with_spill_seeded`], with the scratchpad
-/// spill tier: the cheapest evictions are packed into
-/// `scratch.capacity` fast words at `scratch.base` and the overflow
-/// falls back to memory above `spill_base`. `costs`, when given, must
-/// hold one [`SpillCosts`] per thread computed from the unmodified
-/// `funcs`.
-///
-/// # Errors
-///
-/// As [`allocate_threads_with_spill_config`].
-pub fn allocate_threads_with_spill_scratch(
-    funcs: &[Func],
-    nreg: usize,
-    spill_base: i64,
-    config: EngineConfig,
-    first: Option<Result<MultiAllocation, AllocError>>,
-    scratch: &ScratchParams,
-    costs: Option<&[SpillCosts]>,
-) -> Result<HybridAllocation, AllocError> {
-    let seeds = first.map(|verdict| vec![verdict]);
-    allocate_threads_with_spill_sweep_scratch(
-        funcs,
-        &[nreg],
-        spill_base,
-        config,
-        seeds.as_deref(),
-        Some(scratch),
-        costs,
-    )
-    .pop()
-    .expect("one verdict per target")
 }
 
 /// Hybrid allocation of one thread group against *several* register-file
@@ -215,38 +209,19 @@ pub fn allocate_threads_with_spill_scratch(
 /// The returned vector has one verdict per target, in input order;
 /// failures are reported per target exactly as the single-target entry
 /// points do.
+///
+/// `costs`, when given, must hold one [`SpillCosts`] per thread
+/// computed from the *unmodified* `funcs` (e.g. the eval cache's
+/// per-column slot); otherwise they are computed here. The costs of
+/// original, not-yet-spilled registers are unaffected by spill code
+/// inserted for other registers, so computing them once up front is
+/// behaviour-preserving.
 pub fn allocate_threads_with_spill_sweep(
     funcs: &[Func],
     targets: &[usize],
     spill_base: i64,
     config: EngineConfig,
     first: Option<&[Result<MultiAllocation, AllocError>]>,
-) -> Vec<Result<HybridAllocation, AllocError>> {
-    allocate_threads_with_spill_sweep_scratch(funcs, targets, spill_base, config, first, None, None)
-}
-
-/// Like [`allocate_threads_with_spill_sweep`], with the scratchpad
-/// spill tier and an optional precomputed cost model.
-///
-/// `scratch`, when given, packs the earliest (cheapest) evictions into
-/// `scratch.capacity` scratchpad words starting at `scratch.base`; the
-/// overflow falls back to memory slots with exactly the numbering the
-/// scratch-free loop would use, so a zero-capacity scratchpad is
-/// bit-identical to [`allocate_threads_with_spill_sweep`].
-///
-/// `costs`, when given, must hold one [`SpillCosts`] per thread
-/// computed from the *unmodified* `funcs` (e.g. the eval cache's
-/// per-(function, nthreads) slot); otherwise they are computed here.
-/// The costs of original, not-yet-spilled registers are unaffected by
-/// spill code inserted for other registers, so computing them once up
-/// front is behaviour-preserving.
-pub fn allocate_threads_with_spill_sweep_scratch(
-    funcs: &[Func],
-    targets: &[usize],
-    spill_base: i64,
-    config: EngineConfig,
-    first: Option<&[Result<MultiAllocation, AllocError>]>,
-    scratch: Option<&ScratchParams>,
     costs: Option<&[SpillCosts]>,
 ) -> Vec<Result<HybridAllocation, AllocError>> {
     if let Some(seeds) = first {
@@ -267,7 +242,7 @@ pub fn allocate_threads_with_spill_sweep_scratch(
             &owned_costs
         }
     };
-    let mut state = SpillState::new(funcs, spill_base, scratch);
+    let mut state = SpillState::new(funcs, spill_base, None);
     // Each thread's analyses, filled on first need and then refreshed
     // only for the thread that spilled: spilling cannot change the
     // other threads' programs.
@@ -326,7 +301,9 @@ pub fn allocate_threads_with_spill_sweep_scratch(
 }
 
 /// The spill-augmented programs and the record of every eviction so
-/// far.
+/// far. The one place that knows the slot policy: the loop spills with
+/// no scratchpad, [`HybridAllocation::with_scratch`] replays its picks
+/// with one.
 struct SpillState<'a> {
     work: Vec<Func>,
     spills: Vec<usize>,
@@ -622,6 +599,7 @@ bb0:
             DEFAULT_SPILL_BASE,
             EngineConfig::default(),
             None,
+            None,
         );
         for (&t, got) in targets.iter().zip(&swept) {
             let solo = allocate_threads_with_spill(&funcs, t);
@@ -647,6 +625,7 @@ bb0:
             DEFAULT_SPILL_BASE,
             EngineConfig::default(),
             Some(&seeds),
+            None,
         );
         for ((&t, a), b) in targets.iter().zip(&swept).zip(&seeded) {
             assert_eq!(
@@ -699,16 +678,7 @@ bb0:
     fn zero_capacity_scratch_matches_plain_spill_bit_for_bit() {
         let funcs = vec![hot(), hot()];
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
-        let zero = allocate_threads_with_spill_scratch(
-            &funcs,
-            8,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            None,
-            &scratch(0),
-            None,
-        )
-        .unwrap();
+        let zero = plain.with_scratch(&funcs, DEFAULT_SPILL_BASE, &scratch(0));
         assert_eq!(plain.funcs, zero.funcs);
         assert_eq!(plain.spills, zero.spills);
         assert_eq!(zero.scratch_spills, vec![0, 0]);
@@ -726,16 +696,7 @@ bb0:
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
         let n: usize = plain.spills.iter().sum();
         assert!(n > 0);
-        let full = allocate_threads_with_spill_scratch(
-            &funcs,
-            8,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            None,
-            &scratch(n),
-            None,
-        )
-        .unwrap();
+        let full = plain.with_scratch(&funcs, DEFAULT_SPILL_BASE, &scratch(n));
         assert_eq!(full.spills, plain.spills, "same spill decisions");
         assert_eq!(full.scratch_spills.iter().sum::<usize>(), n);
         assert!(full.picks.iter().all(|p| p.to_scratch));
@@ -787,16 +748,7 @@ bb0:
         let n: usize = plain.spills.iter().sum();
         assert!(n >= 2, "need an overflow to observe");
         let cap = 1;
-        let part = allocate_threads_with_spill_scratch(
-            &funcs,
-            8,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            None,
-            &scratch(cap),
-            None,
-        )
-        .unwrap();
+        let part = plain.with_scratch(&funcs, DEFAULT_SPILL_BASE, &scratch(cap));
         assert_eq!(part.spills, plain.spills, "same spill decisions");
         assert_eq!(part.scratch_spills.iter().sum::<usize>(), cap);
         // The scratch-resident picks are exactly the first `cap`
@@ -842,7 +794,8 @@ bb0:
         .unwrap()
     }
 
-    /// The spill loop without kept state: every round descends over all
+    /// The spill loop without kept state, with the scratchpad slot
+    /// policy applied while it spills: every round descends over all
     /// programs through [`allocate_threads_sweep`] and recomputes each
     /// analysis for the pressure and the candidate.
     fn recomputing_spill_sweep(
@@ -921,16 +874,16 @@ bb0:
                 ..EngineConfig::default()
             };
             for first in [None, Some(seeds.as_slice())] {
+                let plain = allocate_threads_with_spill_sweep(
+                    &funcs,
+                    &targets,
+                    DEFAULT_SPILL_BASE,
+                    config,
+                    first,
+                    None,
+                );
                 for params in [None, Some(scratch(0)), Some(scratch(2))] {
-                    let got = allocate_threads_with_spill_sweep_scratch(
-                        &funcs,
-                        &targets,
-                        DEFAULT_SPILL_BASE,
-                        config,
-                        first,
-                        params.as_ref(),
-                        None,
-                    );
+                    let got = replayed(&plain, &funcs, params.as_ref());
                     let want =
                         recomputing_spill_sweep(&funcs, &targets, config, first, params.as_ref());
                     assert_eq!(
@@ -953,5 +906,133 @@ bb0:
             kinds.into_iter().collect::<Vec<_>>(),
             ["fit", "iteration-cap", "spill-diverged", "spilled-then-fit"]
         );
+    }
+
+    /// `plain`'s verdicts with `scratch`, when given, applied by the
+    /// replay post-pass.
+    fn replayed(
+        plain: &[Result<HybridAllocation, AllocError>],
+        funcs: &[Func],
+        scratch: Option<&ScratchParams>,
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        plain
+            .iter()
+            .map(|verdict| match (verdict, scratch) {
+                (Ok(h), Some(sp)) => Ok(h.with_scratch(funcs, DEFAULT_SPILL_BASE, sp)),
+                (other, _) => other.clone(),
+            })
+            .collect()
+    }
+
+    /// The replay oracle over one corpus: for every thread group, with
+    /// an unseeded and a seeded round 0, the plain sweep followed by
+    /// [`HybridAllocation::with_scratch`] must be `Debug`-identical to
+    /// the reference loop spilling into the scratchpad as it goes, at
+    /// every capacity and every target in `targets`. Returns how many
+    /// verdicts of each kind were compared.
+    fn assert_replay_matches_scratch_loop(
+        groups: &[(String, Vec<Func>)],
+        targets: &[usize],
+    ) -> std::collections::BTreeMap<&'static str, usize> {
+        let config = EngineConfig::default();
+        let mut kinds = std::collections::BTreeMap::new();
+        for (name, funcs) in groups {
+            let seeds = allocate_threads_sweep(funcs, targets, config);
+            for first in [None, Some(seeds.as_slice())] {
+                let plain = allocate_threads_with_spill_sweep(
+                    funcs,
+                    targets,
+                    DEFAULT_SPILL_BASE,
+                    config,
+                    first,
+                    None,
+                );
+                for capacity in [0, 1, 3, 16] {
+                    let params = scratch(capacity);
+                    let got = replayed(&plain, funcs, Some(&params));
+                    let want =
+                        recomputing_spill_sweep(funcs, targets, config, first, Some(&params));
+                    for ((&nreg, g), w) in targets.iter().zip(&got).zip(&want) {
+                        assert_eq!(
+                            format!("{g:?}"),
+                            format!("{w:?}"),
+                            "{name} nreg={nreg} capacity={capacity} seeded={}",
+                            first.is_some()
+                        );
+                        let kind = match g {
+                            Ok(h) if h.picks.iter().any(|p| p.to_scratch) => "scratch-resident",
+                            Ok(h) if h.picks.is_empty() => "fit",
+                            Ok(_) => "memory-only",
+                            Err(AllocError::SpillDiverged { .. }) => "spill-diverged",
+                            Err(AllocError::Infeasible { .. }) => "below-floor",
+                            Err(_) => "other-error",
+                        };
+                        *kinds.entry(kind).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        kinds
+    }
+
+    /// The stress bundles of the replay oracle: every class, for each
+    /// seed in `seeds` and each thread count in `threads`.
+    fn stress_groups(seeds: std::ops::Range<u64>, threads: &[usize]) -> Vec<(String, Vec<Func>)> {
+        use regbal_workloads::stress::{stress_bundle, StressConfig};
+        let mut groups = Vec::new();
+        for seed in seeds {
+            for (class, config) in [
+                ("csb_dense", StressConfig::csb_dense()),
+                ("clique", StressConfig::clique()),
+                ("mixed", StressConfig::mixed()),
+            ] {
+                for &n in threads {
+                    groups.push((
+                        format!("{class} seed={seed} threads={n}"),
+                        stress_bundle(seed, n, config),
+                    ));
+                }
+            }
+        }
+        groups
+    }
+
+    /// The scratchpad tier is exactly a replay of the plain picks: on
+    /// the fixtures and a slice of the stress corpus, from Nreg 1 (where
+    /// the loop diverges or stops below the floor) up to sizes that fit
+    /// without spilling.
+    #[test]
+    fn scratch_replay_matches_the_scratch_aware_loop() {
+        let mut groups = vec![
+            ("hot x2".to_string(), vec![hot(), hot()]),
+            ("hot dense hot".to_string(), vec![hot(), csb_dense(), hot()]),
+        ];
+        // Every class at two threads; the four-thread groups of the
+        // wider classes take seconds each in a debug build, so only
+        // `csb_dense` runs at four here (the ignored test covers all).
+        groups.extend(stress_groups(0..1, &[2]));
+        groups.extend(
+            stress_groups(0..1, &[4])
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("csb_dense")),
+        );
+        let targets: Vec<usize> = (1..=24).step_by(3).chain([32]).collect();
+        let kinds = assert_replay_matches_scratch_loop(&groups, &targets);
+        for kind in ["fit", "scratch-resident", "memory-only", "spill-diverged"] {
+            assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
+        }
+    }
+
+    /// The full-corpus replay property: seeds 0–23 of every stress
+    /// class, 2 and 4 threads, Nreg 1–40. Slow (run in release with
+    /// `cargo test --release -p regbal-core -- --ignored`).
+    #[test]
+    #[ignore]
+    fn scratch_replay_matches_the_scratch_aware_loop_on_the_full_corpus() {
+        let targets: Vec<usize> = (1..=40).collect();
+        let kinds = assert_replay_matches_scratch_loop(&stress_groups(0..24, &[2, 4]), &targets);
+        for kind in ["fit", "scratch-resident", "memory-only", "spill-diverged"] {
+            assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
+        }
     }
 }

@@ -11,10 +11,10 @@
 //!    ([`crate::allocate_threads`]), no spills;
 //! 2. **balanced-scratch** — balancing plus spilling, with the cheapest
 //!    evictions packed into a small fast shared scratchpad and the
-//!    overflow sent to memory
-//!    ([`crate::allocate_threads_with_spill_scratch`]);
+//!    overflow sent to memory (the balanced-spill verdict replayed
+//!    through [`HybridAllocation::with_scratch`]);
 //! 3. **balanced-spill** — balancing plus last-resort spilling, all
-//!    slots in memory ([`crate::allocate_threads_with_spill`]);
+//!    slots in memory ([`crate::allocate_threads_with_spill_config`]);
 //! 4. **fixed-partition** — the stock compiler's model: each thread gets
 //!    a private bank of `Nreg / Nthd` registers and a Chaitin allocator
 //!    ([`crate::chaitin`]);
@@ -34,6 +34,12 @@
 //! and every pick's cost is recorded in the trail
 //! ([`LadderAllocation::spill_picks`]).
 //!
+//! The two spilling rungs share one spill trajectory: no decision of
+//! the spill loop can see where a slot lives, so the walk runs the loop
+//! once per engine budget and derives the scratch rung from that
+//! verdict. A failed balanced-scratch rung therefore means
+//! balanced-spill fails with the same error, at no extra cost.
+//!
 //! Every rung is bounded: the balanced rungs inherit the caller's
 //! [`EngineConfig::max_iterations`] budget, the Chaitin rungs carry
 //! their own round caps. When a balanced rung fails with
@@ -50,8 +56,7 @@ use crate::chaitin::{self, ChaitinConfig};
 use crate::engine::{allocate_threads_with, EngineConfig, IterationBudget, MultiAllocation};
 use crate::error::{AllocError, Degradation, LadderStep, RungRetry};
 use crate::hybrid::{
-    allocate_threads_with_spill_scratch, allocate_threads_with_spill_seeded, HybridAllocation,
-    ScratchParams, SpillPick,
+    allocate_threads_with_spill_config, HybridAllocation, ScratchParams, SpillPick,
 };
 use regbal_analysis::ProgramInfo;
 use regbal_ir::{Func, MemSpace, Reg, VReg};
@@ -432,25 +437,25 @@ pub fn allocate_ladder_with(
     allocate_ladder_seeded(funcs, nreg, config, RungProviders::default())
 }
 
+/// A caller-supplied verdict of type `T`, computed on demand.
+type Provider<'a, T> = Box<dyn FnOnce() -> Result<T, AllocError> + 'a>;
+
 /// Caller-supplied verdicts for the balanced rungs, so a caller that
 /// already ran (or cached) the same allocation under the same `funcs`,
 /// `nreg`, and engine config can hand it to the ladder instead of
-/// paying for the search again. Each provider is consumed on that
-/// rung's *first* attempt; the budget-doubling retry always re-runs
+/// paying for the search again. Each provider is consumed on the
+/// first attempt it answers; the budget-doubling retry always re-runs
 /// the engine itself (its budget differs from the cached one).
 #[derive(Default)]
 pub struct RungProviders<'a> {
     /// Verdict of the balanced rung
     /// ([`crate::allocate_threads_with`] on the unmodified `funcs`).
-    pub balanced: Option<Box<dyn FnOnce() -> Result<MultiAllocation, AllocError> + 'a>>,
-    /// Verdict of the balanced-scratch rung
-    /// ([`crate::allocate_threads_with_spill_scratch`] at this ladder's
-    /// rung base and scratch params).
-    pub balanced_scratch: Option<Box<dyn FnOnce() -> Result<HybridAllocation, AllocError> + 'a>>,
-    /// Verdict of the balanced-spill rung
+    pub balanced: Option<Provider<'a, MultiAllocation>>,
+    /// The plain hybrid verdict both spilling rungs are read from
     /// ([`crate::allocate_threads_with_spill_config`] at this ladder's
-    /// rung base).
-    pub balanced_spill: Option<Box<dyn FnOnce() -> Result<HybridAllocation, AllocError> + 'a>>,
+    /// spilling rung base): balanced-spill takes it as is,
+    /// balanced-scratch replays its picks into the scratchpad.
+    pub balanced_spill: Option<Provider<'a, HybridAllocation>>,
 }
 
 /// [`allocate_ladder_with`], seeding the balanced rungs from
@@ -466,31 +471,28 @@ pub fn allocate_ladder_seeded(
     funcs: &[Func],
     nreg: usize,
     config: &LadderConfig,
-    mut providers: RungProviders<'_>,
+    providers: RungProviders<'_>,
 ) -> Result<LadderAllocation, LadderError> {
     let plan = plan_rungs(funcs, nreg, config);
+    let mut balanced = providers.balanced;
+    let mut spill = SpillVerdicts {
+        provider: providers.balanced_spill,
+        verdicts: Vec::new(),
+    };
     let mut degradations: Vec<Degradation> = Vec::new();
     let mut retries: Vec<RungRetry> = Vec::new();
     let mut idx = 0;
     loop {
         let step = plan[idx].step;
         let result = match step {
-            LadderStep::Balanced => match providers.balanced.take() {
+            LadderStep::Balanced => match balanced.take() {
                 Some(provider) => provider().map(|alloc| LadderOutcome::Balanced {
                     funcs: funcs.to_vec(),
                     alloc,
                 }),
-                None => run_rung(funcs, nreg, config, step, config.engine),
+                None => run_rung(funcs, nreg, config, step, config.engine, &mut spill),
             },
-            LadderStep::BalancedScratch => match providers.balanced_scratch.take() {
-                Some(provider) => provider().map(LadderOutcome::BalancedSpill),
-                None => run_rung(funcs, nreg, config, step, config.engine),
-            },
-            LadderStep::BalancedSpill => match providers.balanced_spill.take() {
-                Some(provider) => provider().map(LadderOutcome::BalancedSpill),
-                None => run_rung(funcs, nreg, config, step, config.engine),
-            },
-            _ => run_rung(funcs, nreg, config, step, config.engine),
+            _ => run_rung(funcs, nreg, config, step, config.engine, &mut spill),
         };
         // Partial-rung retry: a starved budget is not a proof of
         // infeasibility, so before descending, re-run the rung once
@@ -517,6 +519,7 @@ pub fn allocate_ladder_seeded(
                         max_iterations: IterationBudget::Fixed(retry_cap),
                         ..config.engine
                     },
+                    &mut spill,
                 );
                 retries.push(RungRetry {
                     step,
@@ -562,6 +565,47 @@ pub fn allocate_ladder_seeded(
     }
 }
 
+/// The plain hybrid verdicts of one walk, one per engine budget. Both
+/// spilling rungs read the same spill trajectory, so the walk runs the
+/// spill loop at most once for the first attempt and once for the
+/// doubled-budget retry.
+struct SpillVerdicts<'a> {
+    /// The caller's verdict under the ladder's own engine config.
+    provider: Option<Provider<'a, HybridAllocation>>,
+    verdicts: Vec<(EngineConfig, Result<HybridAllocation, AllocError>)>,
+}
+
+impl SpillVerdicts<'_> {
+    /// The plain hybrid verdict under `engine`, computed on first
+    /// demand.
+    fn get(
+        &mut self,
+        funcs: &[Func],
+        nreg: usize,
+        config: &LadderConfig,
+        engine: EngineConfig,
+    ) -> &Result<HybridAllocation, AllocError> {
+        let pos = match self.verdicts.iter().position(|(e, _)| *e == engine) {
+            Some(pos) => pos,
+            None => {
+                let provided = if engine == config.engine {
+                    self.provider.take()
+                } else {
+                    None
+                };
+                let base = config.rung_base(LadderStep::BalancedSpill);
+                let verdict = match provided {
+                    Some(provider) => provider(),
+                    None => allocate_threads_with_spill_config(funcs, nreg, base, engine),
+                };
+                self.verdicts.push((engine, verdict));
+                self.verdicts.len() - 1
+            }
+        };
+        &self.verdicts[pos].1
+    }
+}
+
 /// Runs one rung of the ladder with an explicit engine config (the
 /// budget-doubling retry passes a different budget than `config`'s).
 fn run_rung(
@@ -570,6 +614,7 @@ fn run_rung(
     config: &LadderConfig,
     step: LadderStep,
     engine: EngineConfig,
+    spill: &mut SpillVerdicts<'_>,
 ) -> Result<LadderOutcome, AllocError> {
     match step {
         LadderStep::Balanced => {
@@ -580,27 +625,18 @@ fn run_rung(
             })
         }
         LadderStep::BalancedScratch => {
-            let hybrid = allocate_threads_with_spill_scratch(
+            let plain = spill.get(funcs, nreg, config, engine).as_ref();
+            let hybrid = plain.map_err(Clone::clone)?.with_scratch(
                 funcs,
-                nreg,
                 config.rung_base(step),
-                engine,
-                None,
                 &config.scratch_params(),
-                None,
-            )?;
+            );
             Ok(LadderOutcome::BalancedSpill(hybrid))
         }
-        LadderStep::BalancedSpill => {
-            let hybrid = allocate_threads_with_spill_seeded(
-                funcs,
-                nreg,
-                config.rung_base(step),
-                engine,
-                None,
-            )?;
-            Ok(LadderOutcome::BalancedSpill(hybrid))
-        }
+        LadderStep::BalancedSpill => spill
+            .get(funcs, nreg, config, engine)
+            .clone()
+            .map(LadderOutcome::BalancedSpill),
         LadderStep::FixedPartition => partitioned_rung(funcs, nreg, config, step, false),
         LadderStep::SpillAll => partitioned_rung(funcs, nreg, config, step, true),
     }
@@ -944,7 +980,6 @@ bb0:
             balanced: Some(Box::new(|| {
                 allocate_threads_with(&funcs, 8, config.engine)
             })),
-            balanced_scratch: None,
             balanced_spill: None,
         };
         let seeded = allocate_ladder_seeded(&funcs, 8, &config, providers).unwrap();

@@ -69,9 +69,8 @@ pub use error::{AllocError, Degradation, LadderStep, RungRetry};
 pub use half::HalfPoint;
 pub use hybrid::{
     allocate_threads_with_spill, allocate_threads_with_spill_at,
-    allocate_threads_with_spill_config, allocate_threads_with_spill_scratch,
-    allocate_threads_with_spill_seeded, allocate_threads_with_spill_sweep,
-    allocate_threads_with_spill_sweep_scratch, HybridAllocation, ScratchParams, SpillPick,
+    allocate_threads_with_spill_config, allocate_threads_with_spill_seeded,
+    allocate_threads_with_spill_sweep, HybridAllocation, ScratchParams, SpillPick,
     DEFAULT_SPILL_BASE,
 };
 pub use ladder::{

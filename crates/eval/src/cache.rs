@@ -3,10 +3,12 @@
 //! Within one sweep the same PU thread set is allocated repeatedly: the
 //! `balanced` strategy's cell, round 0 of the `balanced-spill` hybrid,
 //! and the ladder's first rung all run the *same* deterministic engine
-//! search on the *same* inputs — and the ladder's second rung duplicates
-//! the hybrid wholesale. On top of that, the engine's greedy descent
-//! never consults the register-file size while choosing steps, so one
-//! trajectory answers *every* swept `Nreg` at once
+//! search on the *same* inputs — and the `balanced-scratch` strategy and
+//! the ladder's spilling rungs are all read from the hybrid's one spill
+//! trajectory ([`regbal_core::HybridAllocation::with_scratch`] replays
+//! its picks into the scratchpad). On top of that, the engine's greedy
+//! descent never consults the register-file size while choosing steps,
+//! so one trajectory answers *every* swept `Nreg` at once
 //! ([`regbal_core::allocate_threads_sweep`]) and likewise one spill
 //! trajectory answers every hybrid cell
 //! ([`regbal_core::allocate_threads_with_spill_sweep`]).
@@ -28,10 +30,8 @@
 
 use regbal_analysis::SpillCosts;
 use regbal_core::{
-    allocate_threads, allocate_threads_sweep, allocate_threads_with_spill_scratch,
-    allocate_threads_with_spill_seeded, allocate_threads_with_spill_sweep,
-    allocate_threads_with_spill_sweep_scratch, AllocError, EngineConfig, HybridAllocation,
-    MultiAllocation, ScratchParams,
+    allocate_threads, allocate_threads_sweep, allocate_threads_with_spill_sweep, AllocError,
+    EngineConfig, HybridAllocation, MultiAllocation,
 };
 use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
@@ -50,23 +50,21 @@ type GroupKey = (usize, usize);
 type Verdicts<T> = OnceLock<Vec<Result<T, AllocError>>>;
 
 /// The whole-sweep descents of one fixed thread set: the balanced
-/// sweep, plus the hybrid and scratch-tier spill sweeps whose round 0
-/// is seeded from it. Each descent runs at most once, on first demand,
-/// and answers every swept size; a size off the sweep falls back to an
-/// uncached dedicated run. Callers racing on one column block on its
-/// [`OnceLock`]s, so exactly one of them runs each descent.
+/// sweep, plus the hybrid spill sweep whose round 0 is seeded from it.
+/// Each descent runs at most once, on first demand, and answers every
+/// swept size; a size off the sweep falls back to an uncached dedicated
+/// run. Callers racing on one column block on its [`OnceLock`]s, so
+/// exactly one of them runs each descent.
 ///
 /// A column does not own its functions: every call must pass the same
-/// thread set, and every on-sweep spilling call the same spill base
-/// (and scratch parameters), since the first call fixes the stored
-/// trajectory.
+/// thread set, and every on-sweep hybrid call the same spill base,
+/// since the first call fixes the stored trajectory.
 #[derive(Debug)]
 pub struct SweepColumn {
     sweep: Vec<usize>,
     descents: Arc<AtomicU64>,
     balanced: Verdicts<MultiAllocation>,
     hybrid: Verdicts<HybridAllocation>,
-    scratch: Verdicts<HybridAllocation>,
 }
 
 impl SweepColumn {
@@ -78,7 +76,6 @@ impl SweepColumn {
             descents,
             balanced: OnceLock::new(),
             hybrid: OnceLock::new(),
-            scratch: OnceLock::new(),
         }
     }
 
@@ -120,10 +117,12 @@ impl SweepColumn {
     }
 
     /// The hybrid (balancing + last-resort spilling) verdict for
-    /// `funcs` at `nreg` registers with spill slots above `spill_base`.
-    /// On-sweep, all sizes share one spill trajectory whose round 0 is
-    /// seeded from the balanced sweep, so a column that already ran
-    /// (or will run) the balanced descent never pays for it twice.
+    /// `funcs` at `nreg` registers with spill slots above `spill_base`,
+    /// priced with `costs` when given (one [`SpillCosts`] per thread of
+    /// `funcs`). On-sweep, all sizes share one spill trajectory whose
+    /// round 0 is seeded from the balanced sweep, so a column that
+    /// already ran (or will run) the balanced descent never pays for it
+    /// twice.
     ///
     /// # Errors
     ///
@@ -133,6 +132,7 @@ impl SweepColumn {
         funcs: &[Func],
         nreg: usize,
         spill_base: i64,
+        costs: Option<&[SpillCosts]>,
     ) -> Result<HybridAllocation, AllocError> {
         match self.position(nreg) {
             Some(pos) => self.descend(&self.hybrid, || {
@@ -142,57 +142,20 @@ impl SweepColumn {
                     spill_base,
                     EngineConfig::default(),
                     Some(self.balanced_sweep(funcs)),
+                    costs,
                 )
             })[pos]
                 .clone(),
-            None => allocate_threads_with_spill_seeded(
+            None => allocate_threads_with_spill_sweep(
                 funcs,
-                nreg,
+                &[nreg],
                 spill_base,
                 EngineConfig::default(),
                 None,
-            ),
-        }
-    }
-
-    /// The scratch-tier hybrid verdict (balancing + spilling with the
-    /// cheapest slots packed into the scratchpad) for `funcs` at `nreg`
-    /// registers, seeded exactly like [`SweepColumn::hybrid`] and priced
-    /// with `costs` (one [`SpillCosts`] per thread of `funcs`).
-    ///
-    /// # Errors
-    ///
-    /// The hybrid allocator's own verdict.
-    pub fn scratch(
-        &self,
-        funcs: &[Func],
-        nreg: usize,
-        spill_base: i64,
-        params: ScratchParams,
-        costs: &[SpillCosts],
-    ) -> Result<HybridAllocation, AllocError> {
-        match self.position(nreg) {
-            Some(pos) => self.descend(&self.scratch, || {
-                allocate_threads_with_spill_sweep_scratch(
-                    funcs,
-                    &self.sweep,
-                    spill_base,
-                    EngineConfig::default(),
-                    Some(self.balanced_sweep(funcs)),
-                    Some(&params),
-                    Some(costs),
-                )
-            })[pos]
-                .clone(),
-            None => allocate_threads_with_spill_scratch(
-                funcs,
-                nreg,
-                spill_base,
-                EngineConfig::default(),
-                None,
-                &params,
-                Some(costs),
-            ),
+                costs,
+            )
+            .pop()
+            .expect("one verdict per target"),
         }
     }
 }
@@ -213,8 +176,7 @@ pub struct AllocCache {
     /// Descents run across every column.
     descents: Arc<AtomicU64>,
     /// The per-thread spill-cost models of one column, computed once
-    /// per (scenario, PU) and shared by every spilling strategy and
-    /// every swept size of that column.
+    /// per (scenario, PU) and handed to the column's hybrid descent.
     costs: Mutex<HashMap<GroupKey, CostSlot>>,
     /// How many times a cost model was actually computed — the proof
     /// that the sweep pays per column, not per (strategy, nreg) cell.
@@ -282,7 +244,10 @@ impl AllocCache {
 
     /// The hybrid verdict for `funcs` at `key.2` registers and the
     /// given spill base, from the `(scenario, PU)` column
-    /// ([`SweepColumn::hybrid`]).
+    /// ([`SweepColumn::hybrid`]) priced with the column's shared
+    /// [`AllocCache::spill_costs`] model. Every spilling strategy reads
+    /// it: `balanced-spill` as is, `balanced-scratch` and the ladder's
+    /// scratch rung through [`HybridAllocation::with_scratch`].
     ///
     /// # Errors
     ///
@@ -293,27 +258,9 @@ impl AllocCache {
         funcs: &[Func],
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        self.column((key.0, key.1)).hybrid(funcs, key.2, spill_base)
-    }
-
-    /// The scratch-tier hybrid verdict for `funcs` at `key.2`
-    /// registers, from the `(scenario, PU)` column
-    /// ([`SweepColumn::scratch`]) priced with the column's shared
-    /// [`AllocCache::spill_costs`] model.
-    ///
-    /// # Errors
-    ///
-    /// The hybrid allocator's own verdict.
-    pub fn scratch(
-        &self,
-        key: CacheKey,
-        funcs: &[Func],
-        spill_base: i64,
-        params: ScratchParams,
-    ) -> Result<HybridAllocation, AllocError> {
         let costs = self.spill_costs((key.0, key.1), funcs);
         self.column((key.0, key.1))
-            .scratch(funcs, key.2, spill_base, params, &costs)
+            .hybrid(funcs, key.2, spill_base, Some(&costs))
     }
 }
 
@@ -462,6 +409,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regbal_core::ScratchParams;
     use regbal_ir::parse_func;
 
     fn hot() -> Func {
@@ -634,6 +582,20 @@ mod tests {
         assert!(none.is_empty());
     }
 
+    /// The scratch tier as the strategies compile it: the column's
+    /// hybrid verdict with its picks replayed into the scratchpad.
+    fn scratch(
+        cache: &AllocCache,
+        key: CacheKey,
+        funcs: &[Func],
+        spill_base: i64,
+        params: ScratchParams,
+    ) -> Result<HybridAllocation, AllocError> {
+        cache
+            .hybrid(key, funcs, spill_base)
+            .map(|h| h.with_scratch(funcs, spill_base, &params))
+    }
+
     /// The cost-model satellite: one [`SpillCosts`] computation per
     /// (scenario, PU) column, however many (strategy, nreg) cells ask.
     #[test]
@@ -646,8 +608,8 @@ mod tests {
             capacity: 4,
         };
         for &n in &[8, 16, 32] {
-            let _ = cache.scratch((0, 0, n), &funcs, 0x8_0000, sp);
-            let _ = cache.scratch((0, 0, n), &funcs, 0x8_0000, sp);
+            let _ = scratch(&cache, (0, 0, n), &funcs, 0x8_0000, sp);
+            let _ = scratch(&cache, (0, 0, n), &funcs, 0x8_0000, sp);
         }
         assert_eq!(
             cache.cost_computes(),
@@ -655,7 +617,7 @@ mod tests {
             "one model per column, not one per cell"
         );
         // A different column pays exactly once more.
-        let _ = cache.scratch((0, 1, 8), &funcs, 0xB_0000, sp);
+        let _ = scratch(&cache, (0, 1, 8), &funcs, 0xB_0000, sp);
         assert_eq!(cache.cost_computes(), 2);
         // Direct cost lookups replay the same shared model.
         let a = cache.spill_costs((0, 0), &funcs);
@@ -672,33 +634,26 @@ mod tests {
             base: 0x40,
             capacity: 4,
         };
-        let cached = cache.scratch((0, 0, 8), &funcs, 0x8_0000, sp).unwrap();
-        let direct = allocate_threads_with_spill_scratch(
-            &funcs,
-            8,
-            0x8_0000,
-            EngineConfig::default(),
-            None,
-            &sp,
-            None,
-        )
-        .unwrap();
+        let cached = scratch(&cache, (0, 0, 8), &funcs, 0x8_0000, sp).unwrap();
+        let direct = regbal_core::allocate_threads_with_spill_at(&funcs, 8, 0x8_0000)
+            .unwrap()
+            .with_scratch(&funcs, 0x8_0000, &sp);
         assert_eq!(cached.funcs, direct.funcs);
         assert_eq!(cached.scratch_spills, direct.scratch_spills);
         assert!(cached.scratch_spills.iter().sum::<usize>() > 0);
         // A zero-capacity scratchpad degrades to the plain hybrid,
         // bit for bit.
-        let zero = cache
-            .scratch(
-                (1, 0, 8),
-                &funcs,
-                0x8_0000,
-                ScratchParams {
-                    base: 0x40,
-                    capacity: 0,
-                },
-            )
-            .unwrap();
+        let zero = scratch(
+            &cache,
+            (1, 0, 8),
+            &funcs,
+            0x8_0000,
+            ScratchParams {
+                base: 0x40,
+                capacity: 0,
+            },
+        )
+        .unwrap();
         let hybrid = cache.hybrid((1, 0, 8), &funcs, 0x8_0000).unwrap();
         assert_eq!(zero.funcs, hybrid.funcs);
         assert_eq!(zero.spills, hybrid.spills);

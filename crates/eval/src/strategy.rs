@@ -17,10 +17,11 @@
 //!   first, spilling the cheapest ranges of the most demanding thread
 //!   only when sharing alone cannot fit.
 //! * [`BalancedScratch`] — the hybrid with the scratchpad spill tier
-//!   ([`regbal_core::allocate_threads_with_spill_scratch`]): the
-//!   cheapest spills are packed into a small per-PU area of the fast
-//!   shared scratchpad ([`regbal_ir::MemSpace::Spad`], ~4 cycles) and
-//!   only the overflow pays full memory latency.
+//!   (the `balanced-spill` verdict replayed through
+//!   [`regbal_core::HybridAllocation::with_scratch`]): the cheapest
+//!   spills are packed into a small per-PU area of the fast shared
+//!   scratchpad ([`regbal_ir::MemSpace::Spad`], ~4 cycles) and only the
+//!   overflow pays full memory latency.
 //! * [`Ladder`] — the graceful-degradation pipeline
 //!   ([`regbal_core::allocate_ladder_with`]): never reports
 //!   infeasibility while any fallback rung can still deliver; each
@@ -29,10 +30,9 @@
 use crate::cache::AllocCache;
 use regbal_core::chaitin::{self, ChaitinConfig};
 use regbal_core::{
-    allocate_ladder_seeded, allocate_ladder_with, allocate_threads,
-    allocate_threads_with_spill_at, allocate_threads_with_spill_scratch, Degradation,
-    EngineConfig, HybridAllocation, LadderAllocation, LadderConfig, LadderOutcome, LadderStep,
-    MultiAllocation, RungProviders, RungRetry, ScratchParams, DEFAULT_SCRATCH_CAPACITY,
+    allocate_ladder_seeded, allocate_ladder_with, allocate_threads, allocate_threads_with_spill_at,
+    Degradation, EngineConfig, HybridAllocation, LadderAllocation, LadderConfig, LadderOutcome,
+    LadderStep, MultiAllocation, RungProviders, RungRetry, ScratchParams, DEFAULT_SCRATCH_CAPACITY,
 };
 use regbal_ir::{Func, MemSpace};
 use regbal_sim::SanitizerConfig;
@@ -393,23 +393,21 @@ impl Strategy for BalancedSpill {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BalancedScratch;
 
+/// Packages a plain hybrid allocation of one PU with its picks
+/// replayed into the PU's scratchpad area.
+fn scratch_pu(hybrid: &HybridAllocation, funcs: &[Func], pu: usize) -> CompiledPu {
+    hybrid_pu(&hybrid.with_scratch(funcs, pu_spill_base(pu), &pu_scratch_params(pu)))
+}
+
 impl Strategy for BalancedScratch {
     fn name(&self) -> &'static str {
         "balanced-scratch"
     }
 
     fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
-        let hybrid = allocate_threads_with_spill_scratch(
-            funcs,
-            nreg,
-            pu_spill_base(pu),
-            EngineConfig::default(),
-            None,
-            &pu_scratch_params(pu),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(hybrid_pu(&hybrid))
+        let hybrid = allocate_threads_with_spill_at(funcs, nreg, pu_spill_base(pu))
+            .map_err(|e| e.to_string())?;
+        Ok(scratch_pu(&hybrid, funcs, pu))
     }
 
     fn compile_cached(
@@ -421,14 +419,9 @@ impl Strategy for BalancedScratch {
     ) -> Result<CompiledPu, String> {
         let hybrid = ctx
             .cache
-            .scratch(
-                (ctx.scenario, pu, nreg),
-                funcs,
-                pu_spill_base(pu),
-                pu_scratch_params(pu),
-            )
+            .hybrid((ctx.scenario, pu, nreg), funcs, pu_spill_base(pu))
             .map_err(|e| e.to_string())?;
-        Ok(hybrid_pu(&hybrid))
+        Ok(scratch_pu(&hybrid, funcs, pu))
     }
 }
 
@@ -517,10 +510,6 @@ impl Strategy for Ladder {
         let key = (ctx.scenario, pu, nreg);
         let providers = RungProviders {
             balanced: Some(Box::new(move || ctx.cache.balanced(key, funcs))),
-            balanced_scratch: Some(Box::new(move || {
-                ctx.cache
-                    .scratch(key, funcs, pu_spill_base(pu), pu_scratch_params(pu))
-            })),
             balanced_spill: Some(Box::new(move || {
                 ctx.cache.hybrid(key, funcs, pu_spill_base(pu))
             })),

@@ -14,10 +14,12 @@
 //!   the register-file size while choosing steps, so one cached
 //!   descent answers **every** swept `Nreg` — a request at a new
 //!   budget for a known module replays the trajectory instead of
-//!   re-searching. The ladder's balanced rungs are seeded from the
-//!   same column ([`regbal_core::allocate_ladder_seeded`]), which is
+//!   re-searching. Every ladder rung that balances is seeded from the
+//!   same column ([`regbal_core::allocate_ladder_seeded`]): the
+//!   balanced rung from the balanced descent, and both spilling rungs
+//!   from the hybrid one (the scratch rung replays its picks). That is
 //!   behaviour-preserving because the engine is deterministic and the
-//!   ladder's first spilling rung uses the same default base
+//!   ladder's spilling rungs use the same default base
 //!   ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] ==
 //!   [`regbal_core::DEFAULT_SPILL_BASE`]).
 //!
@@ -82,7 +84,10 @@ impl Trajectory {
             message,
         };
         let balanced = || self.column.balanced(&self.funcs, nreg);
-        let hybrid = || self.column.hybrid(&self.funcs, nreg, DEFAULT_SPILL_BASE);
+        let hybrid = || {
+            self.column
+                .hybrid(&self.funcs, nreg, DEFAULT_SPILL_BASE, None)
+        };
         let verdict = match strategy {
             ServeStrategy::Balanced => match balanced() {
                 Ok(alloc) => oneshot::Verdict::Balanced(alloc),
@@ -95,10 +100,6 @@ impl Trajectory {
             ServeStrategy::Ladder => {
                 let providers = RungProviders {
                     balanced: Some(Box::new(balanced)),
-                    // No seed for the scratch rung: the server's cache
-                    // keys predate the scratch tier, so the ladder
-                    // computes that rung itself when it gets there.
-                    balanced_scratch: None,
                     balanced_spill: Some(Box::new(hybrid)),
                 };
                 match allocate_ladder_seeded(
@@ -134,7 +135,9 @@ pub struct Counters {
     pub trajectory_evictions: u64,
     /// Whole-sweep descents actually run (monotonic; shared with every
     /// trajectory's [`SweepColumn`], which runs each descent at most
-    /// once, so the total is deterministic at any worker count).
+    /// once, so the total is deterministic at any worker count). A
+    /// module's balanced-spill request, or a ladder request that
+    /// reaches a spilling rung, fills its hybrid descent.
     pub descents: Arc<AtomicU64>,
     /// Alloc misses that reused an already-resident trajectory
     /// instead of loading the module afresh.
@@ -479,6 +482,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Five co-live values across a switch: two copies cannot share
+    /// eight registers, so the ladder settles on its scratch rung.
+    const HOT: &str = "func hot {\nbb0:\n v0 = mov 1\n v1 = mov 2\n v2 = mov 3\n v3 = mov 4\n v4 = mov 5\n ctx\n v5 = add v0, v1\n v5 = add v5, v2\n v5 = add v5, v3\n v5 = add v5, v4\n store scratch[v5+0], v5\n halt\n}";
+
+    /// Every rung of a served ladder is seeded from the column: a walk
+    /// that settles on balanced-scratch runs the balanced descent and
+    /// the hybrid one (which the scratch rung replays) and nothing
+    /// else, and still answers exactly what one-shot allocation does.
+    #[test]
+    fn the_ladder_scratch_rung_is_seeded_from_the_hybrid_descent() {
+        let mut cache = ServeCache::new(16, 16, vec![8, 32]);
+        let traj = cache.admit_trajectory(content_hash(HOT), 2, HOT).unwrap();
+        let served = traj.outcome(8, ServeStrategy::Ladder);
+        let direct = oneshot::allocate(&traj.funcs, 8, ServeStrategy::Ladder).unwrap();
+        let oneshot::Verdict::Ladder(ladder) = &direct else {
+            panic!("a ladder request yields a ladder verdict");
+        };
+        assert_eq!(ladder.step, regbal_core::LadderStep::BalancedScratch);
+        let Outcome::Doc(doc) = served else {
+            panic!("the served ladder failed: {served:?}");
+        };
+        assert_eq!(
+            doc.pretty(),
+            oneshot::verdict_doc(&traj.funcs, 8, &direct).pretty()
+        );
+        assert_eq!(
+            cache.counters.descents.load(Ordering::Relaxed),
+            2,
+            "balanced + hybrid"
+        );
     }
 
     #[test]

@@ -1694,25 +1694,74 @@ mod tests {
             max_conns: 1,
             ..ServeConfig::default()
         });
-        // Occupy the only slot with an idle connection.
-        let held = TcpStream::connect(addr).unwrap();
-        // Give the accept loop a moment to admit it.
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        let error_code = |line: &str| {
+            regbal_eval::json::parse(line.trim_end())
+                .ok()?
+                .get("error")?
+                .get("code")?
+                .as_str()
+                .map(str::to_string)
+        };
+        // Occupy the only slot, and prove the accept loop admitted it
+        // with a round trip on the held connection.
+        let mut held = TcpStream::connect(addr).unwrap();
+        writeln!(held, "{}", alloc_line(1, 32, "balanced")).unwrap();
+        let mut held_reader = BufReader::new(held.try_clone().unwrap());
+        let mut line = String::new();
+        held_reader.read_line(&mut line).unwrap();
+        let doc = regbal_eval::json::parse(line.trim_end()).unwrap();
+        assert!(doc.get("alloc").is_some(), "{line}");
         let mut second = TcpStream::connect(addr).unwrap();
         let mut line = String::new();
         BufReader::new(&mut second).read_line(&mut line).unwrap();
-        let doc = regbal_eval::json::parse(line.trim_end()).unwrap();
-        assert_eq!(
-            doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
-            Some("overloaded")
-        );
+        assert_eq!(error_code(&line).as_deref(), Some("overloaded"));
+        // Dropping the held connection frees the slot once its reader
+        // sees EOF. Until then new connections are still turned away:
+        // retry those (a refused connection may also show up as a
+        // reset, since its requests were never read), a bounded number
+        // of times. The admitted connection also carries the shutdown,
+        // so no third connection races this one's release.
         drop(second);
-        drop(held); // frees the slot (after the reader notices EOF)
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        let lines = [alloc_line(1, 32, "balanced")];
-        let responses = tcp_client(addr, &lines, 1);
-        assert!(regbal_eval::json::parse(&responses[0]).unwrap().get("alloc").is_some());
-        send_shutdown(addr);
+        drop(held_reader);
+        drop(held);
+        let attempt = || -> Option<Vec<String>> {
+            let mut stream = TcpStream::connect(addr).ok()?;
+            writeln!(stream, "{}", alloc_line(2, 32, "balanced")).ok()?;
+            writeln!(stream, r#"{{"id": "bye", "kind": "shutdown"}}"#).ok()?;
+            stream.shutdown(Shutdown::Write).ok()?;
+            BufReader::new(stream)
+                .lines()
+                .collect::<Result<_, _>>()
+                .ok()
+        };
+        let mut answer = None;
+        for _ in 0..500 {
+            match attempt() {
+                Some(lines) if lines.first().is_some_and(|l| error_code(l).is_none()) => {
+                    answer = Some(lines);
+                    break;
+                }
+                Some(lines) if !lines.is_empty() => {
+                    assert_eq!(
+                        error_code(&lines[0]).as_deref(),
+                        Some("overloaded"),
+                        "{lines:?}"
+                    );
+                }
+                _ => {}
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let lines = answer.expect("the freed slot never admitted a connection");
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        let doc = regbal_eval::json::parse(&lines[0]).unwrap();
+        assert!(doc.get("alloc").is_some(), "{lines:?}");
+        let ack = regbal_eval::json::parse(&lines[1]).unwrap();
+        assert_eq!(
+            ack.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{lines:?}"
+        );
         let (result, _log) = server.join().unwrap();
         result.unwrap();
     }

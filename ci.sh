@@ -33,7 +33,7 @@ cargo test -q --test degradation
 
 # The evaluation harness must produce a report that passes its own
 # structural validation (coverage, checksums, the paper's headline).
-# The committed BENCH_EVAL.json is the full sweep (bench bin `eval`);
+# The committed BENCH_EVAL.json is the full sweep (`regbal eval`);
 # CI re-derives a smoke report next to it in target/ and checks both.
 ./target/release/regbal eval --smoke --out target/BENCH_EVAL_SMOKE.json
 ./target/release/regbal eval --validate target/BENCH_EVAL_SMOKE.json

@@ -10,7 +10,7 @@
 //! | Table 2 (moves at minimum registers) | [`table2`] | `table2` |
 //! | Table 3 (ARA scenarios) | [`table3`] | `table3` |
 //! | Ablations (ours) | [`ablation_direction`], [`ablation_cost_curve`] | `ablation` |
-//! | §9 throughput study | `regbal_eval::run_eval` | `eval` (writes `BENCH_EVAL.json`) |
+//! | §9 throughput study | `regbal_eval::run_eval` | `regbal eval` (writes `BENCH_EVAL.json`) |
 //!
 //! Absolute numbers differ from the paper (our substrate is a scaled
 //! simulator, not the IXP1200 workbench); the *shape* — who wins, by

@@ -24,14 +24,14 @@
 
 use regbal_analysis::ProgramInfo;
 use regbal_core::{
-    allocate_ladder_with, allocate_threads_stats, allocate_threads_with_spill, estimate_bounds,
-    force_min_bounds, EngineConfig, EngineStats, LadderConfig,
+    allocate_threads_stats, estimate_bounds, force_min_bounds, EngineConfig, EngineStats,
+    HybridAllocation,
 };
 use regbal_eval::{
     run_device_eval, run_eval, validate_json, CellStatus, DeviceEvalConfig, EvalConfig, Json,
 };
 use regbal_ir::{parse_module, Func};
-use regbal_serve::{ReplayConfig, ServeConfig, TraceFile, Verdict};
+use regbal_serve::{ReplayConfig, ServeConfig, ServeStrategy, TraceFile, Verdict};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
 use regbal_workloads::{Arrival, TraceConfig};
 use std::fmt::Write as _;
@@ -74,7 +74,6 @@ USAGE:
                        balanced -> balanced-spill -> fixed-partition ->
                        spill-all, reporting every forced transition
       --min            squeeze each thread to its (MinPR, MinR) bound
-      --naive          disable engine memoization and parallelism
       --stats          print engine statistics (iterations, candidate
                        cache hits, per-phase wall time); with --json,
                        adds the wall-clock `engine` member to the
@@ -224,9 +223,9 @@ fn collect_files<'a>(it: impl Iterator<Item = &'a String>) -> Result<Vec<String>
 }
 
 /// Loads every function from every file, in order, then resolves
-/// subroutines: functions that are `call`ed by others are treated as
-/// subroutines and inlined; the remaining root functions become the
-/// hardware threads.
+/// subroutines the way the server does ([`regbal_serve::inline_roots`]):
+/// functions that are `call`ed by others are treated as subroutines and
+/// inlined; the remaining root functions become the hardware threads.
 fn load(files: &[String]) -> Result<Vec<Func>, String> {
     let mut module = Vec::new();
     for path in files {
@@ -237,22 +236,7 @@ fn load(files: &[String]) -> Result<Vec<Func>, String> {
         }
         module.extend(parsed);
     }
-    let called: std::collections::HashSet<String> = module
-        .iter()
-        .flat_map(|f| f.iter_insts())
-        .filter_map(|(_, _, i)| match i {
-            regbal_ir::Inst::Call { callee } => Some(callee.clone()),
-            _ => None,
-        })
-        .collect();
-    let roots: Vec<&Func> = module.iter().filter(|f| !called.contains(&f.name)).collect();
-    if roots.is_empty() {
-        return Err("every function is called by another; no thread entry point".into());
-    }
-    roots
-        .iter()
-        .map(|f| regbal_ir::inline_module(&module, &f.name).map_err(|e| e.to_string()))
-        .collect()
+    regbal_serve::inline_roots(&module)
 }
 
 fn analyze(files: &[String], out: &mut String) -> Result<(), String> {
@@ -296,7 +280,6 @@ fn alloc(args: Vec<String>, out: &mut String) -> Result<(), String> {
     let mut ladder = false;
     let mut min = false;
     let mut quiet = false;
-    let mut naive = false;
     let mut stats = false;
     let mut json = false;
     let mut files = Vec::new();
@@ -314,7 +297,6 @@ fn alloc(args: Vec<String>, out: &mut String) -> Result<(), String> {
             "--ladder" => ladder = true,
             "--min" => min = true,
             "--quiet" => quiet = true,
-            "--naive" => naive = true,
             "--stats" => stats = true,
             "--json" => json = true,
             f if !f.starts_with('-') => files.push(f.to_string()),
@@ -344,123 +326,73 @@ fn alloc(args: Vec<String>, out: &mut String) -> Result<(), String> {
         return Ok(());
     }
 
-    if ladder {
-        let engine = if naive {
-            EngineConfig::naive()
-        } else {
-            EngineConfig::default()
-        };
-        let config = LadderConfig {
-            engine,
-            ..LadderConfig::default()
-        };
-        let result = allocate_ladder_with(&funcs, nreg, &config).map_err(|e| e.to_string())?;
-        if json {
-            let verdict = Verdict::Ladder(Box::new(result));
-            let doc = regbal_serve::verdict_doc(&funcs, nreg, &verdict);
-            let _ = writeln!(out, "{}", doc.pretty());
-            return Ok(());
+    let strategy = if ladder {
+        ServeStrategy::Ladder
+    } else if spill {
+        ServeStrategy::BalancedSpill
+    } else {
+        ServeStrategy::Balanced
+    };
+    // Only the balanced engine reports statistics, so `--stats` calls it
+    // directly; every other allocation goes through the server's one
+    // strategy dispatch.
+    let (verdict, engine) = if stats && strategy == ServeStrategy::Balanced {
+        let (alloc, engine) = allocate_threads_stats(&funcs, nreg, EngineConfig::default())
+            .map_err(|e| e.to_string())?;
+        (Verdict::Balanced(alloc), Some(engine))
+    } else {
+        let verdict = regbal_serve::allocate(&funcs, nreg, strategy).map_err(|f| f.message)?;
+        (verdict, None)
+    };
+    if json {
+        let mut doc = regbal_serve::verdict_doc(&funcs, nreg, &verdict);
+        // The engine member carries wall-clock timings, so it would
+        // break the document's determinism (and the serve cache's
+        // byte-identity contract); it is opt-in via --stats.
+        if let (Some(engine), Json::Obj(members)) = (&engine, &mut doc) {
+            members.push(("engine".into(), engine_json(engine)));
         }
-        let summaries = result.thread_summaries();
-        for (i, t) in summaries.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "thread {i} `{}`: PR={} SR={} moves={} spills={}",
-                funcs[i].name, t.pr, t.sr, t.moves, t.spills
-            );
-        }
-        for d in &result.degradations {
-            let _ = writeln!(out, "degraded: {d}");
-        }
-        let _ = writeln!(
-            out,
-            "demand {} of {nreg} registers (rung `{}`, {} degradation(s))",
-            result.registers_used(),
-            result.step,
-            result.degraded_count()
-        );
-        if !quiet {
-            for f in &result.rewrite().map_err(|e| e.to_string())? {
-                let _ = writeln!(out, "\n{f}");
-            }
-        }
+        let _ = writeln!(out, "{}", doc.pretty());
         return Ok(());
     }
-
-    let (physical, summary) = if spill {
-        let hybrid =
-            allocate_threads_with_spill(&funcs, nreg).map_err(|e| e.to_string())?;
-        if json {
-            let verdict = Verdict::Spill(hybrid);
-            let doc = regbal_serve::verdict_doc(&funcs, nreg, &verdict);
-            let _ = writeln!(out, "{}", doc.pretty());
-            return Ok(());
-        }
-        let mut s = String::new();
-        for (i, t) in hybrid.alloc.threads.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "thread {i} `{}`: PR={} SR={} moves={} spills={}",
-                funcs[i].name,
-                t.pr(),
-                t.sr(),
-                t.moves(),
-                hybrid.spills[i]
-            );
-        }
-        let _ = writeln!(
-            s,
-            "demand {} of {nreg} registers (SGR={})",
-            hybrid.alloc.total_registers(),
-            hybrid.alloc.sgr()
+    for (i, (t, f)) in verdict.thread_summaries().iter().zip(&funcs).enumerate() {
+        let _ = write!(
+            out,
+            "thread {i} `{}`: PR={} SR={} moves={}",
+            f.name, t.pr, t.sr, t.moves
         );
-        (hybrid.rewrite(), s)
-    } else {
-        let config = if naive {
-            EngineConfig::naive()
-        } else {
-            EngineConfig::default()
+        let _ = match strategy {
+            ServeStrategy::Balanced => writeln!(out),
+            _ => writeln!(out, " spills={}", t.spills),
         };
-        let (alloc, engine_stats) =
-            allocate_threads_stats(&funcs, nreg, config).map_err(|e| e.to_string())?;
-        if json {
-            let verdict = Verdict::Balanced(alloc);
-            let mut doc = regbal_serve::verdict_doc(&funcs, nreg, &verdict);
-            // The engine member carries wall-clock timings, so it would
-            // break the document's determinism (and the serve cache's
-            // byte-identity contract); it is opt-in via --stats.
-            if stats {
-                if let Json::Obj(members) = &mut doc {
-                    members.push(("engine".into(), engine_json(&engine_stats, config)));
-                }
+    }
+    let _ = match &verdict {
+        Verdict::Balanced(alloc) | Verdict::Spill(HybridAllocation { alloc, .. }) => {
+            writeln!(
+                out,
+                "demand {} of {nreg} registers (SGR={})",
+                alloc.total_registers(),
+                alloc.sgr()
+            )
+        }
+        Verdict::Ladder(result) => {
+            for d in &result.degradations {
+                let _ = writeln!(out, "degraded: {d}");
             }
-            let _ = writeln!(out, "{}", doc.pretty());
-            return Ok(());
+            writeln!(
+                out,
+                "demand {} of {nreg} registers (rung `{}`, {} degradation(s))",
+                result.registers_used(),
+                result.step,
+                result.degraded_count()
+            )
         }
-        let mut s = String::new();
-        for (i, t) in alloc.threads.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "thread {i} `{}`: PR={} SR={} moves={}",
-                funcs[i].name,
-                t.pr(),
-                t.sr(),
-                t.moves()
-            );
-        }
-        let _ = writeln!(
-            s,
-            "demand {} of {nreg} registers (SGR={})",
-            alloc.total_registers(),
-            alloc.sgr()
-        );
-        if stats {
-            s.push_str(&format_stats(&engine_stats, config));
-        }
-        (alloc.rewrite_funcs(&funcs), s)
     };
-    out.push_str(&summary);
+    if let Some(engine) = &engine {
+        out.push_str(&format_stats(engine));
+    }
     if !quiet {
+        let (physical, _) = verdict.compiled(&funcs).map_err(|e| e.to_string())?;
         for f in &physical {
             let _ = writeln!(out, "\n{f}");
         }
@@ -472,13 +404,13 @@ fn alloc(args: Vec<String>, out: &mut String) -> Result<(), String> {
 /// (`--stats --json`); the document skeleton itself lives in
 /// [`regbal_serve::alloc_doc`] so the server provably prints the same
 /// bytes.
-fn engine_json(stats: &EngineStats, config: EngineConfig) -> Json {
+fn engine_json(stats: &EngineStats) -> Json {
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
     Json::Obj(vec![
         ("iterations".into(), Json::uint(stats.iterations as u64)),
         ("evaluated".into(), Json::uint(stats.evaluated as u64)),
         ("cached".into(), Json::uint(stats.cached as u64)),
-        ("memoized".into(), Json::Bool(config.memoize)),
+        ("memoized".into(), Json::Bool(EngineConfig::default().memoize)),
         ("init_us".into(), Json::float(us(stats.init))),
         ("search_us".into(), Json::float(us(stats.search))),
         ("verify_us".into(), Json::float(us(stats.verify))),
@@ -1461,15 +1393,12 @@ fn verify_against_oneshot(trace: &TraceFile, responses: &[String]) -> Result<usi
     Ok(checked)
 }
 
-fn format_stats(stats: &EngineStats, config: EngineConfig) -> String {
+fn format_stats(stats: &EngineStats) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "engine: {} iteration(s), {} candidate(s) evaluated, {} from cache{}",
-        stats.iterations,
-        stats.evaluated,
-        stats.cached,
-        if config.memoize { "" } else { " (naive engine)" }
+        "engine: {} iteration(s), {} candidate(s) evaluated, {} from cache",
+        stats.iterations, stats.evaluated, stats.cached
     );
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
     let _ = writeln!(
@@ -1717,37 +1646,6 @@ mod tests {
         assert!(out.contains("candidate(s) evaluated"), "{out}");
         assert!(out.contains("total"), "{out}");
         assert!(!out.contains("naive engine"), "{out}");
-    }
-
-    #[test]
-    fn alloc_naive_engine_matches_default() {
-        let path = write_temp("naive.rba", PROG);
-        let mut fast = String::new();
-        run_cli(
-            &["alloc".into(), "--nreg".into(), "8".into(), path.clone()],
-            &mut fast,
-        )
-        .unwrap();
-        let mut naive = String::new();
-        run_cli(
-            &[
-                "alloc".into(),
-                "--nreg".into(),
-                "8".into(),
-                "--naive".into(),
-                path.clone(),
-            ],
-            &mut naive,
-        )
-        .unwrap();
-        assert_eq!(fast, naive, "engines must agree on the allocation");
-        let mut out = String::new();
-        run_cli(
-            &["alloc".into(), "--naive".into(), "--stats".into(), "--quiet".into(), path],
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("naive engine"), "{out}");
     }
 
     #[test]

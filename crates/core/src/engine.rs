@@ -78,6 +78,20 @@ impl ThreadResult {
     }
 }
 
+/// Per-thread accounting of an allocation, in the shape the paper's
+/// tables use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadSummary {
+    /// Private registers (bank size for partitioned outcomes).
+    pub pr: usize,
+    /// Shared registers (zero for partitioned outcomes).
+    pub sr: usize,
+    /// Split-live-range move instructions inserted.
+    pub moves: usize,
+    /// Live ranges spilled to memory.
+    pub spills: usize,
+}
+
 /// The result of [`allocate_threads`]: one [`ThreadResult`] per thread
 /// plus the machine-wide accounting.
 #[derive(Debug, Clone)]
@@ -101,6 +115,20 @@ impl MultiAllocation {
     /// Total physical registers consumed: `Σ PRᵢ + SGR`.
     pub fn total_registers(&self) -> usize {
         self.threads.iter().map(ThreadResult::pr).sum::<usize>() + self.sgr()
+    }
+
+    /// Per-thread `(PR, SR, moves, spills)` accounting; balancing
+    /// alone spills nothing.
+    pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
+        self.threads
+            .iter()
+            .map(|t| ThreadSummary {
+                pr: t.pr(),
+                sr: t.sr(),
+                moves: t.moves(),
+                spills: 0,
+            })
+            .collect()
     }
 
     /// The physical register layout: disjoint private banks per thread

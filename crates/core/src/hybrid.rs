@@ -23,7 +23,7 @@ use crate::bounds::Bounds;
 use crate::chaitin::insert_spill_code;
 use crate::engine::{
     below_floor, demand_floor, initial_state, initial_threads, par_map, sweep_from, EngineConfig,
-    MultiAllocation, ThreadResult,
+    MultiAllocation, ThreadResult, ThreadSummary,
 };
 use crate::error::AllocError;
 use regbal_analysis::{ProgramInfo, SpillCosts};
@@ -77,6 +77,16 @@ impl HybridAllocation {
         self.alloc.rewrite_funcs(&self.funcs)
     }
 
+    /// Per-thread `(PR, SR, moves, spills)` accounting.
+    pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
+        self.alloc
+            .thread_summaries()
+            .into_iter()
+            .zip(&self.spills)
+            .map(|(t, &spills)| ThreadSummary { spills, ..t })
+            .collect()
+    }
+
     /// The same allocation with the scratchpad tier: the picks are
     /// replayed in eviction order over `funcs` — the unmodified
     /// programs this result was allocated from, with spill slots above
@@ -111,16 +121,19 @@ const SPILL_SPACE: MemSpace = MemSpace::Sram;
 
 /// Base address of the hybrid spill area (per-thread areas are spaced
 /// a page apart). Public so callers that must reproduce
-/// [`allocate_threads_with_spill`] byte-for-byte through the `_at`
-/// entry points — or share one spill-sweep trajectory between the
-/// hybrid and the ladder's balanced-spill rung, which packs from the
-/// equal [`crate::DEFAULT_LADDER_SPILL_BASE`] — can name the default.
+/// [`allocate_threads_with_spill`] byte-for-byte through
+/// [`allocate_threads_with_spill_sweep`] — or share one spill-sweep
+/// trajectory between the hybrid and the ladder's balanced-spill rung,
+/// which packs from the equal [`crate::DEFAULT_LADDER_SPILL_BASE`] —
+/// can name the default.
 pub const DEFAULT_SPILL_BASE: i64 = 0x7_8000;
 
 /// Allocates like [`allocate_threads`], but when the demand cannot be
 /// reduced to `nreg` by sharing and splitting alone, spills live ranges
 /// (cheapest first, from the thread with the highest residual demand)
-/// until it fits.
+/// until it fits. Spill slots live above [`DEFAULT_SPILL_BASE`] and the
+/// engine runs with its default configuration; the one-target
+/// [`allocate_threads_with_spill_sweep`] takes both explicitly.
 ///
 /// # Errors
 ///
@@ -130,67 +143,16 @@ pub fn allocate_threads_with_spill(
     funcs: &[Func],
     nreg: usize,
 ) -> Result<HybridAllocation, AllocError> {
-    allocate_threads_with_spill_at(funcs, nreg, DEFAULT_SPILL_BASE)
-}
-
-/// Like [`allocate_threads_with_spill`], with an explicit base address
-/// for the spill area (per-thread areas are spaced `0x1000` bytes apart
-/// above it). Callers that allocate several thread groups over one
-/// shared memory — e.g. the PUs of a [`regbal-sim` `Chip`] — must give
-/// each group a disjoint base or their spill slots would alias.
-///
-/// # Errors
-///
-/// Returns [`AllocError::SpillDiverged`] if the demand still does not
-/// fit after a bounded number of spill rounds.
-pub fn allocate_threads_with_spill_at(
-    funcs: &[Func],
-    nreg: usize,
-    spill_base: i64,
-) -> Result<HybridAllocation, AllocError> {
-    allocate_threads_with_spill_config(funcs, nreg, spill_base, EngineConfig::default())
-}
-
-/// Like [`allocate_threads_with_spill_at`], with an explicit
-/// [`EngineConfig`] so the balancing retries inherit the caller's
-/// iteration budget (the degradation ladder threads its budget through
-/// here).
-///
-/// # Errors
-///
-/// As [`allocate_threads_with_spill_at`]; additionally propagates any
-/// budget error of the underlying engine (e.g.
-/// [`AllocError::IterationCapHit`]).
-pub fn allocate_threads_with_spill_config(
-    funcs: &[Func],
-    nreg: usize,
-    spill_base: i64,
-    config: EngineConfig,
-) -> Result<HybridAllocation, AllocError> {
-    allocate_threads_with_spill_seeded(funcs, nreg, spill_base, config, None)
-}
-
-/// Like [`allocate_threads_with_spill_config`], seeding round 0 with a
-/// balancing verdict the caller already computed for the *unmodified*
-/// `funcs` under the same `nreg` and `config` (e.g. a cached
-/// [`allocate_threads_with`] result from an earlier ladder rung). The
-/// engine is deterministic, so reusing the verdict is behaviour-
-/// preserving — it only skips the most expensive search of the loop.
-///
-/// # Errors
-///
-/// As [`allocate_threads_with_spill_config`].
-pub fn allocate_threads_with_spill_seeded(
-    funcs: &[Func],
-    nreg: usize,
-    spill_base: i64,
-    config: EngineConfig,
-    first: Option<Result<MultiAllocation, AllocError>>,
-) -> Result<HybridAllocation, AllocError> {
-    let seeds = first.map(|verdict| vec![verdict]);
-    allocate_threads_with_spill_sweep(funcs, &[nreg], spill_base, config, seeds.as_deref(), None)
-        .pop()
-        .expect("one verdict per target")
+    allocate_threads_with_spill_sweep(
+        funcs,
+        &[nreg],
+        DEFAULT_SPILL_BASE,
+        EngineConfig::default(),
+        None,
+        None,
+    )
+    .pop()
+    .expect("one verdict per target")
 }
 
 /// Hybrid allocation of one thread group against *several* register-file
@@ -198,13 +160,25 @@ pub fn allocate_threads_with_spill_seeded(
 /// spill-augmented programs — never on `nreg` — so every target shares
 /// one spill trajectory: each peels off at the first round whose
 /// balancing verdict is no longer [`AllocError::Infeasible`], receiving
-/// exactly the result a dedicated [`allocate_threads_with_spill_seeded`]
-/// run would produce, while the expensive balancing search per round is
-/// paid once via [`crate::allocate_threads_sweep`].
+/// exactly the result a dedicated one-target run would produce, while
+/// the expensive balancing search per round is paid once via
+/// [`crate::allocate_threads_sweep`].
+///
+/// Spill slots live above `spill_base`, with per-thread areas `0x1000`
+/// bytes apart. Callers that allocate several thread groups over one
+/// shared memory — e.g. the PUs of a `regbal-sim` `Chip` — must give
+/// each group a disjoint base or their spill slots would alias. The
+/// balancing retries run under `config`, so they inherit the caller's
+/// iteration budget (the degradation ladder threads its budget through
+/// here) and propagate any budget error of the engine (e.g.
+/// [`AllocError::IterationCapHit`]).
 ///
 /// `first`, when given, must hold one balancing verdict per target for
 /// the *unmodified* `funcs` under the same `config` (e.g. a cached
-/// sweep); it replaces round 0's search.
+/// sweep, or an earlier ladder rung's verdict); it replaces round 0's
+/// search. The engine is deterministic, so reusing the verdict is
+/// behaviour-preserving — it only skips the most expensive search of
+/// the loop.
 ///
 /// The returned vector has one verdict per target, in input order;
 /// failures are reported per target exactly as the single-target entry
@@ -541,11 +515,32 @@ bb0:
         assert_eq!(hybrid.funcs[0], hot(), "programs untouched");
     }
 
+    /// One target of the spill sweep at an explicit base and engine,
+    /// round 0 seeded with `first` when given.
+    fn spill_at(
+        funcs: &[Func],
+        nreg: usize,
+        spill_base: i64,
+        first: Option<Result<MultiAllocation, AllocError>>,
+    ) -> Result<HybridAllocation, AllocError> {
+        let seeds = first.map(|verdict| vec![verdict]);
+        allocate_threads_with_spill_sweep(
+            funcs,
+            &[nreg],
+            spill_base,
+            EngineConfig::default(),
+            seeds.as_deref(),
+            None,
+        )
+        .pop()
+        .unwrap()
+    }
+
     #[test]
     fn explicit_spill_base_relocates_slots() {
         let funcs = vec![hot(), hot()];
-        let a = allocate_threads_with_spill_at(&funcs, 8, 0x1_0000).unwrap();
-        let b = allocate_threads_with_spill_at(&funcs, 8, 0x2_0000).unwrap();
+        let a = spill_at(&funcs, 8, 0x1_0000, None).unwrap();
+        let b = spill_at(&funcs, 8, 0x2_0000, None).unwrap();
         // Same spill decisions, different slot addresses.
         assert_eq!(a.spills, b.spills);
         assert!(a.spills.iter().sum::<usize>() > 0);
@@ -560,27 +555,13 @@ bb0:
         let funcs = vec![hot(), hot()];
         let verdict = allocate_threads_with(&funcs, 8, EngineConfig::default());
         assert!(verdict.is_err());
-        let seeded = allocate_threads_with_spill_seeded(
-            &funcs,
-            8,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            Some(verdict),
-        )
-        .unwrap();
+        let seeded = spill_at(&funcs, 8, DEFAULT_SPILL_BASE, Some(verdict)).unwrap();
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
         assert_eq!(seeded.funcs, plain.funcs);
         assert_eq!(seeded.spills, plain.spills);
         // Seeding with a success short-circuits without touching code.
         let ok = allocate_threads_with(&funcs, 32, EngineConfig::default());
-        let seeded_ok = allocate_threads_with_spill_seeded(
-            &funcs,
-            32,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            Some(ok),
-        )
-        .unwrap();
+        let seeded_ok = spill_at(&funcs, 32, DEFAULT_SPILL_BASE, Some(ok)).unwrap();
         assert_eq!(seeded_ok.spills, vec![0, 0]);
         assert_eq!(seeded_ok.funcs[0], hot());
     }

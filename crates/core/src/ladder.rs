@@ -14,7 +14,7 @@
 //!    overflow sent to memory (the balanced-spill verdict replayed
 //!    through [`HybridAllocation::with_scratch`]);
 //! 3. **balanced-spill** — balancing plus last-resort spilling, all
-//!    slots in memory ([`crate::allocate_threads_with_spill_config`]);
+//!    slots in memory ([`crate::allocate_threads_with_spill_sweep`]);
 //! 4. **fixed-partition** — the stock compiler's model: each thread gets
 //!    a private bank of `Nreg / Nthd` registers and a Chaitin allocator
 //!    ([`crate::chaitin`]);
@@ -53,10 +53,12 @@
 //! final error.
 
 use crate::chaitin::{self, ChaitinConfig};
-use crate::engine::{allocate_threads_with, EngineConfig, IterationBudget, MultiAllocation};
+use crate::engine::{
+    allocate_threads_with, EngineConfig, IterationBudget, MultiAllocation, ThreadSummary,
+};
 use crate::error::{AllocError, Degradation, LadderStep, RungRetry};
 use crate::hybrid::{
-    allocate_threads_with_spill_config, HybridAllocation, ScratchParams, SpillPick,
+    allocate_threads_with_spill_sweep, HybridAllocation, ScratchParams, SpillPick,
 };
 use regbal_analysis::ProgramInfo;
 use regbal_ir::{Func, MemSpace, Reg, VReg};
@@ -239,20 +241,6 @@ pub enum LadderOutcome {
     },
 }
 
-/// Per-thread accounting of a ladder allocation, in the shape the
-/// paper's tables use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadSummary {
-    /// Private registers (bank size for partitioned outcomes).
-    pub pr: usize,
-    /// Shared registers (zero for partitioned outcomes).
-    pub sr: usize,
-    /// Split-live-range move instructions inserted.
-    pub moves: usize,
-    /// Live ranges spilled to memory.
-    pub spills: usize,
-}
-
 /// A successful walk down the ladder: the first rung that produced a
 /// verified allocation, plus the trail of degradations that led there.
 #[derive(Debug, Clone)]
@@ -339,28 +327,8 @@ impl LadderAllocation {
     /// Per-thread `(PR, SR, moves, spills)` accounting.
     pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
         match &self.outcome {
-            LadderOutcome::Balanced { alloc, .. } => alloc
-                .threads
-                .iter()
-                .map(|t| ThreadSummary {
-                    pr: t.pr(),
-                    sr: t.sr(),
-                    moves: t.moves(),
-                    spills: 0,
-                })
-                .collect(),
-            LadderOutcome::BalancedSpill(h) => h
-                .alloc
-                .threads
-                .iter()
-                .zip(&h.spills)
-                .map(|(t, &s)| ThreadSummary {
-                    pr: t.pr(),
-                    sr: t.sr(),
-                    moves: t.moves(),
-                    spills: s,
-                })
-                .collect(),
+            LadderOutcome::Balanced { alloc, .. } => alloc.thread_summaries(),
+            LadderOutcome::BalancedSpill(h) => h.thread_summaries(),
             LadderOutcome::Partitioned { k, spills, .. } => spills
                 .iter()
                 .map(|&s| ThreadSummary {
@@ -421,20 +389,12 @@ impl std::error::Error for LadderError {}
 /// Returns [`LadderError`] only when every rung fails (e.g. a register
 /// file too small to hold even spill-address temporaries).
 pub fn allocate_ladder(funcs: &[Func], nreg: usize) -> Result<LadderAllocation, LadderError> {
-    allocate_ladder_with(funcs, nreg, &LadderConfig::default())
-}
-
-/// [`allocate_ladder`] with explicit engine/spill configuration.
-///
-/// # Errors
-///
-/// Returns [`LadderError`] when every rung fails.
-pub fn allocate_ladder_with(
-    funcs: &[Func],
-    nreg: usize,
-    config: &LadderConfig,
-) -> Result<LadderAllocation, LadderError> {
-    allocate_ladder_seeded(funcs, nreg, config, RungProviders::default())
+    allocate_ladder_with(
+        funcs,
+        nreg,
+        &LadderConfig::default(),
+        RungProviders::default(),
+    )
 }
 
 /// A caller-supplied verdict of type `T`, computed on demand.
@@ -445,29 +405,31 @@ type Provider<'a, T> = Box<dyn FnOnce() -> Result<T, AllocError> + 'a>;
 /// `nreg`, and engine config can hand it to the ladder instead of
 /// paying for the search again. Each provider is consumed on the
 /// first attempt it answers; the budget-doubling retry always re-runs
-/// the engine itself (its budget differs from the cached one).
+/// the engine itself (its budget differs from the cached one). The
+/// default provides nothing: the ladder computes every verdict.
 #[derive(Default)]
 pub struct RungProviders<'a> {
     /// Verdict of the balanced rung
     /// ([`crate::allocate_threads_with`] on the unmodified `funcs`).
     pub balanced: Option<Provider<'a, MultiAllocation>>,
     /// The plain hybrid verdict both spilling rungs are read from
-    /// ([`crate::allocate_threads_with_spill_config`] at this ladder's
+    /// ([`crate::allocate_threads_with_spill_sweep`] at this ladder's
     /// spilling rung base): balanced-spill takes it as is,
     /// balanced-scratch replays its picks into the scratchpad.
     pub balanced_spill: Option<Provider<'a, HybridAllocation>>,
 }
 
-/// [`allocate_ladder_with`], seeding the balanced rungs from
-/// [`RungProviders`]. The engine is deterministic, so a correctly keyed
-/// provider is behaviour-preserving: the ladder walks the same rungs
-/// and returns the same allocation, it just skips recomputing verdicts
-/// the caller already holds.
+/// [`allocate_ladder`] with explicit engine/spill configuration,
+/// seeding the balanced rungs from `providers`. The engine is
+/// deterministic, so a correctly keyed provider is
+/// behaviour-preserving: the ladder walks the same rungs and returns
+/// the same allocation, it just skips recomputing verdicts the caller
+/// already holds.
 ///
 /// # Errors
 ///
 /// Returns [`LadderError`] when every rung fails.
-pub fn allocate_ladder_seeded(
+pub fn allocate_ladder_with(
     funcs: &[Func],
     nreg: usize,
     config: &LadderConfig,
@@ -596,7 +558,11 @@ impl SpillVerdicts<'_> {
                 let base = config.rung_base(LadderStep::BalancedSpill);
                 let verdict = match provided {
                     Some(provider) => provider(),
-                    None => allocate_threads_with_spill_config(funcs, nreg, base, engine),
+                    None => {
+                        allocate_threads_with_spill_sweep(funcs, &[nreg], base, engine, None, None)
+                            .pop()
+                            .expect("one verdict per target")
+                    }
                 };
                 self.verdicts.push((engine, verdict));
                 self.verdicts.len() - 1
@@ -808,7 +774,7 @@ bb0:
             scratch_capacity: 0,
             ..LadderConfig::default()
         };
-        let a = allocate_ladder_with(&funcs, 8, &config).unwrap();
+        let a = allocate_ladder_with(&funcs, 8, &config, RungProviders::default()).unwrap();
         assert_eq!(a.step, LadderStep::BalancedSpill);
         assert_eq!(a.degradations[0].to, LadderStep::BalancedSpill);
         assert!(a.plan.iter().all(|r| r.step != LadderStep::BalancedScratch));
@@ -859,7 +825,7 @@ bb0:
         // doesn't iterate the greedy engine and still delivers.
         let zero_work = allocate_ladder(&funcs, 64).unwrap();
         let nreg = zero_work.registers_used() - 1;
-        let a = allocate_ladder_with(&funcs, nreg, &config).unwrap();
+        let a = allocate_ladder_with(&funcs, nreg, &config, RungProviders::default()).unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
         assert_eq!(a.degraded_count(), 3);
         assert!(a
@@ -917,7 +883,7 @@ bb0:
             },
             ..LadderConfig::default()
         };
-        let a = allocate_ladder_with(&funcs, nreg, &config).unwrap();
+        let a = allocate_ladder_with(&funcs, nreg, &config, RungProviders::default()).unwrap();
         assert_eq!(a.step, LadderStep::Balanced);
         assert_eq!(a.degraded_count(), 0);
         assert_eq!(
@@ -948,7 +914,7 @@ bb0:
             },
             ..LadderConfig::default()
         };
-        let a = allocate_ladder_with(&funcs, nreg, &config).unwrap();
+        let a = allocate_ladder_with(&funcs, nreg, &config, RungProviders::default()).unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
         assert_eq!(
             a.retries
@@ -977,12 +943,10 @@ bb0:
         assert_eq!(plain.step, LadderStep::BalancedScratch);
         let config = LadderConfig::default();
         let providers = RungProviders {
-            balanced: Some(Box::new(|| {
-                allocate_threads_with(&funcs, 8, config.engine)
-            })),
-            balanced_spill: None,
+            balanced: Some(Box::new(|| allocate_threads_with(&funcs, 8, config.engine))),
+            balanced_spill: Some(Box::new(|| crate::allocate_threads_with_spill(&funcs, 8))),
         };
-        let seeded = allocate_ladder_seeded(&funcs, 8, &config, providers).unwrap();
+        let seeded = allocate_ladder_with(&funcs, 8, &config, providers).unwrap();
         assert_eq!(seeded.step, plain.step);
         assert_eq!(seeded.degraded_count(), plain.degraded_count());
         assert_eq!(seeded.rewrite().unwrap(), plain.rewrite().unwrap());

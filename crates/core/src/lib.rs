@@ -63,20 +63,18 @@ pub use engine::{
     allocate_threads, allocate_threads_stats, allocate_threads_sweep, allocate_threads_with,
     force_min_bounds,
     zero_cost_frontier, EngineConfig, EngineStats, IterationBudget, MultiAllocation,
-    ThreadResult, ADAPTIVE_CAP_FACTOR, DEFAULT_ITERATION_CAP, MIN_ITERATION_CAP,
+    ThreadResult, ThreadSummary, ADAPTIVE_CAP_FACTOR, DEFAULT_ITERATION_CAP, MIN_ITERATION_CAP,
 };
 pub use error::{AllocError, Degradation, LadderStep, RungRetry};
 pub use half::HalfPoint;
 pub use hybrid::{
-    allocate_threads_with_spill, allocate_threads_with_spill_at,
-    allocate_threads_with_spill_config, allocate_threads_with_spill_seeded,
-    allocate_threads_with_spill_sweep, HybridAllocation, ScratchParams, SpillPick,
-    DEFAULT_SPILL_BASE,
+    allocate_threads_with_spill, allocate_threads_with_spill_sweep, HybridAllocation,
+    ScratchParams, SpillPick, DEFAULT_SPILL_BASE,
 };
 pub use ladder::{
-    allocate_ladder, allocate_ladder_seeded, allocate_ladder_with, LadderAllocation,
-    LadderConfig, LadderError, LadderOutcome, PlannedRung, RungProviders, ThreadSummary,
-    DEFAULT_LADDER_SPILL_BASE, DEFAULT_SCRATCH_CAPACITY,
+    allocate_ladder, allocate_ladder_with, LadderAllocation, LadderConfig, LadderError,
+    LadderOutcome, PlannedRung, RungProviders, DEFAULT_LADDER_SPILL_BASE,
+    DEFAULT_SCRATCH_CAPACITY,
 };
 pub use livemap::LiveMap;
 pub use rewrite::{rewrite_thread, try_rewrite_thread, Layout};

@@ -27,6 +27,11 @@
 //! equivalence tests). The sharded sweep's workers therefore produce
 //! byte-identical reports with the cache on or off, at any worker
 //! count.
+//!
+//! A cache over an empty sweep answers every lookup with a dedicated
+//! run. That is how the uncached callers allocate —
+//! [`crate::Strategy::compile`] and the server's one-shot path — so
+//! they run the very code the cached sweep runs.
 
 use regbal_analysis::SpillCosts;
 use regbal_core::{
@@ -412,6 +417,24 @@ mod tests {
     use regbal_core::ScratchParams;
     use regbal_ir::parse_func;
 
+    /// A dedicated one-target hybrid run with slots above `spill_base`.
+    fn hybrid_at(
+        funcs: &[Func],
+        nreg: usize,
+        spill_base: i64,
+    ) -> Result<HybridAllocation, AllocError> {
+        allocate_threads_with_spill_sweep(
+            funcs,
+            &[nreg],
+            spill_base,
+            EngineConfig::default(),
+            None,
+            None,
+        )
+        .pop()
+        .unwrap()
+    }
+
     fn hot() -> Func {
         parse_func(
             "func hot {\nbb0:\n v0 = mov 1\n v1 = mov 2\n v2 = mov 3\n v3 = mov 4\n v4 = mov 5\n ctx\n v5 = add v0, v1\n v5 = add v5, v2\n v5 = add v5, v3\n v5 = add v5, v4\n store scratch[v5+0], v5\n halt\n}",
@@ -434,7 +457,7 @@ mod tests {
         // cached balanced failure.
         let h = cache.hybrid((0, 0, 8), &funcs, 0x8_0000).unwrap();
         assert!(h.spills.iter().sum::<usize>() > 0);
-        let plain = regbal_core::allocate_threads_with_spill_at(&funcs, 8, 0x8_0000).unwrap();
+        let plain = hybrid_at(&funcs, 8, 0x8_0000).unwrap();
         assert_eq!(h.funcs, plain.funcs);
         assert_eq!(h.spills, plain.spills);
         // Sizes outside the sweep still answer, uncached.
@@ -446,10 +469,7 @@ mod tests {
         let off_h = cache.hybrid((0, 0, 3), &funcs, 0x8_0000);
         assert_eq!(
             format!("{off_h:?}"),
-            format!(
-                "{:?}",
-                regbal_core::allocate_threads_with_spill_at(&funcs, 3, 0x8_0000)
-            )
+            format!("{:?}", hybrid_at(&funcs, 3, 0x8_0000))
         );
     }
 
@@ -635,7 +655,7 @@ mod tests {
             capacity: 4,
         };
         let cached = scratch(&cache, (0, 0, 8), &funcs, 0x8_0000, sp).unwrap();
-        let direct = regbal_core::allocate_threads_with_spill_at(&funcs, 8, 0x8_0000)
+        let direct = hybrid_at(&funcs, 8, 0x8_0000)
             .unwrap()
             .with_scratch(&funcs, 0x8_0000, &sp);
         assert_eq!(cached.funcs, direct.funcs);

@@ -63,7 +63,6 @@ pub use scenario::{scenarios, Scenario, THREADS_PER_PU};
 pub use strategy::{
     all_strategies, balanced_sanitizer, ladder_sanitizer, Balanced, BalancedScratch,
     BalancedSpill, CompileCtx, CompiledPu, FixedPartition, Ladder, PuLadderTrail, Strategy,
-    ThreadCode,
 };
 
 #[cfg(test)]

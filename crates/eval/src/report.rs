@@ -19,7 +19,17 @@
 //! is positional — never arrival-ordered — and the allocation engine
 //! is deterministic, the assembled report is **byte-identical** to a
 //! serial run for the same configuration and seed, at any worker
-//! count, with the compile cache on or off.
+//! count.
+//!
+//! # Sharing work across cells
+//!
+//! Every sweep shares allocation verdicts between strategies whose
+//! searches overlap (balanced / balanced-spill / ladder on the same PU
+//! — one whole-sweep engine descent answers every `Nreg` at once,
+//! [`AllocCache`]) and chip runs between cells whose compiled binaries
+//! are identical ([`SimCache`]). Both are behaviour-preserving: engine
+//! and simulator are deterministic, so the report is byte-identical to
+//! compiling and running every cell on its own.
 
 use crate::cache::{AllocCache, SimCache, SimKey};
 use crate::json::Json;
@@ -60,14 +70,6 @@ pub struct EvalConfig {
     /// one non-deterministic part of the report, so configurations
     /// used for byte-equality checks keep this off.
     pub timing: bool,
-    /// Share work across cells: allocation verdicts between strategies
-    /// whose searches overlap (balanced / balanced-spill / ladder on
-    /// the same PU — one whole-sweep engine descent answers every
-    /// `Nreg` at once), and chip runs between cells whose compiled
-    /// binaries are identical. Behaviour-preserving: engine and
-    /// simulator are deterministic, so cached reports are
-    /// byte-identical to uncached ones.
-    pub cache: bool,
 }
 
 /// The machine's available parallelism, `1` when it cannot be probed.
@@ -89,7 +91,6 @@ impl EvalConfig {
             sanitize: false,
             workers: default_workers(),
             timing: true,
-            cache: true,
         }
     }
 
@@ -311,18 +312,23 @@ pub fn run_eval_with(
     // CPU-bound sweep — they only add scheduling contention — and the
     // positional merge makes the output independent of the thread
     // count, so the clamp is free.
-    run_eval_threads(config, suite, strategies, workers, workers.min(default_workers()))
+    let threads = workers.min(default_workers());
+    run_eval_threads(config, suite, strategies, workers, threads, true)
 }
 
 /// [`run_eval_with`] with an explicit OS-thread count — the tests use
 /// this to drive the scoped-thread merge path even on machines whose
-/// available parallelism would clamp it away.
+/// available parallelism would clamp it away — and a switch for the
+/// cross-cell caches: with `cached` off every cell compiles through
+/// [`Strategy::compile`] and runs its own chip, the reference the
+/// cached sweep must reproduce byte for byte.
 fn run_eval_threads(
     config: &EvalConfig,
     suite: &[Scenario],
     strategies: &[Box<dyn Strategy>],
     workers: usize,
     threads: usize,
+    cached: bool,
 ) -> EvalReport {
     let started = Instant::now();
     let cache = AllocCache::new(config.nreg_sweep.clone());
@@ -346,7 +352,7 @@ fn run_eval_threads(
         let strategy = strategies[(idx / nsizes) % nstrat].as_ref();
         let nreg = config.nreg_sweep[idx % nsizes];
         let cell_start = config.timing.then(Instant::now);
-        let compile_ctx = config.cache.then(|| CompileCtx {
+        let compile_ctx = cached.then(|| CompileCtx {
             cache: &cache,
             scenario: idx / (nstrat * nsizes),
         });
@@ -1107,7 +1113,13 @@ mod tests {
             "panicky"
         }
 
-        fn compile(&self, _: &[Func], _: usize, _: usize) -> Result<CompiledPu, String> {
+        fn compile_cached(
+            &self,
+            _: &[Func],
+            _: usize,
+            _: usize,
+            _: &CompileCtx<'_>,
+        ) -> Result<CompiledPu, String> {
             panic!("boom at compile time");
         }
     }
@@ -1177,13 +1189,16 @@ mod tests {
         };
         let suite = scenarios();
         let suite = &suite[..3];
-        let serial_uncached = run_eval_on(
+        let serial_uncached = run_eval_threads(
             &EvalConfig {
                 workers: 1,
-                cache: false,
                 ..base.clone()
             },
             suite,
+            &all_strategies(),
+            1,
+            1,
+            false,
         )
         .to_json_string();
         for workers in [1usize, 4, 8] {
@@ -1194,13 +1209,13 @@ mod tests {
             let sharded = run_eval_threads(
                 &EvalConfig {
                     workers,
-                    cache: true,
                     ..base.clone()
                 },
                 suite,
                 &all_strategies(),
                 workers,
                 workers,
+                true,
             )
             .to_json_string();
             assert_eq!(
@@ -1221,7 +1236,13 @@ mod tests {
             "panicky-at"
         }
 
-        fn compile(&self, _: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
+        fn compile_cached(
+            &self,
+            _: &[Func],
+            nreg: usize,
+            pu: usize,
+            _: &CompileCtx<'_>,
+        ) -> Result<CompiledPu, String> {
             assert!(
                 nreg != self.nreg || pu != 0,
                 "injected fault at nreg={nreg}"
@@ -1247,7 +1268,7 @@ mod tests {
             Box::new(crate::strategy::Balanced),
             Box::new(PanickyAt { nreg: 48 }),
         ];
-        let report = run_eval_threads(&config, &suite[..3], &strategies, 4, 4);
+        let report = run_eval_threads(&config, &suite[..3], &strategies, 4, 4, true);
         assert_eq!(report.scenarios.len(), 3);
         for s in &report.scenarios {
             let poisoned = s.cell("panicky-at", 48).expect("poisoned cell present");

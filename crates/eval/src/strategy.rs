@@ -13,9 +13,9 @@
 //!   live-range splitting, no spilling; reports infeasibility when even
 //!   maximal sharing cannot fit.
 //! * [`BalancedSpill`] — the hybrid
-//!   ([`regbal_core::allocate_threads_with_spill_at`]): balancing
-//!   first, spilling the cheapest ranges of the most demanding thread
-//!   only when sharing alone cannot fit.
+//!   ([`regbal_core::allocate_threads_with_spill_sweep`] at the PU's
+//!   spill base): balancing first, spilling the cheapest ranges of the
+//!   most demanding thread only when sharing alone cannot fit.
 //! * [`BalancedScratch`] — the hybrid with the scratchpad spill tier
 //!   (the `balanced-spill` verdict replayed through
 //!   [`regbal_core::HybridAllocation::with_scratch`]): the cheapest
@@ -26,13 +26,18 @@
 //!   ([`regbal_core::allocate_ladder_with`]): never reports
 //!   infeasibility while any fallback rung can still deliver; each
 //!   forced transition is counted in [`CompiledPu::degraded`].
+//!
+//! Each strategy maps itself to allocator calls in one place,
+//! [`Strategy::compile_cached`], reading every verdict from the
+//! sweep's [`AllocCache`]. [`Strategy::compile`] runs that same code
+//! over an empty cache, where every lookup is a dedicated run.
 
 use crate::cache::AllocCache;
 use regbal_core::chaitin::{self, ChaitinConfig};
 use regbal_core::{
-    allocate_ladder_seeded, allocate_ladder_with, allocate_threads, allocate_threads_with_spill_at,
-    Degradation, EngineConfig, HybridAllocation, LadderAllocation, LadderConfig, LadderOutcome,
-    LadderStep, MultiAllocation, RungProviders, RungRetry, ScratchParams, DEFAULT_SCRATCH_CAPACITY,
+    allocate_ladder_with, Degradation, EngineConfig, HybridAllocation, LadderAllocation,
+    LadderConfig, LadderOutcome, LadderStep, MultiAllocation, RungProviders, RungRetry,
+    ScratchParams, ThreadSummary, DEFAULT_SCRATCH_CAPACITY,
 };
 use regbal_ir::{Func, MemSpace};
 use regbal_sim::SanitizerConfig;
@@ -82,20 +87,6 @@ fn pu_scratch_params(pu: usize) -> ScratchParams {
     }
 }
 
-/// Allocation statistics of one compiled thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadCode {
-    /// Private registers given to the thread (the bank size for the
-    /// fixed partition, `PRᵢ` for the balancing strategies).
-    pub pr: usize,
-    /// Shared registers the thread uses (0 under the fixed partition).
-    pub sr: usize,
-    /// Live-range-splitting move instructions inserted.
-    pub moves: usize,
-    /// Live ranges spilled to memory.
-    pub spills: usize,
-}
-
 /// The ladder trail of one PU's compilation: which rung settled, the
 /// forced transitions that led there, and any same-rung budget
 /// retries. Only the [`Ladder`] strategy records one; it feeds the
@@ -126,8 +117,9 @@ impl From<&LadderAllocation> for PuLadderTrail {
 pub struct CompiledPu {
     /// One physical-register function per thread, in input order.
     pub funcs: Vec<Func>,
-    /// Per-thread allocation statistics.
-    pub threads: Vec<ThreadCode>,
+    /// Per-thread allocation statistics (for the fixed partition, `pr`
+    /// is the bank size and `sr` is 0).
+    pub threads: Vec<ThreadSummary>,
     /// Physical registers the allocation consumes
     /// (`Σ PRᵢ + max SRᵢ`, or the whole partition for the baseline).
     pub registers_used: usize,
@@ -197,32 +189,35 @@ pub trait Strategy: Sync {
     fn name(&self) -> &'static str;
 
     /// Compiles the threads of processing unit `pu` against a register
-    /// file of `nreg` registers.
+    /// file of `nreg` registers, reading every allocation verdict from
+    /// the sweep's shared cache in `ctx`. Must return exactly what a run
+    /// over an empty cache returns — caching is a speedup, never a
+    /// behaviour change.
     ///
     /// # Errors
     ///
     /// Returns a human-readable reason when the strategy cannot produce
     /// code at this file size (e.g. balancing alone is infeasible).
-    fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String>;
-
-    /// [`Strategy::compile`] with access to the sweep's shared
-    /// allocation cache. The default ignores the cache; strategies
-    /// whose searches overlap (balanced, balanced-spill, ladder)
-    /// override it. Must return exactly what [`Strategy::compile`]
-    /// would — caching is a speedup, never a behaviour change.
-    ///
-    /// # Errors
-    ///
-    /// As [`Strategy::compile`].
     fn compile_cached(
         &self,
         funcs: &[Func],
         nreg: usize,
         pu: usize,
         ctx: &CompileCtx<'_>,
-    ) -> Result<CompiledPu, String> {
-        let _ = ctx;
-        self.compile(funcs, nreg, pu)
+    ) -> Result<CompiledPu, String>;
+
+    /// [`Strategy::compile_cached`] over an empty cache: every verdict
+    /// is a dedicated run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Strategy::compile_cached`].
+    fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
+        let ctx = CompileCtx {
+            cache: &AllocCache::new(Vec::new()),
+            scenario: 0,
+        };
+        self.compile_cached(funcs, nreg, pu, &ctx)
     }
 }
 
@@ -244,7 +239,13 @@ impl Strategy for FixedPartition {
         "fixed-partition"
     }
 
-    fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
+    fn compile_cached(
+        &self,
+        funcs: &[Func],
+        nreg: usize,
+        pu: usize,
+        _ctx: &CompileCtx<'_>,
+    ) -> Result<CompiledPu, String> {
         let k = nreg / funcs.len();
         if k == 0 {
             return Err(format!(
@@ -264,7 +265,7 @@ impl Strategy for FixedPartition {
             };
             let result = chaitin::allocate(f, &cfg)
                 .map_err(|e| format!("thread {t} `{}`: {e}", f.name))?;
-            threads.push(ThreadCode {
+            threads.push(ThreadSummary {
                 pr: k,
                 sr: 0,
                 moves: 0,
@@ -291,20 +292,10 @@ impl Strategy for FixedPartition {
 
 /// Packages a balanced-engine allocation as a [`CompiledPu`].
 fn balanced_pu(alloc: &MultiAllocation, funcs: &[Func]) -> CompiledPu {
-    let threads = alloc
-        .threads
-        .iter()
-        .map(|t| ThreadCode {
-            pr: t.pr(),
-            sr: t.sr(),
-            moves: t.moves(),
-            spills: 0,
-        })
-        .collect();
     CompiledPu {
         sanitizer: balanced_sanitizer(alloc),
         funcs: alloc.rewrite_funcs(funcs),
-        threads,
+        threads: alloc.thread_summaries(),
         registers_used: alloc.total_registers(),
         degraded: 0,
         ladder: None,
@@ -314,22 +305,10 @@ fn balanced_pu(alloc: &MultiAllocation, funcs: &[Func]) -> CompiledPu {
 
 /// Packages a hybrid allocation as a [`CompiledPu`].
 fn hybrid_pu(hybrid: &HybridAllocation) -> CompiledPu {
-    let threads = hybrid
-        .alloc
-        .threads
-        .iter()
-        .zip(&hybrid.spills)
-        .map(|(t, &spills)| ThreadCode {
-            pr: t.pr(),
-            sr: t.sr(),
-            moves: t.moves(),
-            spills,
-        })
-        .collect();
     CompiledPu {
         sanitizer: balanced_sanitizer(&hybrid.alloc),
         funcs: hybrid.rewrite(),
-        threads,
+        threads: hybrid.thread_summaries(),
         registers_used: hybrid.alloc.total_registers(),
         degraded: 0,
         ladder: None,
@@ -340,11 +319,6 @@ fn hybrid_pu(hybrid: &HybridAllocation) -> CompiledPu {
 impl Strategy for Balanced {
     fn name(&self) -> &'static str {
         "balanced"
-    }
-
-    fn compile(&self, funcs: &[Func], nreg: usize, _pu: usize) -> Result<CompiledPu, String> {
-        let alloc = allocate_threads(funcs, nreg).map_err(|e| e.to_string())?;
-        Ok(balanced_pu(&alloc, funcs))
     }
 
     fn compile_cached(
@@ -365,12 +339,6 @@ impl Strategy for Balanced {
 impl Strategy for BalancedSpill {
     fn name(&self) -> &'static str {
         "balanced-spill"
-    }
-
-    fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
-        let hybrid = allocate_threads_with_spill_at(funcs, nreg, pu_spill_base(pu))
-            .map_err(|e| e.to_string())?;
-        Ok(hybrid_pu(&hybrid))
     }
 
     fn compile_cached(
@@ -402,12 +370,6 @@ fn scratch_pu(hybrid: &HybridAllocation, funcs: &[Func], pu: usize) -> CompiledP
 impl Strategy for BalancedScratch {
     fn name(&self) -> &'static str {
         "balanced-scratch"
-    }
-
-    fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
-        let hybrid = allocate_threads_with_spill_at(funcs, nreg, pu_spill_base(pu))
-            .map_err(|e| e.to_string())?;
-        Ok(scratch_pu(&hybrid, funcs, pu))
     }
 
     fn compile_cached(
@@ -467,22 +429,11 @@ pub fn ladder_sanitizer(alloc: &LadderAllocation, nthreads: usize) -> SanitizerC
 
 /// Packages a settled ladder allocation as a [`CompiledPu`].
 fn ladder_pu(alloc: &LadderAllocation, funcs: &[Func]) -> Result<CompiledPu, String> {
-    let threads = alloc
-        .thread_summaries()
-        .iter()
-        .map(|s| ThreadCode {
-            pr: s.pr,
-            sr: s.sr,
-            moves: s.moves,
-            spills: s.spills,
-        })
-        .collect();
-    let sanitizer = ladder_sanitizer(alloc, funcs.len());
     Ok(CompiledPu {
         funcs: alloc.rewrite().map_err(|e| e.to_string())?,
         registers_used: alloc.registers_used(),
-        threads,
-        sanitizer,
+        threads: alloc.thread_summaries(),
+        sanitizer: ladder_sanitizer(alloc, funcs.len()),
         degraded: alloc.degraded_count(),
         ladder: Some(PuLadderTrail::from(alloc)),
         scratch_spills: alloc.scratch_spills().iter().sum(),
@@ -492,12 +443,6 @@ fn ladder_pu(alloc: &LadderAllocation, funcs: &[Func]) -> Result<CompiledPu, Str
 impl Strategy for Ladder {
     fn name(&self) -> &'static str {
         "ladder"
-    }
-
-    fn compile(&self, funcs: &[Func], nreg: usize, pu: usize) -> Result<CompiledPu, String> {
-        let alloc = allocate_ladder_with(funcs, nreg, &ladder_config(pu))
-            .map_err(|e| e.to_string())?;
-        ladder_pu(&alloc, funcs)
     }
 
     fn compile_cached(
@@ -514,7 +459,7 @@ impl Strategy for Ladder {
                 ctx.cache.hybrid(key, funcs, pu_spill_base(pu))
             })),
         };
-        let alloc = allocate_ladder_seeded(funcs, nreg, &ladder_config(pu), providers)
+        let alloc = allocate_ladder_with(funcs, nreg, &ladder_config(pu), providers)
             .map_err(|e| e.to_string())?;
         ladder_pu(&alloc, funcs)
     }

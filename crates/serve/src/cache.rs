@@ -14,14 +14,13 @@
 //!   the register-file size while choosing steps, so one cached
 //!   descent answers **every** swept `Nreg` — a request at a new
 //!   budget for a known module replays the trajectory instead of
-//!   re-searching. Every ladder rung that balances is seeded from the
-//!   same column ([`regbal_core::allocate_ladder_seeded`]): the
-//!   balanced rung from the balanced descent, and both spilling rungs
-//!   from the hybrid one (the scratch rung replays its picks). That is
-//!   behaviour-preserving because the engine is deterministic and the
-//!   ladder's spilling rungs use the same default base
-//!   ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] ==
-//!   [`regbal_core::DEFAULT_SPILL_BASE`]).
+//!   re-searching. Every request allocates through the one strategy
+//!   dispatch the one-shot path uses too
+//!   ([`crate::oneshot::allocate`]), over this column instead of an
+//!   empty one: every ladder rung that balances is seeded from the
+//!   column — the balanced rung from the balanced descent, and both
+//!   spilling rungs from the hybrid one (the scratch rung replays its
+//!   picks).
 //!
 //! All map mutation happens on the dispatcher thread (deterministic
 //! hit/miss/eviction accounting); worker threads only race on the
@@ -30,7 +29,6 @@
 
 use crate::oneshot::{self, ServeStrategy};
 use crate::store::{DiskRead, DiskStore};
-use regbal_core::{allocate_ladder_seeded, LadderConfig, RungProviders, DEFAULT_SPILL_BASE};
 use regbal_eval::{Json, Lru, SweepColumn};
 use regbal_ir::Func;
 use std::collections::HashSet;
@@ -75,45 +73,19 @@ pub struct Trajectory {
 
 impl Trajectory {
     /// Computes the outcome for one request against this trajectory:
-    /// allocate under `strategy`, build the CLI-identical document.
-    /// Runs on a worker thread; only the column's descents are shared
-    /// state.
+    /// allocate under `strategy` from the column, build the
+    /// CLI-identical document. Runs on a worker thread; only the
+    /// column's descents are shared state.
     pub fn outcome(&self, nreg: usize, strategy: ServeStrategy) -> Outcome {
-        let fail = |code: &'static str, message: String| Outcome::Fail {
-            code: code.into(),
-            message,
-        };
-        let balanced = || self.column.balanced(&self.funcs, nreg);
-        let hybrid = || {
-            self.column
-                .hybrid(&self.funcs, nreg, DEFAULT_SPILL_BASE, None)
-        };
-        let verdict = match strategy {
-            ServeStrategy::Balanced => match balanced() {
-                Ok(alloc) => oneshot::Verdict::Balanced(alloc),
-                Err(e) => return fail(e.code(), e.to_string()),
-            },
-            ServeStrategy::BalancedSpill => match hybrid() {
-                Ok(h) => oneshot::Verdict::Spill(h),
-                Err(e) => return fail(e.code(), e.to_string()),
-            },
-            ServeStrategy::Ladder => {
-                let providers = RungProviders {
-                    balanced: Some(Box::new(balanced)),
-                    balanced_spill: Some(Box::new(hybrid)),
-                };
-                match allocate_ladder_seeded(
-                    &self.funcs,
-                    nreg,
-                    &LadderConfig::default(),
-                    providers,
-                ) {
-                    Ok(l) => oneshot::Verdict::Ladder(Box::new(l)),
-                    Err(e) => return fail(e.error.code(), e.to_string()),
-                }
+        match oneshot::verdict(&self.column, &self.funcs, nreg, strategy) {
+            Ok(verdict) => {
+                Outcome::Doc(Arc::new(oneshot::verdict_doc(&self.funcs, nreg, &verdict)))
             }
-        };
-        Outcome::Doc(Arc::new(oneshot::verdict_doc(&self.funcs, nreg, &verdict)))
+            Err(failure) => Outcome::Fail {
+                code: failure.code.into(),
+                message: failure.message,
+            },
+        }
     }
 }
 

@@ -25,8 +25,10 @@
 //!
 //! * [`proto`] — the wire protocol: request parsing, content hashing,
 //!   structured errors.
-//! * [`oneshot`] — the CLI-identical allocation entry points and
-//!   `regbal-alloc/1` document builders (shared with `regbal-cli`).
+//! * [`oneshot`] — the module loader, the one strategy dispatch (over
+//!   a module's cached descents for served requests, over an empty
+//!   sweep for the one-shot path) and the `regbal-alloc/1` document
+//!   builders, all shared with `regbal-cli`.
 //! * [`cache`] — the persistent response and trajectory tiers.
 //! * [`store`] — the content-addressed on-disk cache behind
 //!   `--cache-dir` (corrupt entries degrade to cold misses;
@@ -60,7 +62,9 @@ pub mod trace;
 pub use cache::{Outcome, ResponseKey, ServeCache, Trajectory};
 pub use faults::{FaultPlan, FaultSite};
 pub use metrics::{ConnCounters, MetricsSnapshot, ServeMetrics};
-pub use oneshot::{alloc_doc, allocate, load_module, replicate, verdict_doc, ServeStrategy, Verdict};
+pub use oneshot::{
+    alloc_doc, allocate, inline_roots, load_module, replicate, verdict_doc, ServeStrategy, Verdict,
+};
 pub use proto::{content_hash, hash_hex, parse_request, Request, SCHEMA};
 pub use replay::{
     chaos_json, chaos_replay, pass_json, replay, replay_with_metrics, sanitize_check, ChaosReport,

@@ -5,22 +5,25 @@
 //! **byte-identical** (when pretty-printed) to what the one-shot CLI
 //! prints for the same module, thread count, register-file size and
 //! strategy. To keep that promise structural rather than coincidental,
-//! this module owns the document builders and the CLI delegates to
-//! them; the allocation entry points are the very ones the CLI calls
-//! ([`regbal_core::allocate_threads`],
-//! [`regbal_core::allocate_threads_with_spill`],
-//! [`regbal_core::allocate_ladder_with`] under the default configs).
+//! this module owns the loader, the one strategy dispatch and the
+//! document builders, and the CLI delegates to all three: a served
+//! request allocates through `verdict` over its module's cached
+//! [`SweepColumn`], and [`allocate`] — the one-shot path — runs the
+//! same function over a column with an empty sweep, whose every lookup
+//! is a dedicated run under the default configurations.
 
 use regbal_core::{
-    allocate_ladder_with, allocate_threads, allocate_threads_with_spill, AllocError,
-    HybridAllocation, LadderAllocation, LadderConfig, MultiAllocation,
+    allocate_ladder_with, AllocError, HybridAllocation, LadderAllocation, LadderConfig,
+    MultiAllocation, RungProviders, ThreadSummary, DEFAULT_SPILL_BASE,
 };
 use regbal_eval::{
     balanced_sanitizer, ladder_sanitizer, ladder_trail_json, thread_alloc_json, Json,
-    PuLadderTrail,
+    PuLadderTrail, SweepColumn,
 };
 use regbal_ir::{inline_module, parse_module, Func, Inst, ParseError};
 use regbal_sim::SanitizerConfig;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The allocation strategies the server speaks — the one-shot
 /// `regbal alloc` modes.
@@ -91,9 +94,8 @@ impl std::fmt::Display for LoadError {
 }
 
 /// Loads a module exactly the way the CLI loads one input file:
-/// parse every function, treat `call`ed functions as subroutines and
-/// inline them, and return the remaining root functions (the hardware
-/// threads), in order.
+/// parse every function, then keep the [`inline_roots`] as the
+/// hardware threads.
 ///
 /// # Errors
 ///
@@ -105,25 +107,35 @@ pub fn load_module(text: &str) -> Result<Vec<Func>, LoadError> {
     if module.is_empty() {
         return Err(LoadError::Module("no functions found".into()));
     }
-    let called: std::collections::HashSet<String> = module
+    inline_roots(&module).map_err(LoadError::Module)
+}
+
+/// The hardware threads of a parsed module: the functions no other
+/// function `call`s, in order, each with its subroutines inlined.
+///
+/// # Errors
+///
+/// A user-facing message when every function is called by another (no
+/// thread entry point) or an inlining fails.
+pub fn inline_roots(module: &[Func]) -> Result<Vec<Func>, String> {
+    let called: HashSet<&str> = module
         .iter()
         .flat_map(|f| f.iter_insts())
         .filter_map(|(_, _, i)| match i {
-            Inst::Call { callee } => Some(callee.clone()),
+            Inst::Call { callee } => Some(callee.as_str()),
             _ => None,
         })
         .collect();
-    let roots: Vec<&Func> = module.iter().filter(|f| !called.contains(&f.name)).collect();
+    let roots: Vec<&Func> = module
+        .iter()
+        .filter(|f| !called.contains(f.name.as_str()))
+        .collect();
     if roots.is_empty() {
-        return Err(LoadError::Module(
-            "every function is called by another; no thread entry point".into(),
-        ));
+        return Err("every function is called by another; no thread entry point".into());
     }
     roots
         .iter()
-        .map(|f| {
-            inline_module(&module, &f.name).map_err(|e| LoadError::Module(e.to_string()))
-        })
+        .map(|f| inline_module(module, &f.name).map_err(|e| e.to_string()))
         .collect()
 }
 
@@ -160,9 +172,10 @@ pub enum Verdict {
     Ladder(Box<LadderAllocation>),
 }
 
-/// Allocates `funcs` the way the one-shot CLI would: the same entry
-/// points, the same default configurations (and thus the same default
-/// spill bases, so spill code is byte-identical too).
+/// Allocates `funcs` the way the one-shot CLI does: the server's
+/// strategy dispatch over an empty column, so every verdict is a
+/// dedicated run under the default configurations (and thus the
+/// default spill bases, so spill code is byte-identical too).
 ///
 /// # Errors
 ///
@@ -172,25 +185,45 @@ pub fn allocate(
     nreg: usize,
     strategy: ServeStrategy,
 ) -> Result<Verdict, AllocFailure> {
+    let column = SweepColumn::new(Vec::new(), Arc::default());
+    verdict(&column, funcs, nreg, strategy)
+}
+
+/// Allocates `funcs` under `strategy`, reading the balanced and hybrid
+/// verdicts from `column` (hybrid at [`DEFAULT_SPILL_BASE`]) — the one
+/// place a served strategy maps to allocator calls. The ladder's
+/// balanced rung is seeded from the column's balanced verdict and both
+/// spilling rungs from its hybrid one (the scratch rung replays its
+/// picks). That is exact: the engine is deterministic, and the
+/// ladder's spilling rungs pack from the same default base
+/// ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] == [`DEFAULT_SPILL_BASE`]).
+pub(crate) fn verdict(
+    column: &SweepColumn,
+    funcs: &[Func],
+    nreg: usize,
+    strategy: ServeStrategy,
+) -> Result<Verdict, AllocFailure> {
+    let failure = |e: AllocError| AllocFailure {
+        code: e.code(),
+        message: e.to_string(),
+    };
+    let balanced = || column.balanced(funcs, nreg);
+    let hybrid = || column.hybrid(funcs, nreg, DEFAULT_SPILL_BASE, None);
     match strategy {
-        ServeStrategy::Balanced => allocate_threads(funcs, nreg)
-            .map(Verdict::Balanced)
-            .map_err(|e| AllocFailure {
-                code: e.code(),
-                message: e.to_string(),
-            }),
-        ServeStrategy::BalancedSpill => allocate_threads_with_spill(funcs, nreg)
-            .map(Verdict::Spill)
-            .map_err(|e| AllocFailure {
-                code: e.code(),
-                message: e.to_string(),
-            }),
-        ServeStrategy::Ladder => allocate_ladder_with(funcs, nreg, &LadderConfig::default())
-            .map(|l| Verdict::Ladder(Box::new(l)))
-            .map_err(|e| AllocFailure {
-                code: e.error.code(),
-                message: e.to_string(),
-            }),
+        ServeStrategy::Balanced => balanced().map(Verdict::Balanced).map_err(failure),
+        ServeStrategy::BalancedSpill => hybrid().map(Verdict::Spill).map_err(failure),
+        ServeStrategy::Ladder => {
+            let providers = RungProviders {
+                balanced: Some(Box::new(balanced)),
+                balanced_spill: Some(Box::new(hybrid)),
+            };
+            allocate_ladder_with(funcs, nreg, &LadderConfig::default(), providers)
+                .map(|l| Verdict::Ladder(Box::new(l)))
+                .map_err(|e| AllocFailure {
+                    code: e.error.code(),
+                    message: e.to_string(),
+                })
+        }
     }
 }
 
@@ -217,55 +250,41 @@ pub fn alloc_doc(
 /// (pretty-printed) to the one-shot `regbal alloc --json` output for
 /// the same inputs.
 pub fn verdict_doc(funcs: &[Func], nreg: usize, verdict: &Verdict) -> Json {
-    match verdict {
-        Verdict::Balanced(alloc) => {
-            let threads = alloc
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| thread_alloc_json(&funcs[i].name, t.pr(), t.sr(), t.moves(), 0))
-                .collect();
-            alloc_doc("balanced", nreg, alloc.total_registers(), alloc.sgr(), threads)
-        }
-        Verdict::Spill(hybrid) => {
-            let threads = hybrid
-                .alloc
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    thread_alloc_json(&funcs[i].name, t.pr(), t.sr(), t.moves(), hybrid.spills[i])
-                })
-                .collect();
-            alloc_doc(
-                "balanced-spill",
-                nreg,
-                hybrid.alloc.total_registers(),
-                hybrid.alloc.sgr(),
-                threads,
-            )
-        }
-        Verdict::Ladder(result) => {
-            let threads = result
-                .thread_summaries()
-                .iter()
-                .enumerate()
-                .map(|(i, t)| thread_alloc_json(&funcs[i].name, t.pr, t.sr, t.moves, t.spills))
-                .collect();
-            let sgr = result.balanced_alloc().map_or(0, |a| a.sgr());
-            let mut doc = alloc_doc("ladder", nreg, result.registers_used(), sgr, threads);
-            if let Json::Obj(members) = &mut doc {
-                members.push((
-                    "ladder".into(),
-                    ladder_trail_json(&PuLadderTrail::from(result.as_ref())),
-                ));
-            }
-            doc
-        }
+    let (strategy, demand, sgr) = match verdict {
+        Verdict::Balanced(alloc) => ("balanced", alloc.total_registers(), alloc.sgr()),
+        Verdict::Spill(h) => ("balanced-spill", h.alloc.total_registers(), h.alloc.sgr()),
+        Verdict::Ladder(l) => (
+            "ladder",
+            l.registers_used(),
+            l.balanced_alloc().map_or(0, MultiAllocation::sgr),
+        ),
+    };
+    let threads = verdict
+        .thread_summaries()
+        .iter()
+        .zip(funcs)
+        .map(|(t, f)| thread_alloc_json(&f.name, t.pr, t.sr, t.moves, t.spills))
+        .collect();
+    let mut doc = alloc_doc(strategy, nreg, demand, sgr, threads);
+    if let (Verdict::Ladder(l), Json::Obj(members)) = (verdict, &mut doc) {
+        members.push((
+            "ladder".into(),
+            ladder_trail_json(&PuLadderTrail::from(l.as_ref())),
+        ));
     }
+    doc
 }
 
 impl Verdict {
+    /// Per-thread `(PR, SR, moves, spills)` accounting.
+    pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
+        match self {
+            Verdict::Balanced(alloc) => alloc.thread_summaries(),
+            Verdict::Spill(h) => h.thread_summaries(),
+            Verdict::Ladder(l) => l.thread_summaries(),
+        }
+    }
+
     /// The physical-register programs plus the sanitizer layout that
     /// knows which registers each thread owns — everything a
     /// clobber-instrumented validation run needs.

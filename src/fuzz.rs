@@ -15,7 +15,9 @@
 //! in `tests/fuzz_regressions.txt`, which `tests/fuzz_regressions.rs`
 //! replays on every CI run — a failure found once stays fixed.
 
-use regbal_core::{allocate_ladder_with, EngineConfig, IterationBudget, LadderConfig, LadderStep};
+use regbal_core::{
+    allocate_ladder_with, EngineConfig, IterationBudget, LadderConfig, LadderStep, RungProviders,
+};
 use regbal_ir::{Func, MemSpace, Reg, Terminator};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
 use regbal_workloads::stress::{stress_bundle, StressConfig, STRESS_SLOT_BYTES};
@@ -176,8 +178,10 @@ impl FuzzCase {
             },
             ..LadderConfig::default()
         };
-        let result = std::panic::catch_unwind(|| allocate_ladder_with(&funcs, self.nreg, &config))
-            .map_err(|_| "the allocation pipeline panicked".to_string())?;
+        let result = std::panic::catch_unwind(|| {
+            allocate_ladder_with(&funcs, self.nreg, &config, RungProviders::default())
+        })
+        .map_err(|_| "the allocation pipeline panicked".to_string())?;
         let alloc = match result {
             Ok(alloc) => alloc,
             Err(err) => {

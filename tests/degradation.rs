@@ -23,7 +23,7 @@ mod common;
 use proptest::prelude::*;
 use regbal_core::{
     allocate_ladder, allocate_ladder_with, allocate_threads_stats, allocate_threads_with,
-    AllocError, EngineConfig, IterationBudget, LadderConfig, LadderStep,
+    AllocError, EngineConfig, IterationBudget, LadderConfig, LadderStep, RungProviders,
 };
 use regbal_ir::{Func, MemSpace, Reg, Terminator};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
@@ -109,8 +109,10 @@ fn exercise(funcs: &[Func], nreg: usize, stats: &mut CorpusStats) {
         },
         ..LadderConfig::default()
     };
-    let result = std::panic::catch_unwind(|| allocate_ladder_with(funcs, nreg, &config))
-        .expect("the allocation pipeline must never panic");
+    let result = std::panic::catch_unwind(|| {
+        allocate_ladder_with(funcs, nreg, &config, RungProviders::default())
+    })
+    .expect("the allocation pipeline must never panic");
     let alloc = match result {
         Ok(alloc) => alloc,
         Err(err) => {

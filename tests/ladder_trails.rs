@@ -18,7 +18,9 @@
 //! intentional change, regenerate the file with
 //! `REGBAL_BLESS=1 cargo test --test ladder_trails` and review the diff.
 
-use regbal_core::{allocate_ladder_with, EngineConfig, IterationBudget, LadderConfig, LadderStep};
+use regbal_core::{
+    allocate_ladder_with, EngineConfig, IterationBudget, LadderConfig, LadderStep, RungProviders,
+};
 use regbal_ir::{parse_func, Func};
 use regbal_workloads::stress::{stress_bundle, StressConfig};
 use std::fmt::Write as _;
@@ -105,7 +107,7 @@ fn render(
         other => format!("{other:?}").to_lowercase(),
     };
     let mut line = format!("{case} cap{} {budget} nreg={nreg}", config.scratch_capacity);
-    match allocate_ladder_with(funcs, nreg, config) {
+    match allocate_ladder_with(funcs, nreg, config, RungProviders::default()) {
         Ok(a) => {
             let mut code = String::new();
             for f in a.rewrite().expect("a settled ladder rewrites") {

@@ -10,7 +10,7 @@ set -eux
 # `.expect("documented invariant")` remains allowed.
 for f in crates/core/src/*.rs crates/igraph/src/*.rs \
          crates/analysis/src/*.rs crates/ir/src/*.rs \
-         crates/serve/src/*.rs; do
+         crates/serve/src/*.rs crates/sim/src/*.rs; do
     awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(|panic!\(/{print FILENAME": "FNR": "$0; bad=1} END{exit bad}' "$f" || {
         echo "panic-free gate: forbidden .unwrap()/panic! in library code ($f)" >&2
         exit 1
@@ -72,13 +72,13 @@ grep -q '"balanced-scratch"' target/BENCH_EVAL_SANITIZE.json
 ./target/release/regbal eval --smoke --workers 4 --out target/BENCH_EVAL_W4.json
 cmp target/BENCH_EVAL_W1.json target/BENCH_EVAL_W4.json
 
-# Device smoke gate: the 4- and 16-PU device scenarios (command
-# processor + ring workers) under both chip cores — the reference slice
-# loop and the event core — with the clobber sanitizer on the
-# Ladder-compiled runs. The command exits non-zero on any report
+# Device gate: the full device family — 4, 16 and 64 worker PUs
+# (command processor + ring workers) — under both chip cores, the
+# reference slice loop and the event core, with the clobber sanitizer
+# on the Ladder-compiled runs. The command exits non-zero on any report
 # divergence between the cores, any digest mismatch, any stalled PU or
-# any sanitizer finding.
-./target/release/regbal device --smoke --sanitize --out target/device_smoke.json
+# any sanitizer finding. It takes about a second.
+./target/release/regbal device --sanitize --out target/device_full.json
 
 # Serve gate: the resident server must answer a replayed 100-request
 # seeded trace with (a) a second pass served entirely from the

@@ -26,7 +26,7 @@ use crate::mem::Memory;
 use crate::sanitizer::SanitizerConfig;
 use regbal_ir::Func;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// A chip of several processing units over shared memories.
 #[derive(Debug)]
@@ -135,13 +135,17 @@ impl Chip {
             .collect();
         // Advance the PU that is furthest behind, one slice at a time.
         // Keys are exact (only a PU's own slice moves its clock), so
-        // the popped entry is never stale.
-        while let Some(Reverse((_, idx))) = heap.pop() {
+        // the top entry is never stale; it is re-keyed in place, one
+        // sift per slice, and popped only once its PU is done.
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((_, idx)) = *top;
             let target = (self.pus[idx].now() + step).min(cycles);
-            self.pus[idx].run_shared(&mut self.memory, StopWhen::Cycles(target));
+            self.pus[idx].run_slice(&mut self.memory, StopWhen::Cycles(target));
             let p = &self.pus[idx];
             if !p.all_halted() && p.now() < cycles {
-                heap.push(Reverse((p.now(), idx)));
+                *top = Reverse((p.now(), idx));
+            } else {
+                PeekMut::pop(top);
             }
         }
         self.pus.iter().map(Simulator::report).collect()
@@ -154,8 +158,8 @@ impl Chip {
     /// `(local clock, PU index)`, exactly the order the reference
     /// granularity-1 interleaving issues them in. The reports (and the
     /// shared-memory contents) are therefore bit-identical to
-    /// `run(cycles, 1)` — while the scheduler pays one heap operation
-    /// per memory *event* instead of one scan per *cycle*.
+    /// `run(cycles, 1)` — while the scheduler pays one heap sift per
+    /// memory *event* instead of one scan per *cycle*.
     pub fn run_event(&mut self, cycles: u64) -> Vec<RunReport> {
         let stop = StopWhen::Cycles(cycles);
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -164,10 +168,16 @@ impl Chip {
                 heap.push(Reverse((at, idx)));
             }
         }
-        while let Some(Reverse((_, idx))) = heap.pop() {
-            let next = self.pus[idx].run_through_event(&mut self.memory, stop);
-            if let PuEvent::Mem { at } = next {
-                heap.push(Reverse((at, idx)));
+        // Each PU is in the heap at most once, so keys are unique and
+        // re-keying the top in place pops in the same order as a pop
+        // followed by a push.
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((_, idx)) = *top;
+            match self.pus[idx].run_through_event(&mut self.memory, stop) {
+                PuEvent::Mem { at } => *top = Reverse((at, idx)),
+                PuEvent::Done => {
+                    PeekMut::pop(top);
+                }
             }
         }
         self.pus.iter().map(Simulator::report).collect()

@@ -3,7 +3,7 @@
 use crate::config::SimConfig;
 use crate::mem::Memory;
 use crate::sanitizer::{Pc, Sanitizer, SanitizerConfig, SanitizerReport};
-use regbal_ir::{BlockId, Func, Inst, Operand, Reg, Terminator};
+use regbal_ir::{BinOp, Cond, Func, Inst, MemSpace, Operand, Reg, Terminator, UnOp};
 
 /// Size of the shared physical register file in the simulator (larger
 /// than the IXP's 128 so that fixed-partition baselines with spill
@@ -54,7 +54,7 @@ pub enum TraceEvent {
         /// The issuing thread.
         thread: usize,
         /// Target memory space.
-        space: regbal_ir::MemSpace,
+        space: MemSpace,
         /// Byte address of the first word.
         addr: u32,
         /// `true` for stores.
@@ -205,12 +205,249 @@ struct TraceBuf {
     dropped: u64,
 }
 
+/// One decoded instruction or terminator. Ops are `Copy`: a step reads
+/// its op by value, so executing one neither clones nor allocates.
+/// Addresses are 32-bit, so offsets are stored pre-truncated.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Load {
+        dst: Reg,
+        base: Reg,
+        offset: u32,
+        space: MemSpace,
+    },
+    Store {
+        src: Reg,
+        base: Reg,
+        offset: u32,
+        space: MemSpace,
+    },
+    LoadBurst {
+        regs: Burst,
+        base: Reg,
+        offset: u32,
+        space: MemSpace,
+    },
+    StoreBurst {
+        regs: Burst,
+        base: Reg,
+        offset: u32,
+        space: MemSpace,
+    },
+    Bin {
+        op: BinOp,
+        dst: Reg,
+        lhs: Reg,
+        rhs: Operand,
+    },
+    Un {
+        op: UnOp,
+        dst: Reg,
+        src: Operand,
+    },
+    Ctx,
+    IterEnd,
+    Nop,
+    /// `callee` indexes [`Code::callees`].
+    Call {
+        callee: u32,
+    },
+    /// Targets are op indices.
+    Jump {
+        target: u32,
+    },
+    Branch {
+        cond: Cond,
+        lhs: Reg,
+        rhs: Operand,
+        taken: u32,
+        fallthrough: u32,
+    },
+    Halt,
+}
+
+impl Op {
+    /// Whether the op accesses shared memory (the batch boundary of the
+    /// event-driven core). Terminators and ALU/`ctx` ops touch only
+    /// PU-local state.
+    fn is_mem(self) -> bool {
+        matches!(
+            self,
+            Op::Load { .. } | Op::Store { .. } | Op::LoadBurst { .. } | Op::StoreBurst { .. }
+        )
+    }
+}
+
+/// A burst's registers: `len` entries of [`Code::burst_regs`] from
+/// `start`, in address order.
+#[derive(Debug, Clone, Copy)]
+struct Burst {
+    start: u32,
+    len: u32,
+}
+
+impl Burst {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A thread's function decoded once, when the thread is added: a flat
+/// op array laid out block by block, each block's terminator as its
+/// last op.
+#[derive(Debug, Clone)]
+struct Code {
+    ops: Vec<Op>,
+    /// Each op's location in the source function, for the sanitizer,
+    /// the trace and [`SimError`] (a terminator's `inst` is its block's
+    /// instruction count).
+    pcs: Vec<Pc>,
+    burst_regs: Vec<Reg>,
+    callees: Vec<String>,
+    /// Op index of the entry block's first op.
+    entry: usize,
+    /// The most words one load of this code delivers.
+    max_load_words: usize,
+}
+
+impl Code {
+    fn decode(func: &Func) -> Code {
+        let mut starts = Vec::with_capacity(func.blocks.len());
+        let mut len = 0;
+        for block in &func.blocks {
+            starts.push(len as u32);
+            len += block.insts.len() + 1;
+        }
+        let mut code = Code {
+            ops: Vec::with_capacity(len),
+            pcs: Vec::with_capacity(len),
+            burst_regs: Vec::new(),
+            callees: Vec::new(),
+            entry: starts[func.entry.index()] as usize,
+            max_load_words: 0,
+        };
+        for (b, block) in func.blocks.iter().enumerate() {
+            for (k, inst) in block.insts.iter().enumerate() {
+                let op = code.decode_inst(inst);
+                code.push(op, b, k);
+            }
+            let op = match block.term {
+                Terminator::Jump(t) => Op::Jump {
+                    target: starts[t.index()],
+                },
+                Terminator::Branch {
+                    cond,
+                    lhs,
+                    rhs,
+                    taken,
+                    fallthrough,
+                } => Op::Branch {
+                    cond,
+                    lhs,
+                    rhs,
+                    taken: starts[taken.index()],
+                    fallthrough: starts[fallthrough.index()],
+                },
+                Terminator::Halt => Op::Halt,
+            };
+            code.push(op, b, block.insts.len());
+        }
+        code
+    }
+
+    fn push(&mut self, op: Op, block: usize, inst: usize) {
+        self.ops.push(op);
+        self.pcs.push(Pc {
+            block: block as u32,
+            inst: inst as u32,
+        });
+    }
+
+    fn burst(&mut self, regs: &[Reg]) -> Burst {
+        let start = self.burst_regs.len() as u32;
+        self.burst_regs.extend_from_slice(regs);
+        Burst {
+            start,
+            len: regs.len() as u32,
+        }
+    }
+
+    fn decode_inst(&mut self, inst: &Inst) -> Op {
+        match *inst {
+            Inst::Bin { op, dst, lhs, rhs } => Op::Bin { op, dst, lhs, rhs },
+            Inst::Un { op, dst, src } => Op::Un { op, dst, src },
+            Inst::Load {
+                dst,
+                base,
+                offset,
+                space,
+            } => {
+                self.max_load_words = self.max_load_words.max(1);
+                Op::Load {
+                    dst,
+                    base,
+                    offset: offset as u32,
+                    space,
+                }
+            }
+            Inst::Store {
+                src,
+                base,
+                offset,
+                space,
+            } => Op::Store {
+                src,
+                base,
+                offset: offset as u32,
+                space,
+            },
+            Inst::LoadBurst {
+                ref dsts,
+                base,
+                offset,
+                space,
+            } => {
+                self.max_load_words = self.max_load_words.max(dsts.len());
+                Op::LoadBurst {
+                    regs: self.burst(dsts),
+                    base,
+                    offset: offset as u32,
+                    space,
+                }
+            }
+            Inst::StoreBurst {
+                ref srcs,
+                base,
+                offset,
+                space,
+            } => Op::StoreBurst {
+                regs: self.burst(srcs),
+                base,
+                offset: offset as u32,
+                space,
+            },
+            Inst::Ctx => Op::Ctx,
+            Inst::IterEnd => Op::IterEnd,
+            Inst::Nop => Op::Nop,
+            Inst::Call { ref callee } => {
+                self.callees.push(callee.clone());
+                Op::Call {
+                    callee: (self.callees.len() - 1) as u32,
+                }
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Thread {
-    func: Func,
-    block: BlockId,
-    idx: usize,
+    code: Code,
+    /// Index of the next op in `code` (never read once halted).
+    pc: usize,
     vregs: Vec<u32>,
+    /// The outstanding load's results, written at resume. Every load
+    /// refills this one buffer, sized for the code's widest load when
+    /// the thread is added.
     pending_load: Vec<(Reg, u32)>,
     /// Pc of the load that produced `pending_load` (the delivery at
     /// resume is attributed to the load instruction).
@@ -280,16 +517,16 @@ impl Simulator {
 
     /// Completion time of a memory access issued now, honouring the
     /// optional single-port-per-space contention model.
-    fn mem_ready_at(&mut self, space: regbal_ir::MemSpace) -> u64 {
+    fn mem_ready_at(&mut self, space: MemSpace) -> u64 {
         let latency = self.config.latency(space);
         if !self.config.serialize_memory {
             return self.now + latency;
         }
         let port = match space {
-            regbal_ir::MemSpace::Scratch => 0,
-            regbal_ir::MemSpace::Sram => 1,
-            regbal_ir::MemSpace::Sdram => 2,
-            regbal_ir::MemSpace::Spad => 3,
+            MemSpace::Scratch => 0,
+            MemSpace::Sram => 1,
+            MemSpace::Sdram => 2,
+            MemSpace::Spad => 3,
         };
         let start = self.now.max(self.port_free[port]);
         let done = start + latency;
@@ -366,14 +603,12 @@ impl Simulator {
     /// Panics if `func` fails validation.
     pub fn add_thread(&mut self, func: Func) -> usize {
         func.validate().expect("simulated function must be valid");
-        let entry = func.entry;
-        let nv = func.num_vregs as usize;
+        let code = Code::decode(&func);
         self.threads.push(Thread {
-            func,
-            block: entry,
-            idx: 0,
-            vregs: vec![0; nv],
-            pending_load: Vec::new(),
+            pc: code.entry,
+            vregs: vec![0; func.num_vregs as usize],
+            pending_load: Vec::with_capacity(code.max_load_words),
+            code,
             pending_pc: Pc::default(),
             ready_at: 0,
             halted: false,
@@ -403,9 +638,9 @@ impl Simulator {
     /// Runs until `stop` (or the configured global cycle budget).
     pub fn run(&mut self, stop: StopWhen) -> RunReport {
         let mut mem = std::mem::replace(&mut self.memory, Memory::new(0, 0, 0, 0));
-        let report = self.run_shared(&mut mem, stop);
+        self.run_slice(&mut mem, stop);
         self.memory = mem;
-        report
+        self.report()
     }
 
     /// The PU's local clock (cycles executed so far).
@@ -418,12 +653,11 @@ impl Simulator {
         self.threads.iter().all(|t| t.halted)
     }
 
-    /// Like [`run`](Self::run) but against an external memory — the
-    /// building block of [`crate::Chip`], where several PUs share the
-    /// off-chip memories. The PU's own memory is ignored.
-    pub fn run_shared(&mut self, mem: &mut Memory, stop: StopWhen) -> RunReport {
+    /// Runs against `mem` until `stop`, building no report — one slice
+    /// of [`crate::Chip::run`], where several PUs share the off-chip
+    /// memories. The PU's own memory is ignored.
+    pub(crate) fn run_slice(&mut self, mem: &mut Memory, stop: StopWhen) {
         self.run_batch(mem, stop, u64::MAX);
-        self.report()
     }
 
     /// Runs only *pure* work: executes the PU up to (but not into) its
@@ -465,14 +699,12 @@ impl Simulator {
             if self.now >= self.config.max_cycles || self.stopped(stop) {
                 return PuEvent::Done;
             }
-            // Continue the owning thread if it can still run.
+            // Continue the owning thread if it can still run (a thread
+            // that blocked recorded a future `ready_at`; one that
+            // yielded or halted cleared `last_running`).
             if let Some(i) = self.last_running {
-                if !self.threads[i].halted
-                    && self.threads[i].ready_at <= self.now
-                    && self.is_running(i)
-                {
-                    let is_mem = self.poised_at_mem(i);
-                    if is_mem {
+                if !self.threads[i].halted && self.threads[i].ready_at <= self.now {
+                    if self.poised_at_mem(i) {
                         if fuel == 0 {
                             return PuEvent::Mem { at: self.now };
                         }
@@ -485,14 +717,13 @@ impl Simulator {
             // Pick the next ready thread, round robin.
             match self.peek_ready() {
                 Some(j) => {
-                    let is_mem = self.poised_at_mem(j);
-                    if is_mem {
+                    if self.poised_at_mem(j) {
                         if fuel == 0 {
                             return PuEvent::Mem { at: self.now };
                         }
                         fuel -= 1;
                     }
-                    self.rr_next = (j + 1) % self.threads.len();
+                    self.rr_next = if j + 1 == self.threads.len() { 0 } else { j + 1 };
                     if self.last_running != Some(j) {
                         self.now += self.config.ctx_switch_cost;
                     }
@@ -518,28 +749,10 @@ impl Simulator {
         }
     }
 
-    /// Whether thread `i`'s next instruction is a shared-memory access
-    /// (the batch boundary of the event-driven core). Terminators and
-    /// ALU/`ctx` instructions touch only PU-local state.
+    /// Whether thread `i`'s next op accesses shared memory.
     fn poised_at_mem(&self, i: usize) -> bool {
         let t = &self.threads[i];
-        matches!(
-            t.func.block(t.block).insts.get(t.idx),
-            Some(
-                Inst::Load { .. }
-                    | Inst::LoadBurst { .. }
-                    | Inst::Store { .. }
-                    | Inst::StoreBurst { .. }
-            )
-        )
-    }
-
-    /// Whether thread `i` currently owns the PU (it was the last runner
-    /// and has not blocked or yielded).
-    fn is_running(&self, i: usize) -> bool {
-        // A thread that blocked recorded a future ready_at at the time;
-        // a voluntary yield cleared last_running instead.
-        self.last_running == Some(i)
+        t.code.ops[t.pc].is_mem()
     }
 
     fn stopped(&self, stop: StopWhen) -> bool {
@@ -553,13 +766,22 @@ impl Simulator {
     }
 
     /// The thread the round-robin scan would pick, without committing
-    /// the rotation — callers that schedule it must set `rr_next` to
-    /// `(j + 1) % n` themselves (see [`run_batch`](Self::run_batch)).
+    /// the rotation — callers that schedule it must set `rr_next` past
+    /// it themselves (see [`run_batch`](Self::run_batch)).
     fn peek_ready(&self) -> Option<usize> {
         let n = self.threads.len();
-        (0..n)
-            .map(|off| (self.rr_next + off) % n)
-            .find(|&j| !self.threads[j].halted && self.threads[j].ready_at <= self.now)
+        let mut j = self.rr_next;
+        for _ in 0..n {
+            let t = &self.threads[j];
+            if !t.halted && t.ready_at <= self.now {
+                return Some(j);
+            }
+            j += 1;
+            if j == n {
+                j = 0;
+            }
+        }
+        None
     }
 
     /// Makes thread `j` the runner, delivering any pending load result
@@ -571,9 +793,11 @@ impl Simulator {
         });
         self.last_running = Some(j);
         let pc = self.threads[j].pending_pc;
-        for (dst, value) in std::mem::take(&mut self.threads[j].pending_load) {
+        for k in 0..self.threads[j].pending_load.len() {
+            let (dst, value) = self.threads[j].pending_load[k];
             self.write_reg(j, dst, value, pc);
         }
+        self.threads[j].pending_load.clear();
     }
 
     fn read_reg(&mut self, i: usize, r: Reg, pc: Pc) -> u32 {
@@ -641,199 +865,127 @@ impl Simulator {
         }
     }
 
-    /// Executes one instruction of thread `i`.
+    /// Executes one op of thread `i`.
     fn step(&mut self, i: usize, mem: &mut Memory) {
-        let block = self.threads[i].block;
-        let idx = self.threads[i].idx;
-        let body_len = self.threads[i].func.block(block).insts.len();
-        let pc = Pc {
-            block: block.0,
-            inst: idx as u32,
-        };
-
-        if idx == body_len {
-            // Terminator: one cycle, control transfer.
-            self.now += 1;
-            self.threads[i].busy += 1;
-            self.threads[i].instructions += 1;
-            let term = self.threads[i].func.block(block).term.clone();
-            match term {
-                Terminator::Jump(t) => {
-                    self.threads[i].block = t;
-                    self.threads[i].idx = 0;
-                }
-                Terminator::Branch {
-                    cond,
-                    lhs,
-                    rhs,
-                    taken,
-                    fallthrough,
-                } => {
-                    let l = self.read_reg(i, lhs, pc);
-                    let r = self.operand(i, rhs, pc);
-                    self.threads[i].block = if cond.eval(l, r) { taken } else { fallthrough };
-                    self.threads[i].idx = 0;
-                }
-                Terminator::Halt => {
-                    self.threads[i].halted = true;
-                    self.last_running = None;
-                    self.record(TraceEvent::Halt {
-                        cycle: self.now,
-                        thread: i,
-                    });
-                }
-            }
+        let t = &mut self.threads[i];
+        let at = t.pc;
+        let op = t.code.ops[at];
+        let pc = t.code.pcs[at];
+        t.pc = at + 1;
+        if let Op::IterEnd = op {
+            // Free marker: no cycle, no instruction count.
+            t.iterations += 1;
+            let count = t.iterations;
+            self.record(TraceEvent::Iteration {
+                cycle: self.now,
+                thread: i,
+                count,
+            });
             return;
         }
-
-        let inst = self.threads[i].func.block(block).insts[idx].clone();
-        self.threads[i].idx += 1;
-        match inst {
-            Inst::IterEnd => {
-                // Free marker: no cycle, no instruction count.
-                self.threads[i].iterations += 1;
-                self.record(TraceEvent::Iteration {
-                    cycle: self.now,
-                    thread: i,
-                    count: self.threads[i].iterations,
-                });
-                return;
+        t.busy += 1;
+        t.instructions += 1;
+        self.now += 1;
+        match op {
+            Op::Jump { target } => self.threads[i].pc = target as usize,
+            Op::Branch {
+                cond,
+                lhs,
+                rhs,
+                taken,
+                fallthrough,
+            } => {
+                let l = self.read_reg(i, lhs, pc);
+                let r = self.operand(i, rhs, pc);
+                let target = if cond.eval(l, r) { taken } else { fallthrough };
+                self.threads[i].pc = target as usize;
             }
-            _ => {
-                self.now += 1;
-                self.threads[i].busy += 1;
-                self.threads[i].instructions += 1;
-            }
-        }
-        match inst {
-            Inst::Bin { op, dst, lhs, rhs } => {
+            Op::Halt => self.halt(i),
+            Op::Bin { op, dst, lhs, rhs } => {
                 let l = self.read_reg(i, lhs, pc);
                 let r = self.operand(i, rhs, pc);
                 self.write_reg(i, dst, eval_bin(op, l, r), pc);
             }
-            Inst::Un { op, dst, src } => {
+            Op::Un { op, dst, src } => {
                 let s = self.operand(i, src, pc);
                 let value = match op {
-                    regbal_ir::UnOp::Mov => s,
-                    regbal_ir::UnOp::Not => !s,
-                    regbal_ir::UnOp::Neg => s.wrapping_neg(),
+                    UnOp::Mov => s,
+                    UnOp::Not => !s,
+                    UnOp::Neg => s.wrapping_neg(),
                 };
                 self.write_reg(i, dst, value, pc);
             }
-            Inst::Load {
+            Op::Load {
                 dst,
                 base,
                 offset,
                 space,
             } => {
-                let addr = self
-                    .read_reg(i, base, pc)
-                    .wrapping_add(offset as u32);
+                let addr = self.read_reg(i, base, pc).wrapping_add(offset);
                 let value = mem.read_word(space, addr);
-                if space == regbal_ir::MemSpace::Spad {
+                if space == MemSpace::Spad {
                     self.note_spad(i, addr, false, pc);
                 }
-                self.note_csb(i, pc);
-                self.threads[i].pending_load = vec![(dst, value)];
-                self.threads[i].pending_pc = pc;
-                self.threads[i].ready_at = self.mem_ready_at(space);
-                self.threads[i].ctx_switches += 1;
-                self.last_running = None;
-                self.record(TraceEvent::MemIssue {
-                    cycle: self.now,
-                    thread: i,
-                    space,
-                    addr,
-                    write: false,
-                    ready_at: self.threads[i].ready_at,
-                });
+                let t = &mut self.threads[i];
+                t.pending_load.clear();
+                t.pending_load.push((dst, value));
+                t.pending_pc = pc;
+                self.block_on(i, pc, space, addr, false);
             }
-            Inst::LoadBurst {
-                dsts,
+            Op::LoadBurst {
+                regs,
                 base,
                 offset,
                 space,
             } => {
-                let addr = self.read_reg(i, base, pc).wrapping_add(offset as u32);
-                if space == regbal_ir::MemSpace::Spad {
-                    for w in 0..dsts.len() {
-                        self.note_spad(i, addr + 4 * w as u32, false, pc);
+                let addr = self.read_reg(i, base, pc).wrapping_add(offset);
+                if space == MemSpace::Spad {
+                    for w in 0..regs.len {
+                        self.note_spad(i, addr.wrapping_add(4 * w), false, pc);
                     }
                 }
-                self.note_csb(i, pc);
-                self.threads[i].pending_load = dsts
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &d)| (d, mem.read_word(space, addr + 4 * w as u32)))
-                    .collect();
-                self.threads[i].pending_pc = pc;
-                self.threads[i].ready_at = self.mem_ready_at(space);
-                self.threads[i].ctx_switches += 1;
-                self.last_running = None;
-                self.record(TraceEvent::MemIssue {
-                    cycle: self.now,
-                    thread: i,
-                    space,
-                    addr,
-                    write: false,
-                    ready_at: self.threads[i].ready_at,
-                });
+                let t = &mut self.threads[i];
+                t.pending_load.clear();
+                for (w, &dst) in (0u32..).zip(&t.code.burst_regs[regs.range()]) {
+                    let value = mem.read_word(space, addr.wrapping_add(4 * w));
+                    t.pending_load.push((dst, value));
+                }
+                t.pending_pc = pc;
+                self.block_on(i, pc, space, addr, false);
             }
-            Inst::StoreBurst {
-                srcs,
+            Op::StoreBurst {
+                regs,
                 base,
                 offset,
                 space,
             } => {
-                let addr = self.read_reg(i, base, pc).wrapping_add(offset as u32);
-                for (w, &s) in srcs.iter().enumerate() {
-                    let value = self.read_reg(i, s, pc);
-                    mem.write_word(space, addr + 4 * w as u32, value);
-                    if space == regbal_ir::MemSpace::Spad {
-                        self.note_spad(i, addr + 4 * w as u32, true, pc);
+                let addr = self.read_reg(i, base, pc).wrapping_add(offset);
+                for (w, k) in (0u32..).zip(regs.range()) {
+                    let src = self.threads[i].code.burst_regs[k];
+                    let value = self.read_reg(i, src, pc);
+                    let word = addr.wrapping_add(4 * w);
+                    mem.write_word(space, word, value);
+                    if space == MemSpace::Spad {
+                        self.note_spad(i, word, true, pc);
                     }
                 }
-                self.note_csb(i, pc);
-                self.threads[i].ready_at = self.mem_ready_at(space);
-                self.threads[i].ctx_switches += 1;
-                self.last_running = None;
-                self.record(TraceEvent::MemIssue {
-                    cycle: self.now,
-                    thread: i,
-                    space,
-                    addr,
-                    write: true,
-                    ready_at: self.threads[i].ready_at,
-                });
+                self.block_on(i, pc, space, addr, true);
             }
-            Inst::Store {
+            Op::Store {
                 src,
                 base,
                 offset,
                 space,
             } => {
-                let addr = self
-                    .read_reg(i, base, pc)
-                    .wrapping_add(offset as u32);
+                let addr = self.read_reg(i, base, pc).wrapping_add(offset);
                 let value = self.read_reg(i, src, pc);
                 mem.write_word(space, addr, value);
-                if space == regbal_ir::MemSpace::Spad {
+                if space == MemSpace::Spad {
                     self.note_spad(i, addr, true, pc);
                 }
-                self.note_csb(i, pc);
-                self.threads[i].ready_at = self.mem_ready_at(space);
-                self.threads[i].ctx_switches += 1;
-                self.last_running = None;
-                self.record(TraceEvent::MemIssue {
-                    cycle: self.now,
-                    thread: i,
-                    space,
-                    addr,
-                    write: true,
-                    ready_at: self.threads[i].ready_at,
-                });
+                self.block_on(i, pc, space, addr, true);
             }
-            Inst::Ctx => {
+            Op::Ctx => {
                 // Voluntary yield: ready immediately, but the PU moves
                 // on to the next ready thread.
                 self.note_csb(i, pc);
@@ -844,8 +996,8 @@ impl Simulator {
                     thread: i,
                 });
             }
-            Inst::Nop => {}
-            Inst::Call { callee } => {
+            Op::Nop => {}
+            Op::Call { callee } => {
                 // Calls exist only pre-inlining; executing one is a
                 // toolchain bug. Record it and halt the thread — the
                 // rest of the PU keeps running and the error surfaces
@@ -853,19 +1005,43 @@ impl Simulator {
                 if self.error.is_none() {
                     self.error = Some(SimError::UnloweredCall {
                         thread: i,
-                        callee,
+                        callee: self.threads[i].code.callees[callee as usize].clone(),
                         pc,
                     });
                 }
-                self.threads[i].halted = true;
-                self.last_running = None;
-                self.record(TraceEvent::Halt {
-                    cycle: self.now,
-                    thread: i,
-                });
+                self.halt(i);
             }
-            Inst::IterEnd => unreachable!("handled above"),
+            Op::IterEnd => unreachable!("handled above"),
         }
+    }
+
+    /// Blocks thread `i` on the memory access it just issued at `pc`:
+    /// it crosses a context-switch boundary and gives up the PU until
+    /// the access completes.
+    fn block_on(&mut self, i: usize, pc: Pc, space: MemSpace, addr: u32, write: bool) {
+        self.note_csb(i, pc);
+        let ready_at = self.mem_ready_at(space);
+        let t = &mut self.threads[i];
+        t.ready_at = ready_at;
+        t.ctx_switches += 1;
+        self.last_running = None;
+        self.record(TraceEvent::MemIssue {
+            cycle: self.now,
+            thread: i,
+            space,
+            addr,
+            write,
+            ready_at,
+        });
+    }
+
+    fn halt(&mut self, i: usize) {
+        self.threads[i].halted = true;
+        self.last_running = None;
+        self.record(TraceEvent::Halt {
+            cycle: self.now,
+            thread: i,
+        });
     }
 
     /// A statistics snapshot without advancing the simulation.
@@ -899,8 +1075,8 @@ impl Simulator {
     }
 }
 
-fn eval_bin(op: regbal_ir::BinOp, l: u32, r: u32) -> u32 {
-    use regbal_ir::BinOp::*;
+fn eval_bin(op: BinOp, l: u32, r: u32) -> u32 {
+    use BinOp::*;
     match op {
         Add => l.wrapping_add(r),
         Sub => l.wrapping_sub(r),
@@ -1095,6 +1271,29 @@ mod tests {
         let r = s.run(StopWhen::Cycles(500));
         assert!(r.cycles >= 500 && r.cycles < 600);
         assert!(!r.threads[0].halted);
+    }
+
+    #[test]
+    fn bursts_based_at_the_top_of_the_address_space_wrap() {
+        // A burst based at 0xFFFF_FFFC runs its second word past 2^32:
+        // the word address wraps to 0, as single-word accesses do.
+        for space in ["sram", "spad"] {
+            let f = parse_func(&format!(
+                "func t {{\nbb0:\n v0 = mov -4\n v1 = mov 7\n v2 = mov 9\n \
+                 storeb {space}[v0+0], v1, v2\n loadb {space}[v0+0], v3, v4\n \
+                 v5 = mov 64\n store scratch[v5+0], v3\n store scratch[v5+4], v4\n halt\n}}"
+            ))
+            .unwrap();
+            let mut s = sim();
+            s.enable_sanitizer(SanitizerConfig::default());
+            s.add_thread(f);
+            let r = s.run(StopWhen::Cycles(10_000));
+            assert!(r.threads[0].halted, "{space}");
+            assert_eq!(s.memory().read_word(MemSpace::Scratch, 64), 7, "{space}");
+            assert_eq!(s.memory().read_word(MemSpace::Scratch, 68), 9, "{space}");
+            let mem = if space == "sram" { MemSpace::Sram } else { MemSpace::Spad };
+            assert_eq!(s.memory().read_word(mem, 0), 9, "{space}: word 1 wraps to 0");
+        }
     }
 
     #[test]

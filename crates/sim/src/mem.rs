@@ -52,6 +52,10 @@ impl Memory {
     /// aborting the simulation).
     pub fn read_word(&self, space: MemSpace, addr: u32) -> u32 {
         let mem = self.space(space);
+        let at = addr as usize;
+        if let Some(&[a, b, c, d]) = mem.get(at..at + 4) {
+            return u32::from_le_bytes([a, b, c, d]);
+        }
         let mut bytes = [0u8; 4];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = mem[(addr as usize + i) % mem.len()];
@@ -63,6 +67,11 @@ impl Memory {
     /// [`read_word`](Self::read_word)).
     pub fn write_word(&mut self, space: MemSpace, addr: u32, value: u32) {
         let mem = self.space_mut(space);
+        let at = addr as usize;
+        if let Some(word) = mem.get_mut(at..at + 4) {
+            word.copy_from_slice(&value.to_le_bytes());
+            return;
+        }
         let len = mem.len();
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             mem[(addr as usize + i) % len] = *b;

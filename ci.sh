@@ -10,7 +10,9 @@ set -eux
 # `.expect("documented invariant")` remains allowed.
 for f in crates/core/src/*.rs crates/igraph/src/*.rs \
          crates/analysis/src/*.rs crates/ir/src/*.rs \
-         crates/serve/src/*.rs crates/sim/src/*.rs; do
+         crates/serve/src/*.rs crates/sim/src/*.rs \
+         crates/cli/src/*.rs crates/workloads/src/*.rs \
+         crates/workloads/src/kernels/*.rs; do
     awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(|panic!\(/{print FILENAME": "FNR": "$0; bad=1} END{exit bad}' "$f" || {
         echo "panic-free gate: forbidden .unwrap()/panic! in library code ($f)" >&2
         exit 1
@@ -86,8 +88,9 @@ cmp target/BENCH_EVAL_W1.json target/BENCH_EVAL_W4.json
 # `regbal alloc --json`, (c) zero sanitizer violations when the served
 # allocations run on the simulator, and (d) the same response bytes at
 # any worker count — over both the replay harness and a real stdio
-# pipe. `--verify` fails on any served/one-shot divergence; `replay`
-# itself fails if any warm pass misses.
+# pipe. Both send every request at once, so the worker pool answers
+# multi-request waves. `--verify` fails on any served/one-shot
+# divergence; `replay` itself fails if any warm pass misses.
 ./target/release/regbal serve --gen-trace target/serve_trace.json \
     --requests 100 --lines target/serve_requests.txt
 ./target/release/regbal serve --replay target/serve_trace.json \

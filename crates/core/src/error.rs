@@ -161,17 +161,6 @@ impl LadderStep {
             LadderStep::SpillAll => "spill-all",
         }
     }
-
-    /// The next rung down, if any.
-    pub fn next(self) -> Option<LadderStep> {
-        match self {
-            LadderStep::Balanced => Some(LadderStep::BalancedScratch),
-            LadderStep::BalancedScratch => Some(LadderStep::BalancedSpill),
-            LadderStep::BalancedSpill => Some(LadderStep::FixedPartition),
-            LadderStep::FixedPartition => Some(LadderStep::SpillAll),
-            LadderStep::SpillAll => None,
-        }
-    }
 }
 
 impl fmt::Display for LadderStep {
@@ -281,16 +270,20 @@ mod tests {
         assert_eq!(unique.len(), all.len());
     }
 
+    /// The derived `Ord` runs down the ladder, top rung first;
+    /// `plan_rungs` breaks ties between equally cheap rungs by it.
     #[test]
     fn ladder_walks_to_the_bottom() {
-        let mut step = LadderStep::Balanced;
-        let mut names = vec![step.name()];
-        while let Some(next) = step.next() {
-            step = next;
-            names.push(step.name());
-        }
+        let mut steps = [
+            LadderStep::SpillAll,
+            LadderStep::BalancedSpill,
+            LadderStep::Balanced,
+            LadderStep::FixedPartition,
+            LadderStep::BalancedScratch,
+        ];
+        steps.sort();
         assert_eq!(
-            names,
+            steps.map(LadderStep::name),
             [
                 "balanced",
                 "balanced-scratch",
@@ -299,7 +292,6 @@ mod tests {
                 "spill-all"
             ]
         );
-        assert_eq!(LadderStep::SpillAll.next(), None);
     }
 
     #[test]

@@ -149,7 +149,6 @@ pub fn allocate_threads_with_spill(
         DEFAULT_SPILL_BASE,
         EngineConfig::default(),
         None,
-        None,
     )
     .pop()
     .expect("one verdict per target")
@@ -184,19 +183,15 @@ pub fn allocate_threads_with_spill(
 /// failures are reported per target exactly as the single-target entry
 /// points do.
 ///
-/// `costs`, when given, must hold one [`SpillCosts`] per thread
-/// computed from the *unmodified* `funcs` (e.g. the eval cache's
-/// per-column slot); otherwise they are computed here. The costs of
-/// original, not-yet-spilled registers are unaffected by spill code
-/// inserted for other registers, so computing them once up front is
-/// behaviour-preserving.
+/// The spill costs are computed once, from the *unmodified* `funcs`:
+/// the costs of original, not-yet-spilled registers are unaffected by
+/// spill code inserted for other registers.
 pub fn allocate_threads_with_spill_sweep(
     funcs: &[Func],
     targets: &[usize],
     spill_base: i64,
     config: EngineConfig,
     first: Option<&[Result<MultiAllocation, AllocError>]>,
-    costs: Option<&[SpillCosts]>,
 ) -> Vec<Result<HybridAllocation, AllocError>> {
     if let Some(seeds) = first {
         assert_eq!(
@@ -205,17 +200,7 @@ pub fn allocate_threads_with_spill_sweep(
             "one round-0 seed per swept target"
         );
     }
-    if let Some(costs) = costs {
-        assert_eq!(costs.len(), funcs.len(), "one cost model per thread");
-    }
-    let owned_costs: Vec<SpillCosts>;
-    let costs: &[SpillCosts] = match costs {
-        Some(c) => c,
-        None => {
-            owned_costs = funcs.iter().map(SpillCosts::compute).collect();
-            &owned_costs
-        }
-    };
+    let costs: Vec<SpillCosts> = funcs.iter().map(SpillCosts::compute).collect();
     let mut state = SpillState::new(funcs, spill_base, None);
     // Each thread's analyses, filled on first need and then refreshed
     // only for the thread that spilled: spilling cannot change the
@@ -530,7 +515,6 @@ bb0:
             spill_base,
             EngineConfig::default(),
             seeds.as_deref(),
-            None,
         )
         .pop()
         .unwrap()
@@ -580,7 +564,6 @@ bb0:
             DEFAULT_SPILL_BASE,
             EngineConfig::default(),
             None,
-            None,
         );
         for (&t, got) in targets.iter().zip(&swept) {
             let solo = allocate_threads_with_spill(&funcs, t);
@@ -606,7 +589,6 @@ bb0:
             DEFAULT_SPILL_BASE,
             EngineConfig::default(),
             Some(&seeds),
-            None,
         );
         for ((&t, a), b) in targets.iter().zip(&swept).zip(&seeded) {
             assert_eq!(
@@ -861,7 +843,6 @@ bb0:
                     DEFAULT_SPILL_BASE,
                     config,
                     first,
-                    None,
                 );
                 for params in [None, Some(scratch(0)), Some(scratch(2))] {
                     let got = replayed(&plain, &funcs, params.as_ref());
@@ -926,7 +907,6 @@ bb0:
                     DEFAULT_SPILL_BASE,
                     config,
                     first,
-                    None,
                 );
                 for capacity in [0, 1, 3, 16] {
                     let params = scratch(capacity);

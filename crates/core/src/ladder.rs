@@ -559,7 +559,7 @@ impl SpillVerdicts<'_> {
                 let verdict = match provided {
                     Some(provider) => provider(),
                     None => {
-                        allocate_threads_with_spill_sweep(funcs, &[nreg], base, engine, None, None)
+                        allocate_threads_with_spill_sweep(funcs, &[nreg], base, engine, None)
                             .pop()
                             .expect("one verdict per target")
                     }

@@ -33,7 +33,6 @@
 //! [`crate::Strategy::compile`] and the server's one-shot path — so
 //! they run the very code the cached sweep runs.
 
-use regbal_analysis::SpillCosts;
 use regbal_core::{
     allocate_threads, allocate_threads_sweep, allocate_threads_with_spill_sweep, AllocError,
     EngineConfig, HybridAllocation, MultiAllocation,
@@ -42,7 +41,7 @@ use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// One cache key: (scenario index in the suite, PU, register-file
@@ -122,12 +121,10 @@ impl SweepColumn {
     }
 
     /// The hybrid (balancing + last-resort spilling) verdict for
-    /// `funcs` at `nreg` registers with spill slots above `spill_base`,
-    /// priced with `costs` when given (one [`SpillCosts`] per thread of
-    /// `funcs`). On-sweep, all sizes share one spill trajectory whose
-    /// round 0 is seeded from the balanced sweep, so a column that
-    /// already ran (or will run) the balanced descent never pays for it
-    /// twice.
+    /// `funcs` at `nreg` registers with spill slots above `spill_base`.
+    /// On-sweep, all sizes share one spill trajectory whose round 0 is
+    /// seeded from the balanced sweep, so a column that already ran (or
+    /// will run) the balanced descent never pays for it twice.
     ///
     /// # Errors
     ///
@@ -137,7 +134,6 @@ impl SweepColumn {
         funcs: &[Func],
         nreg: usize,
         spill_base: i64,
-        costs: Option<&[SpillCosts]>,
     ) -> Result<HybridAllocation, AllocError> {
         match self.position(nreg) {
             Some(pos) => self.descend(&self.hybrid, || {
@@ -147,7 +143,6 @@ impl SweepColumn {
                     spill_base,
                     EngineConfig::default(),
                     Some(self.balanced_sweep(funcs)),
-                    costs,
                 )
             })[pos]
                 .clone(),
@@ -157,16 +152,12 @@ impl SweepColumn {
                 spill_base,
                 EngineConfig::default(),
                 None,
-                costs,
             )
             .pop()
             .expect("one verdict per target"),
         }
     }
 }
-
-/// One column's shared spill-cost models, filled once on first use.
-type CostSlot = Arc<OnceLock<Arc<Vec<SpillCosts>>>>;
 
 /// Shared allocation verdicts of one evaluation run. Cloning the
 /// stored results is cheap relative to the searches they replace; the
@@ -180,12 +171,6 @@ pub struct AllocCache {
     columns: Mutex<HashMap<GroupKey, Arc<SweepColumn>>>,
     /// Descents run across every column.
     descents: Arc<AtomicU64>,
-    /// The per-thread spill-cost models of one column, computed once
-    /// per (scenario, PU) and handed to the column's hybrid descent.
-    costs: Mutex<HashMap<GroupKey, CostSlot>>,
-    /// How many times a cost model was actually computed — the proof
-    /// that the sweep pays per column, not per (strategy, nreg) cell.
-    cost_computes: AtomicUsize,
 }
 
 impl AllocCache {
@@ -195,8 +180,6 @@ impl AllocCache {
             sweep,
             columns: Mutex::default(),
             descents: Arc::default(),
-            costs: Mutex::default(),
-            cost_computes: AtomicUsize::new(0),
         }
     }
 
@@ -212,29 +195,16 @@ impl AllocCache {
             .clone()
     }
 
-    /// The per-thread [`SpillCosts`] of one column, computed on first
-    /// demand and replayed for every later lookup of the same
-    /// (scenario, PU) — the costs depend only on the unmodified
-    /// function set, never on the strategy or the register-file size.
-    pub fn spill_costs(&self, key: GroupKey, funcs: &[Func]) -> Arc<Vec<SpillCosts>> {
-        let slot = self
-            .costs
+    /// Number of spill-cost models computed so far: one per column
+    /// whose hybrid descent ran, which computes its threads' costs
+    /// once for every (strategy, nreg) cell that reads it.
+    pub fn cost_computes(&self) -> usize {
+        self.columns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_default()
-            .clone();
-        slot.get_or_init(|| {
-            self.cost_computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(funcs.iter().map(SpillCosts::compute).collect())
-        })
-        .clone()
-    }
-
-    /// Number of spill-cost models computed so far (one per distinct
-    /// (scenario, PU) column touched, however many cells asked).
-    pub fn cost_computes(&self) -> usize {
-        self.cost_computes.load(Ordering::Relaxed)
+            .values()
+            .filter(|column| column.hybrid.get().is_some())
+            .count()
     }
 
     /// The balanced-engine verdict for `funcs` at `key.2` registers,
@@ -249,9 +219,8 @@ impl AllocCache {
 
     /// The hybrid verdict for `funcs` at `key.2` registers and the
     /// given spill base, from the `(scenario, PU)` column
-    /// ([`SweepColumn::hybrid`]) priced with the column's shared
-    /// [`AllocCache::spill_costs`] model. Every spilling strategy reads
-    /// it: `balanced-spill` as is, `balanced-scratch` and the ladder's
+    /// ([`SweepColumn::hybrid`]). Every spilling strategy reads it:
+    /// `balanced-spill` as is, `balanced-scratch` and the ladder's
     /// scratch rung through [`HybridAllocation::with_scratch`].
     ///
     /// # Errors
@@ -263,9 +232,7 @@ impl AllocCache {
         funcs: &[Func],
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        let costs = self.spill_costs((key.0, key.1), funcs);
-        self.column((key.0, key.1))
-            .hybrid(funcs, key.2, spill_base, Some(&costs))
+        self.column((key.0, key.1)).hybrid(funcs, key.2, spill_base)
     }
 }
 
@@ -423,16 +390,9 @@ mod tests {
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        allocate_threads_with_spill_sweep(
-            funcs,
-            &[nreg],
-            spill_base,
-            EngineConfig::default(),
-            None,
-            None,
-        )
-        .pop()
-        .unwrap()
+        allocate_threads_with_spill_sweep(funcs, &[nreg], spill_base, EngineConfig::default(), None)
+            .pop()
+            .unwrap()
     }
 
     fn hot() -> Func {
@@ -616,8 +576,8 @@ mod tests {
             .map(|h| h.with_scratch(funcs, spill_base, &params))
     }
 
-    /// The cost-model satellite: one [`SpillCosts`] computation per
-    /// (scenario, PU) column, however many (strategy, nreg) cells ask.
+    /// One spill-cost computation per (scenario, PU) column — its one
+    /// hybrid descent — however many (strategy, nreg) cells ask.
     #[test]
     fn spill_costs_are_computed_once_per_column() {
         let funcs = vec![hot(), hot()];
@@ -639,10 +599,8 @@ mod tests {
         // A different column pays exactly once more.
         let _ = scratch(&cache, (0, 1, 8), &funcs, 0xB_0000, sp);
         assert_eq!(cache.cost_computes(), 2);
-        // Direct cost lookups replay the same shared model.
-        let a = cache.spill_costs((0, 0), &funcs);
-        let b = cache.spill_costs((0, 0), &funcs);
-        assert!(Arc::ptr_eq(&a, &b));
+        // A column that only balanced computes no costs.
+        let _ = cache.balanced((0, 2, 8), &funcs);
         assert_eq!(cache.cost_computes(), 2);
     }
 

@@ -179,29 +179,6 @@ impl Graph {
         }
         Ok(())
     }
-
-    /// A lower bound on the chromatic number: the size of a greedily
-    /// grown clique (used in tests and diagnostics, not in the
-    /// allocator itself).
-    pub fn greedy_clique_bound(&self) -> usize {
-        let mut best = 0;
-        for seed in 0..self.len() {
-            let mut clique = vec![seed];
-            let mut candidates = self.neighbors(seed).clone();
-            loop {
-                let next = candidates.iter().max_by_key(|&c| {
-                    let mut cut = self.neighbors(c).clone();
-                    cut.intersect_with(&candidates);
-                    cut.count()
-                });
-                let Some(next) = next else { break };
-                clique.push(next);
-                candidates.intersect_with(self.neighbors(next));
-            }
-            best = best.max(clique.len());
-        }
-        best
-    }
 }
 
 impl Graph {
@@ -308,7 +285,6 @@ mod tests {
         }
         let c = g.dsatur(None);
         assert_eq!(c.num_colors, 5);
-        assert_eq!(g.greedy_clique_bound(), 5);
     }
 
     #[test]

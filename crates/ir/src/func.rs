@@ -94,15 +94,6 @@ impl Func {
         &self.blocks[id.index()]
     }
 
-    /// Mutable access to the block with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Number of basic blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
@@ -114,11 +105,6 @@ impl Func {
             .iter()
             .enumerate()
             .map(|(i, b)| (BlockId(i as u32), b))
-    }
-
-    /// All block ids in order.
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
-        (0..self.blocks.len() as u32).map(BlockId)
     }
 
     /// Total instruction count including terminators (the paper's

@@ -187,11 +187,6 @@ impl ServeCache {
         self
     }
 
-    /// Whether a disk store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Response-cache lookup, counting a hit on success. A memory miss
     /// probes the disk store (when attached); a verified disk entry is
     /// promoted into the memory tier and counts as a hit, a corrupt or

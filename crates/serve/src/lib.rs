@@ -43,8 +43,8 @@
 //!   concurrent TCP listener with drain-on-shutdown.
 //! * [`trace`] — materialising generated traces into request lines and
 //!   the `regbal-trace/1` file format.
-//! * [`replay`] — the windowed closed-loop replay client, latency
-//!   reports, and the sanitizer pass.
+//! * [`replay`] — the pipelined trace-replay session, the chaos
+//!   harness, and the sanitizer pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,10 +66,7 @@ pub use oneshot::{
     alloc_doc, allocate, inline_roots, load_module, replicate, verdict_doc, ServeStrategy, Verdict,
 };
 pub use proto::{content_hash, hash_hex, parse_request, Request, SCHEMA};
-pub use replay::{
-    chaos_json, chaos_replay, pass_json, replay, replay_with_metrics, sanitize_check, ChaosReport,
-    PassReport, ReplayConfig,
-};
+pub use replay::{chaos_json, chaos_replay, replay, sanitize_check, ChaosReport, PassReport};
 pub use server::{
     serve_lines, serve_lines_metered, serve_listener, serve_tcp, serve_tcp_metered, ServeConfig,
     ServeEnd,

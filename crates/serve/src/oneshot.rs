@@ -208,7 +208,7 @@ pub(crate) fn verdict(
         message: e.to_string(),
     };
     let balanced = || column.balanced(funcs, nreg);
-    let hybrid = || column.hybrid(funcs, nreg, DEFAULT_SPILL_BASE, None);
+    let hybrid = || column.hybrid(funcs, nreg, DEFAULT_SPILL_BASE);
     match strategy {
         ServeStrategy::Balanced => balanced().map(Verdict::Balanced).map_err(failure),
         ServeStrategy::BalancedSpill => hybrid().map(Verdict::Spill).map_err(failure),

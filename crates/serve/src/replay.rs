@@ -1,6 +1,6 @@
-//! The trace-replay client: a windowed closed-loop driver that feeds a
-//! resident server over in-process pipes and measures per-request
-//! latency, pass by pass.
+//! The trace-replay client: one pipelined session that feeds a
+//! resident server over in-process pipes and collects its transcript,
+//! pass by pass.
 //!
 //! Pass 0 is the *cold* pass (every distinct key is a miss); later
 //! passes replay the identical request stream and must be served
@@ -23,14 +23,13 @@
 use crate::faults::FaultSite;
 use crate::metrics::ServeMetrics;
 use crate::oneshot::{self, ServeStrategy};
-use crate::server::{serve_lines_metered, ServeConfig, ServeEnd};
+use crate::server::{serve_lines_metered, ServeConfig};
 use crate::trace::{self, MaterializedRequest, TraceFile};
 use regbal_eval::{json, Json};
 use regbal_sim::{SimConfig, Simulator, StopWhen};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // An in-process byte pipe (the transport between client and server).
@@ -94,45 +93,11 @@ impl Read for PipeReader {
 }
 
 // ---------------------------------------------------------------------
-// The replay driver.
+// The replay session.
 
-/// Replay knobs.
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// The server under test.
-    pub serve: ServeConfig,
-    /// Total passes over the trace (pass 0 cold, the rest warm).
-    pub passes: usize,
-    /// Requests in flight at once (1 = strict request/response
-    /// lockstep; larger windows let the dispatcher form waves).
-    pub window: usize,
-    /// Honour the trace's arrival offsets (sleep until each request's
-    /// `at_us`) instead of pushing at full speed.
-    pub paced: bool,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> ReplayConfig {
-        ReplayConfig {
-            serve: ServeConfig::default(),
-            passes: 2,
-            window: 1,
-            paced: false,
-        }
-    }
-}
-
-/// One pass's measurements.
+/// One pass's cache behaviour and transcript.
 #[derive(Debug, Clone)]
 pub struct PassReport {
-    /// Wall-clock time of the pass, microseconds.
-    pub wall_us: u64,
-    /// Median request latency, microseconds (nearest rank).
-    pub p50_us: u64,
-    /// 99th-percentile request latency, microseconds (nearest rank).
-    pub p99_us: u64,
-    /// Requests per second over the pass.
-    pub rps: f64,
     /// Response-cache hits this pass.
     pub hits: u64,
     /// Response-cache misses this pass.
@@ -142,114 +107,54 @@ pub struct PassReport {
     pub responses: Vec<String>,
 }
 
-/// Nearest-rank percentile of an unsorted latency sample.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Replays `trace` against a fresh resident server for
-/// `config.passes` passes over one persistent cache, returning one
-/// report per pass.
+/// Replays `trace` `passes` times against a fresh resident server over
+/// one persistent cache, returning one report per pass.
+///
+/// The replay is one pipelined session: every pass's requests, each
+/// pass followed by a `stats` probe, then a `shutdown`, are written at
+/// once, and the whole transcript is read back when the server exits.
+/// The server still answers in request order, so the transcript is the
+/// one a request-at-a-time client would read. Each pass's hits and
+/// misses are the difference between its probe and the one before.
+/// The server's backpressure metrics (queue depth, admission waits,
+/// pool activity) are recorded into `metrics`.
 ///
 /// # Errors
 ///
-/// Transport failures, a server that ends early, or — the warm-pass
-/// contract — any cache miss on a pass after the first.
-pub fn replay(trace: &TraceFile, config: &ReplayConfig) -> Result<Vec<PassReport>, String> {
-    replay_with_metrics(trace, config, &ServeMetrics::default())
-}
-
-/// [`replay`], recording the server's backpressure metrics (queue
-/// depth, admission waits, pool activity) into `metrics`.
-///
-/// # Errors
-///
-/// Exactly as [`replay`].
-pub fn replay_with_metrics(
+/// Transport failures, a server that ends before acknowledging the
+/// shutdown, or — the warm-pass contract — any cache miss on a pass
+/// after the first.
+pub fn replay(
     trace: &TraceFile,
-    config: &ReplayConfig,
+    config: &ServeConfig,
+    passes: usize,
     metrics: &ServeMetrics,
 ) -> Result<Vec<PassReport>, String> {
     let wire = trace::materialize(&trace.requests, trace.packets);
-    let (request_tx, request_rx) = pipe();
-    let (response_tx, response_rx) = pipe();
-    std::thread::scope(|scope| {
-        let serve_config = config.serve.clone();
-        let server = scope.spawn(move || {
-            // open_cache attaches the on-disk store when the config
-            // names a cache directory — replayed traffic then warms a
-            // persistent cache that outlives this server.
-            let mut cache = serve_config.open_cache()?;
-            serve_lines_metered(request_rx, response_tx, &serve_config, &mut cache, metrics)
-        });
-
-        // drive() owns both pipe ends: any return — success or error —
-        // drops the write end, the server's reader sees EOF, and the
-        // join below cannot hang.
-        let reports = drive(&wire, config, request_tx, response_rx);
-        match server.join().expect("server thread panicked") {
-            Ok(ServeEnd::Shutdown) => reports,
-            Ok(ServeEnd::Eof) => reports.and(Err("server ended before shutdown".to_string())),
-            Err(e) => Err(format!("server transport error: {e}")),
-        }
-    })
-}
-
-/// The client side of one replay session (see [`replay`]).
-fn drive(
-    wire: &[MaterializedRequest],
-    config: &ReplayConfig,
-    mut request_tx: PipeWriter,
-    response_rx: PipeReader,
-) -> Result<Vec<PassReport>, String> {
-    let mut responses = BufReader::new(response_rx);
-    let mut read_line = |what: &str| -> Result<String, String> {
-        let mut line = String::new();
-        match responses.read_line(&mut line) {
-            Ok(0) => Err(format!("server closed while awaiting {what}")),
-            Ok(_) => Ok(line.trim_end().to_string()),
-            Err(e) => Err(format!("reading {what}: {e}")),
-        }
-    };
-    let mut reports = Vec::with_capacity(config.passes);
-    let mut seen = (0u64, 0u64); // cumulative (hits, misses)
-    let mut next_id = 0u64;
-    for pass in 0..config.passes {
-        let start = Instant::now();
-        let window = config.window.max(1);
-        let mut latencies = Vec::with_capacity(wire.len());
-        let mut lines = Vec::with_capacity(wire.len());
-        let mut sent: VecDeque<Instant> = VecDeque::new();
-        let mut next = 0usize;
-        while lines.len() < wire.len() {
-            while sent.len() < window && next < wire.len() {
-                let req = &wire[next];
-                if config.paced {
-                    let due = std::time::Duration::from_micros(req.at_us);
-                    if let Some(wait) = due.checked_sub(start.elapsed()) {
-                        std::thread::sleep(wait);
-                    }
-                }
-                writeln!(request_tx, "{}", trace::request_line(next_id, req, false))
-                    .map_err(|e| format!("sending request: {e}"))?;
-                next_id += 1;
-                sent.push_back(Instant::now());
-                next += 1;
+    // open_cache attaches the on-disk store when the config names a
+    // cache directory — replayed traffic then warms a persistent cache
+    // that outlives this server.
+    let mut cache = config
+        .open_cache()
+        .map_err(|e| format!("opening the cache: {e}"))?;
+    let transcript = session(config, &mut cache, metrics, |w| {
+        let mut id = 0u64;
+        for _ in 0..passes {
+            for req in &wire {
+                let _ = writeln!(w, "{}", trace::request_line(id, req, false));
+                id += 1;
             }
-            let line = read_line("a response")?;
-            let issued = sent.pop_front().expect("a response implies a request");
-            latencies.push(issued.elapsed().as_micros() as u64);
-            lines.push(line);
+            let _ = writeln!(w, r#"{{"id": "stats", "kind": "stats"}}"#);
         }
-        let wall_us = start.elapsed().as_micros().max(1) as u64;
+        let _ = writeln!(w, r#"{{"id": "bye", "kind": "shutdown"}}"#);
+    })?;
 
-        writeln!(request_tx, r#"{{"id": "stats", "kind": "stats"}}"#)
-            .map_err(|e| format!("requesting stats: {e}"))?;
-        let stats_line = read_line("stats")?;
+    let mut lines = transcript.into_iter();
+    let mut reports = Vec::with_capacity(passes);
+    let mut seen = (0u64, 0u64); // cumulative (hits, misses)
+    for pass in 0..passes {
+        let responses: Vec<String> = lines.by_ref().take(wire.len()).collect();
+        let stats_line = lines.next().ok_or("server closed while awaiting stats")?;
         let stats =
             json::parse(&stats_line).map_err(|e| format!("stats response was not JSON: {e}"))?;
         let stats = stats
@@ -270,38 +175,20 @@ fn drive(
                  the persistent cache is not serving replayed requests"
             ));
         }
-
-        latencies.sort_unstable();
         reports.push(PassReport {
-            wall_us,
-            p50_us: percentile(&latencies, 50.0),
-            p99_us: percentile(&latencies, 99.0),
-            rps: wire.len() as f64 / (wall_us as f64 / 1e6),
             hits,
             misses,
-            responses: lines,
+            responses,
         });
     }
-    writeln!(request_tx, r#"{{"id": "bye", "kind": "shutdown"}}"#)
-        .map_err(|e| format!("requesting shutdown: {e}"))?;
-    let ack = read_line("the shutdown ack")?;
+    let ack = lines
+        .next()
+        .ok_or("server closed while awaiting the shutdown ack")?;
     let ack = json::parse(&ack).map_err(|e| format!("bad shutdown ack: {e}"))?;
     if ack.get("ok").and_then(Json::as_bool) != Some(true) {
         return Err(format!("unexpected shutdown ack: {}", ack.compact()));
     }
     Ok(reports)
-}
-
-/// The JSON member summarising one pass (for `--out` reports).
-pub fn pass_json(report: &PassReport) -> Json {
-    Json::Obj(vec![
-        ("wall_us".into(), Json::uint(report.wall_us)),
-        ("p50_us".into(), Json::uint(report.p50_us)),
-        ("p99_us".into(), Json::uint(report.p99_us)),
-        ("rps".into(), Json::float((report.rps * 10.0).round() / 10.0)),
-        ("hits".into(), Json::uint(report.hits)),
-        ("misses".into(), Json::uint(report.misses)),
-    ])
 }
 
 // ---------------------------------------------------------------------
@@ -690,27 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50);
-        assert_eq!(percentile(&sorted, 99.0), 99);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        assert_eq!(percentile(&[], 50.0), 0);
-    }
-
-    #[test]
     fn warm_passes_are_all_hits_and_transcripts_repeat() {
         let trace = small_trace();
-        let config = ReplayConfig {
-            serve: ServeConfig {
-                sweep: vec![48], // mostly off-sweep: dedicated runs, still cached
-                ..ServeConfig::default()
-            },
-            passes: 2,
-            window: 4,
-            ..ReplayConfig::default()
+        let config = ServeConfig {
+            sweep: vec![48], // mostly off-sweep: dedicated runs, still cached
+            ..ServeConfig::default()
         };
-        let reports = replay(&trace, &config).unwrap();
+        let reports = replay(&trace, &config, 2, &ServeMetrics::default()).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[1].misses, 0, "pass 2 must be all hits");
         assert_eq!(reports[1].hits as usize, trace.requests.len());
@@ -732,17 +605,14 @@ mod tests {
     fn worker_counts_do_not_change_response_bytes() {
         let trace = small_trace();
         let run = |workers: usize| {
-            let config = ReplayConfig {
-                serve: ServeConfig {
-                    workers,
-                    sweep: vec![48],
-                    ..ServeConfig::default()
-                },
-                passes: 1,
-                window: 6,
-                ..ReplayConfig::default()
+            let config = ServeConfig {
+                workers,
+                sweep: vec![48],
+                ..ServeConfig::default()
             };
-            replay(&trace, &config).unwrap()[0].responses.clone()
+            replay(&trace, &config, 1, &ServeMetrics::default()).unwrap()[0]
+                .responses
+                .clone()
         };
         assert_eq!(run(1), run(4));
     }
@@ -755,22 +625,17 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let trace = small_trace();
-        let config = ReplayConfig {
-            serve: ServeConfig {
-                sweep: vec![48],
-                cache_dir: Some(dir.to_string_lossy().into_owned()),
-                ..ServeConfig::default()
-            },
-            passes: 1,
-            window: 4,
-            ..ReplayConfig::default()
+        let config = ServeConfig {
+            sweep: vec![48],
+            cache_dir: Some(dir.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
         };
-        let cold = replay(&trace, &config).unwrap();
+        let cold = replay(&trace, &config, 1, &ServeMetrics::default()).unwrap();
         assert!(cold[0].misses > 0, "the first replay must populate the store");
         // A second replay is a fresh server over the same directory:
         // its *first* pass must already be all hits, byte-identically.
         let metrics = ServeMetrics::default();
-        let warm = replay_with_metrics(&trace, &config, &metrics).unwrap();
+        let warm = replay(&trace, &config, 1, &metrics).unwrap();
         assert_eq!(
             warm[0].misses, 0,
             "the restarted server should answer entirely from disk"

@@ -25,7 +25,7 @@ cargo test -q
 # seconds). It builds against the library crates' public API, so
 # removing an item the benchmark calls fails here.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The adversarial degradation corpus: 200+ seeded hostile programs must
 # never panic the pipeline — every allocation either succeeds (possibly

@@ -24,7 +24,7 @@ use regbal_ir::{BitSet, VReg};
 use std::sync::Arc;
 
 /// Identifier of a live-range fragment within a [`ThreadAlloc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -54,6 +54,8 @@ pub struct ThreadAlloc {
     live: Arc<LiveMap>,
     nodes: Vec<Node>,
     by_vreg: Vec<Vec<NodeId>>,
+    /// Per color: the live fragments carrying it, in ascending id order.
+    by_color: Vec<Vec<NodeId>>,
     private: Vec<u32>,
     shared: Vec<u32>,
 }
@@ -72,6 +74,7 @@ impl ThreadAlloc {
         let nv = live.num_vregs();
         let mut nodes = Vec::new();
         let mut by_vreg = vec![Vec::new(); nv];
+        let mut by_color = vec![Vec::new(); max_r];
         for (vi, slots) in by_vreg.iter_mut().enumerate() {
             let v = VReg(vi as u32);
             if !live.is_live(v) {
@@ -97,11 +100,13 @@ impl ThreadAlloc {
                 alive: true,
             });
             slots.push(id);
+            by_color[color as usize].push(id);
         }
         let alloc = ThreadAlloc {
             live,
             nodes,
             by_vreg,
+            by_color,
             private: (0..max_pr as u32).collect(),
             shared: (max_pr as u32..max_r as u32).collect(),
         };
@@ -252,7 +257,7 @@ impl ThreadAlloc {
     /// [`crate::verify`] and the dynamic sanitizer must catch. Never
     /// call it from allocation code.
     pub fn force_color(&mut self, id: NodeId, color: u32) {
-        self.nodes[id.index()].color = color;
+        self.recolor(id, color);
     }
 
     /// Forcibly flips fragment `id`'s boundary flag (see
@@ -278,35 +283,43 @@ impl ThreadAlloc {
     // Conflict queries
     // ------------------------------------------------------------------
 
+    /// The live fragments colored `c`, in ascending id order.
+    fn colored(&self, c: u32) -> &[NodeId] {
+        self.by_color.get(c as usize).map_or(&[], Vec::as_slice)
+    }
+
     /// Fragments of *other* registers with color `c` overlapping
-    /// `points`.
+    /// `points`, in ascending id order.
+    fn conflicts<'a>(
+        &'a self,
+        points: &'a BitSet,
+        c: u32,
+        vreg: VReg,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        self.colored(c).iter().copied().filter(move |&id| {
+            let n = &self.nodes[id.index()];
+            n.vreg != vreg && n.points.intersects(points)
+        })
+    }
+
+    /// [`conflicts`](Self::conflicts), collected.
     fn conflicting_nodes(&self, points: &BitSet, c: u32, vreg: VReg) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive && n.color == c && n.vreg != vreg)
-            .filter(|(_, n)| n.points.intersects(points))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+        self.conflicts(points, c, vreg).collect()
     }
 
     /// Whether color `c` is free over `points` for register `vreg`.
     fn color_free(&self, points: &BitSet, c: u32, vreg: VReg) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| !(n.alive && n.color == c && n.vreg != vreg && n.points.intersects(points)))
+        self.conflicts(points, c, vreg).next().is_none()
     }
 
     /// The union of the overlap between `points` and fragments of other
     /// registers colored `c`.
     fn conflict_mask(&self, points: &BitSet, c: u32, vreg: VReg) -> BitSet {
         let mut mask = BitSet::new(self.live.num_halves());
-        for n in &self.nodes {
-            if n.alive && n.color == c && n.vreg != vreg && n.points.intersects(points) {
-                let mut overlap = n.points.clone();
-                overlap.intersect_with(points);
-                mask.union_with(&overlap);
-            }
+        for id in self.conflicts(points, c, vreg) {
+            let mut overlap = self.nodes[id.index()].points.clone();
+            overlap.intersect_with(points);
+            mask.union_with(&overlap);
         }
         mask
     }
@@ -325,8 +338,31 @@ impl ThreadAlloc {
     // Mutations
     // ------------------------------------------------------------------
 
+    /// Recolors live fragment `id`, keeping the per-color index sorted
+    /// (and growing it for a color beyond the palette).
     fn recolor(&mut self, id: NodeId, c: u32) {
-        self.nodes[id.index()].color = c;
+        let old = std::mem::replace(&mut self.nodes[id.index()].color, c);
+        if old == c {
+            return;
+        }
+        self.unindex(id, old);
+        let c = c as usize;
+        if c >= self.by_color.len() {
+            self.by_color.resize_with(c + 1, Vec::new);
+        }
+        let list = &mut self.by_color[c];
+        if let Err(at) = list.binary_search(&id) {
+            list.insert(at, id);
+        }
+    }
+
+    /// Drops `id` from color `c`'s index entry.
+    fn unindex(&mut self, id: NodeId, c: u32) {
+        let list = &mut self.by_color[c as usize];
+        let at = list
+            .binary_search(&id)
+            .expect("live fragments are indexed by color");
+        list.remove(at);
     }
 
     /// Splits `part` (atom-closed, proper non-empty subset) out of `id`
@@ -351,6 +387,8 @@ impl ThreadAlloc {
             alive: true,
         });
         self.by_vreg[vreg.index()].push(new_id);
+        // The newest id is the largest: pushing keeps the list sorted.
+        self.by_color[color as usize].push(new_id);
         new_id
     }
 
@@ -362,6 +400,7 @@ impl ThreadAlloc {
         let bb = self.nodes[b.index()].boundary;
         debug_assert_eq!(self.nodes[a.index()].vreg, self.nodes[b.index()].vreg);
         self.nodes[b.index()].alive = false;
+        self.unindex(b, self.nodes[b.index()].color);
         let node = &mut self.nodes[a.index()];
         node.points.union_with(&pts);
         node.boundary |= bb;
@@ -379,10 +418,10 @@ impl ThreadAlloc {
     /// Returns `None` if stuck (callers work on clones).
     fn demote_private(&mut self, banned: u32) -> Option<()> {
         let mut queue: Vec<NodeId> = self
-            .node_ids()
-            .filter(|&id| {
-                self.nodes[id.index()].color == banned && self.nodes[id.index()].boundary
-            })
+            .colored(banned)
+            .iter()
+            .copied()
+            .filter(|&id| self.nodes[id.index()].boundary)
             .collect();
         let limit = VACATE_STEP_LIMIT_PER_NODE * (queue.len() + 4);
         let mut steps = 0;
@@ -405,11 +444,7 @@ impl ThreadAlloc {
             );
         }
         self.private.retain(|&c| c != banned);
-        let still_used = self
-            .nodes
-            .iter()
-            .any(|n| n.alive && n.color == banned);
-        if still_used {
+        if !self.colored(banned).is_empty() {
             self.shared.push(banned);
         }
         Some(())
@@ -419,10 +454,7 @@ impl ThreadAlloc {
     /// its palette entirely (paper `Reduce_SR`). Returns `None` if
     /// stuck (callers work on clones).
     fn eliminate_color(&mut self, banned: u32) -> Option<()> {
-        let mut queue: Vec<NodeId> = self
-            .node_ids()
-            .filter(|&id| self.nodes[id.index()].color == banned)
-            .collect();
+        let mut queue: Vec<NodeId> = self.colored(banned).to_vec();
         // Boundary nodes first, like the paper's Reduce-PR.
         queue.sort_by_key(|&id| !self.nodes[id.index()].boundary);
         queue.reverse(); // pop() takes boundary nodes first
@@ -590,22 +622,38 @@ impl ThreadAlloc {
     /// `None` if no private color can be given up.
     pub fn reduce_private(&mut self) -> Option<isize> {
         let candidates = self.private.clone();
-        if let Some(delta) = self.reduce_with(&candidates, |alloc, c| alloc.demote_private(c)) {
-            return Some(delta);
-        }
-        // Per-node vacating can wedge when several boundary nodes must
-        // move *together*; fall back to the paper's Lemma 1
-        // construction — explode every boundary node at its CSBs and
-        // recolor the fragments from scratch — and let the merge pass
-        // recover most of the moves.
-        self.reduce_with(&candidates, |alloc, c| alloc.demote_private_lemma1(c))
+        let before = self.moves();
+        let (next, delta) = self
+            .cheapest_trial(before, &candidates, ThreadAlloc::demote_private)
+            // Per-node vacating can wedge when several boundary nodes
+            // must move *together*; fall back to the paper's Lemma 1
+            // construction — explode every boundary node at its CSBs
+            // and recolor the fragments from scratch — and let the
+            // merge pass recover most of the moves.
+            .or_else(|| self.cheapest_lemma1_trial(before, &candidates))?;
+        *self = next;
+        Some(delta)
     }
 
-    /// Aggressive Reduce-PR: split **every** boundary node into atoms,
-    /// then first-fit recolor all boundary fragments within the private
-    /// palette minus `banned`, evicting internal blockers to shared
-    /// colors when needed.
-    fn demote_private_lemma1(&mut self, banned: u32) -> Option<()> {
+    /// The Lemma 1 trials of [`reduce_private`](Self::reduce_private).
+    /// The explosion does not depend on the banned color, so it runs
+    /// once, and each candidate recolors a clone of the exploded state.
+    fn cheapest_lemma1_trial(
+        &self,
+        before: usize,
+        candidates: &[u32],
+    ) -> Option<(ThreadAlloc, isize)> {
+        let mut exploded = self.clone();
+        let fragments = exploded.explode_boundary_nodes();
+        exploded.cheapest_trial(before, candidates, |alloc, c| {
+            alloc.recolor_exploded(&fragments, c)
+        })
+    }
+
+    /// Splits **every** boundary node into atoms and returns the pieces
+    /// in program order, so that chains of adjacent atoms tend to
+    /// receive the same color.
+    fn explode_boundary_nodes(&mut self) -> Vec<NodeId> {
         let boundary_ids: Vec<NodeId> = self
             .node_ids()
             .filter(|&id| self.nodes[id.index()].boundary)
@@ -619,10 +667,17 @@ impl ThreadAlloc {
                 fragments.push(self.split(id, atom.clone()));
             }
         }
-        // Recolor boundary fragments in program order so chains of
-        // adjacent atoms tend to receive the same color.
         fragments.sort_by_key(|&f| self.nodes[f.index()].points.iter().next());
-        for &f in &fragments {
+        fragments
+    }
+
+    /// Aggressive Reduce-PR over the pieces of
+    /// [`explode_boundary_nodes`](Self::explode_boundary_nodes):
+    /// first-fit recolor all boundary fragments within the private
+    /// palette minus `banned`, evicting internal blockers to shared
+    /// colors when needed.
+    fn recolor_exploded(&mut self, fragments: &[NodeId], banned: u32) -> Option<()> {
+        for &f in fragments {
             if !self.nodes[f.index()].boundary {
                 continue; // exploded interior piece: internal rules
             }
@@ -678,8 +733,7 @@ impl ThreadAlloc {
             self.recolor(f, c);
         }
         self.private.retain(|&c| c != banned);
-        let still_used = self.nodes.iter().any(|n| n.alive && n.color == banned);
-        if still_used {
+        if !self.colored(banned).is_empty() {
             self.shared.push(banned);
         }
         Some(())
@@ -689,15 +743,21 @@ impl ThreadAlloc {
     /// cheapest shared color is eliminated outright (`R` drops).
     pub fn reduce_shared(&mut self) -> Option<isize> {
         let candidates = self.shared.clone();
-        self.reduce_with(&candidates, |alloc, c| alloc.eliminate_color(c))
+        let (next, delta) =
+            self.cheapest_trial(self.moves(), &candidates, ThreadAlloc::eliminate_color)?;
+        *self = next;
+        Some(delta)
     }
 
-    fn reduce_with(
-        &mut self,
+    /// Runs `step` for every candidate color on a clone of `self`, lets
+    /// the merge pass recover moves, and returns the first trial with
+    /// the fewest moves, with its move delta against `before`.
+    fn cheapest_trial(
+        &self,
+        before: usize,
         candidates: &[u32],
         step: impl Fn(&mut ThreadAlloc, u32) -> Option<()>,
-    ) -> Option<isize> {
-        let before = self.moves() as isize;
+    ) -> Option<(ThreadAlloc, isize)> {
         let mut best: Option<(ThreadAlloc, isize)> = None;
         for &c in candidates {
             let mut trial = self.clone();
@@ -705,14 +765,12 @@ impl ThreadAlloc {
                 continue;
             }
             trial.eliminate_unnecessary_moves();
-            let delta = trial.moves() as isize - before;
+            let delta = trial.moves() as isize - before as isize;
             if best.as_ref().is_none_or(|&(_, d)| delta < d) {
                 best = Some((trial, delta));
             }
         }
-        let (next, delta) = best?;
-        *self = next;
-        Some(delta)
+        best
     }
 
     /// Cost of the cheapest private-color elimination without applying
@@ -737,40 +795,38 @@ impl ThreadAlloc {
     /// moves: same-color neighbours always merge; differently-colored
     /// neighbours merge when one side can adopt the other's color
     /// without conflicts and the merge strictly reduces the move count.
+    ///
+    /// Passes scan the registers in order, each making at most the first
+    /// merge its scan finds, until no scan merges. A pass skips a
+    /// register whose scan would find nothing again: one that did not
+    /// merge in its last scan and whose live points no other fragment
+    /// has changed color over since (a same-color merge changes no
+    /// point's color). Its fragments are then unchanged, and so is every
+    /// `color_free` answer its scan depends on.
     pub fn eliminate_unnecessary_moves(&mut self) {
-        self.eliminate_moves_with(ThreadAlloc::try_merge_recolored);
-    }
-
-    /// The merge pass of [`eliminate_unnecessary_moves`](Self::eliminate_unnecessary_moves)
-    /// with the differently-colored merge decided by `try_merge`.
-    fn eliminate_moves_with(
-        &mut self,
-        try_merge: impl Fn(&mut ThreadAlloc, NodeId, NodeId) -> bool,
-    ) {
+        let nv = self.live.num_vregs();
+        let mut ends: Vec<Vec<(NodeId, NodeId)>> =
+            (0..nv).map(|vi| self.flow_ends(VReg(vi as u32))).collect();
+        let mut dirty: Vec<bool> = ends.iter().map(|e| !e.is_empty()).collect();
         loop {
             let mut changed = false;
-            'scan: for vi in 0..self.live.num_vregs() {
-                let v = VReg(vi as u32);
-                if self.num_fragments(v) <= 1 {
+            for vi in 0..nv {
+                if !std::mem::take(&mut dirty[vi]) {
                     continue;
                 }
-                let flows = self.live.flows(v).to_vec();
-                for (a, b) in flows {
-                    let na = self.node_at(v, a).expect("flow endpoint live");
-                    let nb = self.node_at(v, b).expect("flow endpoint live");
-                    if na == nb {
-                        continue;
-                    }
-                    if self.nodes[na.index()].color == self.nodes[nb.index()].color {
-                        self.merge(na, nb);
-                        changed = true;
-                        continue 'scan;
-                    }
-                    // Try adopting either side's color for the union.
-                    for (keep, give) in [(na, nb), (nb, na)] {
-                        if try_merge(self, keep, give) {
-                            changed = true;
-                            continue 'scan;
+                let Some((give, recolored)) = self.merge_first(&mut ends[vi]) else {
+                    continue;
+                };
+                changed = true;
+                dirty[vi] = true;
+                if recolored {
+                    let moved = &self.nodes[give.index()].points;
+                    for (wi, mark) in dirty.iter_mut().enumerate() {
+                        if wi != vi
+                            && !ends[wi].is_empty()
+                            && self.live.live(VReg(wi as u32)).intersects(moved)
+                        {
+                            *mark = true;
                         }
                     }
                 }
@@ -781,31 +837,81 @@ impl ThreadAlloc {
         }
     }
 
-    /// Attempts to merge `give` into `keep` under `keep`'s color;
-    /// commits only if legal and strictly move-reducing.
-    ///
-    /// The merge happens in place and is undone when `vreg`'s own move
-    /// count does not fall. That count decides exactly: a merge touches
-    /// only `vreg`'s fragments, so every other register's term of
-    /// [`moves`](Self::moves) is unchanged.
-    fn try_merge_recolored(&mut self, keep: NodeId, give: NodeId) -> bool {
+    /// The fragments at the two ends of each of `v`'s flow edges, in
+    /// flow order; empty while `v` is unsplit.
+    fn flow_ends(&self, v: VReg) -> Vec<(NodeId, NodeId)> {
+        if self.num_fragments(v) <= 1 {
+            return Vec::new();
+        }
+        let at = |h| self.node_at(v, h).expect("flow endpoint is live");
+        self.live
+            .flows(v)
+            .iter()
+            .map(|&(a, b)| (at(a), at(b)))
+            .collect()
+    }
+
+    /// One register's scan of the merge pass over its flow-edge `ends`:
+    /// makes the first merge it finds and returns the merged-away
+    /// fragment and whether that fragment changed color.
+    fn merge_first(&mut self, ends: &mut [(NodeId, NodeId)]) -> Option<(NodeId, bool)> {
+        for i in 0..ends.len() {
+            let (na, nb) = ends[i];
+            if na == nb {
+                continue;
+            }
+            if self.nodes[na.index()].color == self.nodes[nb.index()].color {
+                self.merge_ends(ends, na, nb);
+                return Some((nb, false));
+            }
+            // Try adopting either side's color for the union.
+            for (keep, give) in [(na, nb), (nb, na)] {
+                if self.try_merge_recolored(ends, keep, give) {
+                    return Some((give, true));
+                }
+            }
+        }
+        None
+    }
+
+    /// Merges `give` into `keep` under `keep`'s color if that is legal
+    /// and strictly lowers the register's moves, counted over its
+    /// flow-edge `ends` before and with `give` recolored. A merge touches
+    /// only that register's fragments, so every other register's term of
+    /// [`moves`](Self::moves) is unchanged. A rejected merge changes
+    /// nothing.
+    fn try_merge_recolored(
+        &mut self,
+        ends: &mut [(NodeId, NodeId)],
+        keep: NodeId,
+        give: NodeId,
+    ) -> bool {
         if !self.can_merge_recolored(keep, give) {
             return false;
         }
-        let vreg = self.nodes[keep.index()].vreg;
-        let before = self.vreg_moves(vreg);
-        let saved = (
-            self.nodes[keep.index()].points.clone(),
-            self.nodes[keep.index()].boundary,
-        );
-        self.merge(keep, give);
-        if self.vreg_moves(vreg) < before {
-            return true;
+        let color = |id: NodeId| self.nodes[id.index()].color;
+        let merged = |id: NodeId| color(if id == give { keep } else { id });
+        let before = ends.iter().filter(|&&(a, b)| color(a) != color(b)).count();
+        let after = ends
+            .iter()
+            .filter(|&&(a, b)| merged(a) != merged(b))
+            .count();
+        if after >= before {
+            return false;
         }
-        let node = &mut self.nodes[keep.index()];
-        (node.points, node.boundary) = saved;
-        self.nodes[give.index()].alive = true;
-        false
+        self.merge_ends(ends, keep, give);
+        true
+    }
+
+    /// Merges `give` into `keep` and repoints `give`'s flow-edge ends at
+    /// `keep`.
+    fn merge_ends(&mut self, ends: &mut [(NodeId, NodeId)], keep: NodeId, give: NodeId) {
+        self.merge(keep, give);
+        for end in ends.iter_mut().flat_map(|(a, b)| [a, b]) {
+            if *end == give {
+                *end = keep;
+            }
+        }
     }
 
     /// Whether `give` may join `keep` under `keep`'s color: a boundary
@@ -823,10 +929,18 @@ impl ThreadAlloc {
     // Internal consistency (used by tests and the verifier)
     // ------------------------------------------------------------------
 
-    /// Asserts every structural invariant; see [`crate::verify`] for the
-    /// fallible variant.
+    /// Asserts every structural invariant, and that the per-color index
+    /// matches a recount; see [`crate::verify`] for the fallible variant.
     pub fn assert_consistent(&self) {
         crate::verify::check_thread(self).expect("thread allocation invariant violated");
+        let mut recount = vec![Vec::new(); self.by_color.len()];
+        for id in self.node_ids() {
+            recount[self.nodes[id.index()].color as usize].push(id);
+        }
+        assert_eq!(
+            recount, self.by_color,
+            "per-color fragment index out of date"
+        );
     }
 }
 
@@ -1142,15 +1256,21 @@ bb3:
     }
 }
 
-/// The in-place, per-register merge check against the rule it
-/// replaced: merge on a clone of the whole allocation and commit when
-/// the whole-program move recount strictly falls.
+/// The incremental merge pass, the shared Lemma 1 explosion and the
+/// per-color index against the code they replaced: a merge pass that
+/// rescans every split register with `node_at` lookups and decides each
+/// merge on a clone by a whole-program move recount, an explosion per
+/// candidate color, and scans of the whole fragment list.
 #[cfg(test)]
 mod merge_oracle_tests {
     use super::demotion_tests::{DEMOTION, LEMMA1_PATTERN};
-    use super::tests::{setup, FIG3_T1, FIG9};
+    use super::tests::{FIG3_T1, FIG9};
     use super::*;
-    use std::cell::Cell;
+    use crate::bounds::estimate_bounds;
+    use regbal_analysis::ProgramInfo;
+    use regbal_ir::{parse_func, Func};
+    use regbal_workloads::stress::{stress_bundle, StressConfig};
+    use regbal_workloads::Kernel;
 
     /// Every move of the partition, recounted flow edge by flow edge.
     fn recount(a: &ThreadAlloc) -> usize {
@@ -1171,16 +1291,10 @@ mod merge_oracle_tests {
         total
     }
 
-    /// The replaced merge rule, verbatim but for [`recount`].
+    /// The replaced merge rule: merge on a clone of the whole allocation
+    /// and commit when the whole-program recount strictly falls.
     fn merge_by_recount(a: &mut ThreadAlloc, keep: NodeId, give: NodeId) -> bool {
-        let color = a.nodes[keep.index()].color;
-        let vreg = a.nodes[keep.index()].vreg;
-        let gpoints = a.nodes[give.index()].points.clone();
-        let union_boundary = a.nodes[keep.index()].boundary || a.nodes[give.index()].boundary;
-        if union_boundary && !a.private.contains(&color) {
-            return false;
-        }
-        if !a.color_free(&gpoints, color, vreg) {
+        if !a.can_merge_recolored(keep, give) {
             return false;
         }
         let before = recount(a);
@@ -1194,62 +1308,179 @@ mod merge_oracle_tests {
         }
     }
 
-    /// Every legal merge of two adjacent fragments of `raw` that the
-    /// in-place rule rejects must leave `raw` exactly as it was. Returns
-    /// how many of those undid a merge that made `keep` a boundary
-    /// fragment.
-    fn assert_rejected_merges_undo(raw: &ThreadAlloc, what: &str) -> usize {
-        let mut flips = 0;
+    /// The replaced merge pass: each pass rescans every split register,
+    /// finds both ends of each flow edge with `node_at`, and makes at
+    /// most one merge per register, until a pass changes nothing.
+    fn eliminate_by_rescan(a: &mut ThreadAlloc) {
+        loop {
+            let mut changed = false;
+            'scan: for vi in 0..a.live.num_vregs() {
+                let v = VReg(vi as u32);
+                if a.num_fragments(v) <= 1 {
+                    continue;
+                }
+                let flows = a.live.flows(v).to_vec();
+                for (x, y) in flows {
+                    let nx = a.node_at(v, x).unwrap();
+                    let ny = a.node_at(v, y).unwrap();
+                    if nx == ny {
+                        continue;
+                    }
+                    if a.nodes[nx.index()].color == a.nodes[ny.index()].color {
+                        a.merge(nx, ny);
+                        changed = true;
+                        continue 'scan;
+                    }
+                    for (keep, give) in [(nx, ny), (ny, nx)] {
+                        if merge_by_recount(a, keep, give) {
+                            changed = true;
+                            continue 'scan;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                return;
+            }
+        }
+    }
+
+    /// Lemma 1 with an explosion of its own for each candidate color,
+    /// as `reduce_private` ran it before the explosion was shared.
+    fn lemma1(a: &mut ThreadAlloc, banned: u32) -> Option<()> {
+        let fragments = a.explode_boundary_nodes();
+        a.recolor_exploded(&fragments, banned)
+    }
+
+    /// Every legal recolor merge of two adjacent fragments of `raw`
+    /// decides as the whole-program recount does, and one it rejects
+    /// leaves the state and the end table exactly as they were. Returns
+    /// how many it rejected.
+    fn assert_merge_decisions_agree(raw: &ThreadAlloc, what: &str) -> usize {
+        let raw_debug = format!("{raw:?}");
+        let mut rejected = 0;
         for vi in 0..raw.live.num_vregs() {
             let v = VReg(vi as u32);
-            for &(x, y) in raw.live.flows(v) {
-                let (nx, ny) = (raw.node_at(v, x).unwrap(), raw.node_at(v, y).unwrap());
-                if nx == ny {
+            let ends = raw.flow_ends(v);
+            for &(nx, ny) in &ends {
+                if raw.nodes[nx.index()].color == raw.nodes[ny.index()].color {
                     continue;
                 }
                 for (keep, give) in [(nx, ny), (ny, nx)] {
-                    let mut trial = raw.clone();
-                    if !trial.can_merge_recolored(keep, give)
-                        || trial.try_merge_recolored(keep, give)
-                    {
+                    if !raw.can_merge_recolored(keep, give) {
                         continue;
                     }
-                    assert_eq!(format!("{trial:?}"), format!("{raw:?}"), "{what}: undo");
-                    flips += usize::from(
-                        !raw.nodes[keep.index()].boundary && raw.nodes[give.index()].boundary,
+                    let (mut trial, mut trial_ends) = (raw.clone(), ends.clone());
+                    let mut reference = raw.clone();
+                    let merged = trial.try_merge_recolored(&mut trial_ends, keep, give);
+                    assert_eq!(
+                        merged,
+                        merge_by_recount(&mut reference, keep, give),
+                        "{what}"
                     );
+                    if merged {
+                        assert_eq!(format!("{trial:?}"), format!("{reference:?}"), "{what}");
+                        assert_eq!(trial_ends, trial.flow_ends(v), "{what}: repointed ends");
+                    } else {
+                        assert_eq!(format!("{trial:?}"), raw_debug, "{what}: rejected merge");
+                        assert_eq!(trial_ends, ends, "{what}: rejected merge's ends");
+                        rejected += 1;
+                    }
                 }
             }
         }
-        flips
+        rejected
     }
 
-    /// Runs both merge rules on clones of `raw` and demands identical
-    /// states and exact move accounting. Returns how many legal merges
-    /// the in-place rule tried and undid.
-    fn assert_rules_agree(raw: &ThreadAlloc, what: &str) -> usize {
+    /// Both merge passes on clones of `raw` reach identical states with
+    /// exact move accounting; returns the merged state.
+    fn assert_passes_agree(raw: &ThreadAlloc, what: &str) -> ThreadAlloc {
         assert_eq!(raw.moves(), recount(raw), "{what}: raw moves");
-        let undone = Cell::new(0);
         let mut fast = raw.clone();
-        fast.eliminate_moves_with(|a, keep, give| {
-            let legal = a.can_merge_recolored(keep, give);
-            let merged = a.try_merge_recolored(keep, give);
-            undone.set(undone.get() + usize::from(legal && !merged));
-            merged
-        });
+        fast.eliminate_unnecessary_moves();
         let mut reference = raw.clone();
-        reference.eliminate_moves_with(merge_by_recount);
+        eliminate_by_rescan(&mut reference);
         assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "{what}");
         fast.assert_consistent();
-        let per_vreg: usize = (0..fast.live.num_vregs())
-            .map(|v| fast.vreg_moves(VReg(v as u32)))
-            .sum();
         assert_eq!(fast.moves(), recount(&fast), "{what}: merged moves");
-        assert_eq!(per_vreg, recount(&fast), "{what}: per-register sum");
-        undone.get()
+        fast
     }
 
     type Step = fn(&mut ThreadAlloc, u32) -> Option<()>;
+
+    /// What a run of the harness covered.
+    #[derive(Debug, Default)]
+    struct Tally {
+        states: usize,
+        raw: usize,
+        lemma1: usize,
+        merged: usize,
+        rejected: usize,
+    }
+
+    /// Applies demote, Lemma 1 and eliminate for every candidate color
+    /// of `state`, checks both merge passes and every merge decision on
+    /// each raw result, and checks the shared explosion against the
+    /// per-candidate one. Returns the merged results.
+    fn check_state(state: &ThreadAlloc, name: &str, tally: &mut Tally) -> Vec<ThreadAlloc> {
+        let at = format!("{name} at pr={} sr={}", state.pr(), state.sr());
+        state.assert_consistent();
+        tally.states += 1;
+        let mut trials: Vec<(&str, Step, u32)> = Vec::new();
+        for &c in &state.private {
+            trials.push(("demote", ThreadAlloc::demote_private, c));
+            trials.push(("lemma1", lemma1, c));
+            trials.push(("eliminate", ThreadAlloc::eliminate_color, c));
+        }
+        for &c in &state.shared {
+            trials.push(("eliminate", ThreadAlloc::eliminate_color, c));
+        }
+        let mut next = Vec::new();
+        for (step, f, c) in trials {
+            let mut raw = state.clone();
+            if f(&mut raw, c).is_none() {
+                continue;
+            }
+            let what = format!("{at}: {step} {c}");
+            raw.assert_consistent();
+            tally.rejected += assert_merge_decisions_agree(&raw, &what);
+            let after = assert_passes_agree(&raw, &what);
+            tally.merged += usize::from(after.moves() < raw.moves());
+            tally.lemma1 += usize::from(step == "lemma1");
+            tally.raw += 1;
+            next.push(after);
+        }
+        let before = state.moves();
+        let shared = state.cheapest_lemma1_trial(before, &state.private);
+        let per_candidate = state.cheapest_trial(before, &state.private, lemma1);
+        assert_eq!(
+            format!("{shared:?}"),
+            format!("{per_candidate:?}"),
+            "{at}: Lemma 1"
+        );
+        next
+    }
+
+    /// The initial state of `f` and every state of its descent to its
+    /// bounds (Reduce-PR down to `MinPR`, then Reduce-SR down to `MinR`).
+    fn descent(f: &Func) -> Vec<ThreadAlloc> {
+        let info = ProgramInfo::compute(f);
+        let est = estimate_bounds(&info);
+        let live = Arc::new(LiveMap::compute(&info));
+        let mut state = ThreadAlloc::new(live, &est.coloring, est.bounds.max_pr, est.bounds.max_r);
+        let mut states = vec![state.clone()];
+        loop {
+            let stepped = (state.pr() > info.pressure.min_pr() && state.reduce_private().is_some())
+                || (state.r() > info.pressure.min_r()
+                    && state.sr() > 0
+                    && state.reduce_shared().is_some());
+            if !stepped {
+                break;
+            }
+            states.push(state.clone());
+        }
+        states
+    }
 
     /// A loop of `n` values, each live across two consecutive switches,
     /// plus a counter live everywhere: for odd `n` the BIG is an odd
@@ -1276,17 +1507,10 @@ mod merge_oracle_tests {
         src + &format!(" v{n} = sub v{n}, 1\n bne v{n}, 0, bb1, bb2\nbb2:\n halt\n}}")
     }
 
-    /// Every raw reduction step, on every color, at every state of each
-    /// fixture's descent to its bounds — and once more on each state a
-    /// step (and the merge pass) leads to.
-    #[test]
-    fn per_register_merge_check_matches_the_whole_program_recount() {
-        let private_steps: [(&str, Step); 3] = [
-            ("demote", ThreadAlloc::demote_private),
-            ("lemma1", ThreadAlloc::demote_private_lemma1),
-            ("eliminate", ThreadAlloc::eliminate_color),
-        ];
-        let (mut checked, mut merged, mut undone, mut flips) = (0, 0, 0, 0);
+    /// Every raw step, on every color, at every state of each fixture's
+    /// descent to its bounds — and once more on each state a step (and
+    /// the merge pass) leads to.
+    fn check_fixtures(tally: &mut Tally) {
         let rings = [ring(5, 0), ring(7, 0), ring(9, 2)];
         for (name, src) in [
             ("fig3", FIG3_T1),
@@ -1297,51 +1521,81 @@ mod merge_oracle_tests {
             ("ring7", rings[1].as_str()),
             ("ring9x2", rings[2].as_str()),
         ] {
-            let (info, mut state) = setup(src);
-            let mut frontier = vec![state.clone()];
-            loop {
-                let stepped = (state.pr() > info.pressure.min_pr()
-                    && state.reduce_private().is_some())
-                    || (state.r() > info.pressure.min_r()
-                        && state.sr() > 0
-                        && state.reduce_shared().is_some());
-                if !stepped {
-                    break;
-                }
-                frontier.push(state.clone());
-            }
+            let mut frontier = descent(&parse_func(src).unwrap());
             for _depth in 0..2 {
-                let mut next = Vec::new();
-                for state in &frontier {
-                    let mut trials: Vec<(&str, Step, u32)> = Vec::new();
-                    for &c in &state.private {
-                        trials.extend(private_steps.iter().map(|&(step, f)| (step, f, c)));
-                    }
-                    for &c in &state.shared {
-                        trials.push(("eliminate", ThreadAlloc::eliminate_color, c));
-                    }
-                    for (step, f, c) in trials {
-                        let mut raw = state.clone();
-                        if f(&mut raw, c).is_none() {
-                            continue;
-                        }
-                        let what =
-                            format!("{name}: {step} {c} at pr={} sr={}", state.pr(), state.sr());
-                        undone += assert_rules_agree(&raw, &what);
-                        flips += assert_rejected_merges_undo(&raw, &what);
-                        let mut after = raw.clone();
-                        after.eliminate_unnecessary_moves();
-                        merged += usize::from(after.moves() < raw.moves());
-                        checked += 1;
-                        next.push(after);
-                    }
-                }
-                frontier = next;
+                frontier = frontier
+                    .iter()
+                    .flat_map(|s| check_state(s, name, tally))
+                    .collect();
             }
         }
-        assert!(checked >= 30, "only {checked} raw states checked");
-        assert!(merged > 0, "no raw state had a move to merge away");
-        assert!(undone > 0, "no merge trial was ever undone");
-        assert!(flips > 0, "no undone merge had a boundary flag to restore");
+    }
+
+    /// Every raw step, on every color, at every state of each program's
+    /// descent to its bounds.
+    fn check_descents(programs: &[(String, Func)], tally: &mut Tally) {
+        for (name, f) in programs {
+            for state in descent(f) {
+                check_state(&state, name, tally);
+            }
+        }
+    }
+
+    /// The stress bundles of `seeds` at two threads, every class.
+    fn stress_programs(seeds: std::ops::Range<u64>) -> Vec<(String, Func)> {
+        let mut programs = Vec::new();
+        for seed in seeds {
+            for (class, config) in [
+                ("csb_dense", StressConfig::csb_dense()),
+                ("clique", StressConfig::clique()),
+                ("mixed", StressConfig::mixed()),
+            ] {
+                for (t, f) in stress_bundle(seed, 2, config).into_iter().enumerate() {
+                    programs.push((format!("{class} seed={seed} thread={t}"), f));
+                }
+            }
+        }
+        programs
+    }
+
+    fn kernels(which: &[Kernel]) -> Vec<(String, Func)> {
+        which
+            .iter()
+            .map(|k| (k.name().to_string(), k.build(0, 4)))
+            .collect()
+    }
+
+    /// The fixtures, one stress seed and the two kernels whose descents
+    /// check the most Lemma 1 explosions per second of a debug build.
+    #[test]
+    fn per_register_merge_check_matches_the_whole_program_recount() {
+        let mut tally = Tally::default();
+        check_fixtures(&mut tally);
+        let mut programs = stress_programs(0..1);
+        programs.extend(kernels(&[Kernel::Url, Kernel::L2l3fwdRx]));
+        check_descents(&programs, &mut tally);
+        assert!(tally.raw >= 80, "{tally:?}");
+        assert!(tally.lemma1 >= 30, "too few Lemma 1 explosions: {tally:?}");
+        assert!(
+            tally.merged > 0,
+            "no raw state had a move to merge away: {tally:?}"
+        );
+        assert!(
+            tally.rejected > 0,
+            "no legal merge was ever rejected: {tally:?}"
+        );
+    }
+
+    /// The same check over all 11 kernels and eight stress seeds (run in
+    /// release with `cargo test --release -p regbal-core -- --ignored`).
+    #[test]
+    #[ignore]
+    fn per_register_merge_check_matches_the_whole_program_recount_on_every_kernel() {
+        let mut tally = Tally::default();
+        check_fixtures(&mut tally);
+        let mut programs = stress_programs(0..8);
+        programs.extend(kernels(&Kernel::ALL));
+        check_descents(&programs, &mut tally);
+        assert!(tally.lemma1 >= 80, "too few Lemma 1 explosions: {tally:?}");
     }
 }

@@ -1256,9 +1256,9 @@ mod tests {
                 ..EngineConfig::default()
             };
             let targets: Vec<usize> = (4..=40).collect();
-            let swept = allocate_threads_sweep(&funcs, &targets, config.clone());
+            let swept = allocate_threads_sweep(&funcs, &targets, config);
             for (&t, got) in targets.iter().zip(&swept) {
-                let solo = allocate_threads_with(&funcs, t, config.clone());
+                let solo = allocate_threads_with(&funcs, t, config);
                 assert_eq!(
                     format!("{got:?}"),
                     format!("{solo:?}"),

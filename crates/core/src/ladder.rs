@@ -875,7 +875,7 @@ bb0:
         // Half the needed budget starves the first attempt; the
         // doubled retry covers the full descent, so the ladder settles
         // on the top rung with no degradations — only a retry record.
-        let cap = (iters + 1) / 2;
+        let cap = iters.div_ceil(2);
         let config = LadderConfig {
             engine: EngineConfig {
                 max_iterations: IterationBudget::Fixed(cap),

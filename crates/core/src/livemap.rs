@@ -234,16 +234,6 @@ impl LiveMap {
         true
     }
 
-    /// Number of moves needed if `v`'s live range is partitioned so that
-    /// `part` is one side: the count of cuttable flow edges crossing the
-    /// boundary of `part`.
-    pub fn cut_cost(&self, v: VReg, part: &BitSet) -> usize {
-        self.flows[v.index()]
-            .iter()
-            .filter(|(a, b)| part.contains(a.index()) != part.contains(b.index()))
-            .count()
-    }
-
     /// Number of moves between two specific parts (flow edges with one
     /// endpoint in each).
     pub fn moves_between(&self, v: VReg, a: &BitSet, b: &BitSet) -> usize {
@@ -297,14 +287,11 @@ mod tests {
         let mut part = BitSet::new(lm.num_halves());
         part.insert(1);
         part.insert(2);
-        // This part separates In(p1) from Out(p1): not atom-closed, and
-        // it crosses no cuttable flow edge.
+        // This part separates In(p1) from Out(p1): not atom-closed.
         assert!(!lm.is_atom_closed(v0, &part));
-        assert_eq!(lm.cut_cost(v0, &part), 0);
         part.insert(3);
-        // Atom-closed split between the nop and the store: one move.
+        // Atom-closed split between the nop and the store.
         assert!(lm.is_atom_closed(v0, &part));
-        assert_eq!(lm.cut_cost(v0, &part), 1);
     }
 
     #[test]
@@ -382,7 +369,6 @@ mod tests {
             s
         };
         assert_eq!(lm.moves_between(v0, &a, &b), 1);
-        assert_eq!(lm.cut_cost(v0, &a), 1);
         assert!(lm.is_atom_closed(v0, &a));
         assert!(lm.is_atom_closed(v0, &b));
     }

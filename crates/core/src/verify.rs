@@ -4,7 +4,7 @@
 //! satisfied, no thread can ever observe another thread's write to a
 //! register it relies on across a context switch.
 
-use crate::alloc::ThreadAlloc;
+use crate::alloc::{NodeId, ThreadAlloc};
 use regbal_ir::VReg;
 use std::fmt;
 
@@ -92,15 +92,22 @@ pub fn check_thread(alloc: &ThreadAlloc) -> Result<(), VerifyError> {
         }
     }
 
+    // Bucket the fragments by register and by color, ids ascending. The
+    // buckets are built here, not read from the allocation's own index,
+    // so that the check stays independent of the state it checks.
+    let mut by_vreg = vec![Vec::new(); live.num_vregs()];
+    let mut by_color = Vec::new();
+    for id in alloc.node_ids() {
+        by_vreg[alloc.node_vreg(id).index()].push(id);
+        by_color.push((alloc.node_color(id), id));
+    }
+    by_color.sort_unstable();
+
     // Per-register partition, atom closure, flags, palette membership.
-    for vi in 0..live.num_vregs() {
+    for (vi, frags) in by_vreg.iter().enumerate() {
         let v = VReg(vi as u32);
         let mut covered = regbal_ir::BitSet::new(live.num_halves());
-        let frags: Vec<_> = alloc
-            .node_ids()
-            .filter(|&id| alloc.node_vreg(id) == v)
-            .collect();
-        for &id in &frags {
+        for &id in frags {
             let pts = alloc.node_points(id);
             if pts.intersects(&covered) {
                 return Err(VerifyError::BadPartition(v));
@@ -128,25 +135,33 @@ pub fn check_thread(alloc: &ThreadAlloc) -> Result<(), VerifyError> {
         }
     }
 
-    // Same-color fragments of different registers never overlap.
-    let ids: Vec<_> = alloc.node_ids().collect();
-    for (i, &a) in ids.iter().enumerate() {
-        for &b in &ids[i + 1..] {
-            if alloc.node_vreg(a) == alloc.node_vreg(b) {
-                continue;
+    // Same-color fragments of different registers never overlap. Only
+    // fragments of one color can clash; the error names the lowest
+    // clashing id pair, the first an all-pairs scan would meet.
+    let mut first: Option<(NodeId, NodeId)> = None;
+    for group in by_color.chunk_by(|x, y| x.0 == y.0) {
+        'group: for (i, &(_, a)) in group.iter().enumerate() {
+            if first.is_some_and(|(fa, _)| fa < a) {
+                break;
             }
-            if alloc.node_color(a) == alloc.node_color(b)
-                && alloc.node_points(a).intersects(alloc.node_points(b))
-            {
-                return Err(VerifyError::Interference {
-                    a: alloc.node_vreg(a),
-                    b: alloc.node_vreg(b),
-                    color: alloc.node_color(a),
-                });
+            for &(_, b) in &group[i + 1..] {
+                if alloc.node_vreg(a) != alloc.node_vreg(b)
+                    && alloc.node_points(a).intersects(alloc.node_points(b))
+                {
+                    first = Some(first.map_or((a, b), |f| f.min((a, b))));
+                    break 'group;
+                }
             }
         }
     }
-    Ok(())
+    match first {
+        Some((a, b)) => Err(VerifyError::Interference {
+            a: alloc.node_vreg(a),
+            b: alloc.node_vreg(b),
+            color: alloc.node_color(a),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Checks the cross-thread feasibility condition of paper §2:
@@ -263,9 +278,6 @@ mod tests {
     // injection API and assert the verifier names it precisely.
     // ------------------------------------------------------------------
 
-    use crate::alloc::NodeId;
-    use regbal_ir::VReg;
-
     /// The (sole) fragment of `v`.
     fn node_of(alloc: &ThreadAlloc, v: VReg) -> NodeId {
         alloc
@@ -378,6 +390,94 @@ mod tests {
         }
         assert!(saw_atom_split, "some half tears the In/Out atom");
         assert!(saw_bad_partition, "some half leaves a partition hole");
+    }
+
+    /// The all-pairs interference scan the color-grouped one replaced.
+    fn first_clash_all_pairs(alloc: &ThreadAlloc) -> Result<(), VerifyError> {
+        let ids: Vec<_> = alloc.node_ids().collect();
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                if alloc.node_vreg(a) == alloc.node_vreg(b) {
+                    continue;
+                }
+                if alloc.node_color(a) == alloc.node_color(b)
+                    && alloc.node_points(a).intersects(alloc.node_points(b))
+                {
+                    return Err(VerifyError::Interference {
+                        a: alloc.node_vreg(a),
+                        b: alloc.node_vreg(b),
+                        color: alloc.node_color(a),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// How many fragment pairs clash.
+    fn clashes(alloc: &ThreadAlloc) -> usize {
+        let ids: Vec<_> = alloc.node_ids().collect();
+        let mut n = 0;
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                n += usize::from(
+                    alloc.node_vreg(a) != alloc.node_vreg(b)
+                        && alloc.node_color(a) == alloc.node_color(b)
+                        && alloc.node_points(a).intersects(alloc.node_points(b)),
+                );
+            }
+        }
+        n
+    }
+
+    /// With two or more clashes injected by `force_color` (each within
+    /// the palette the fragment may use, so only interference is
+    /// wrong), the color-grouped check names the same first clash as
+    /// the all-pairs scan — on unsplit kernels and on split ones.
+    #[test]
+    fn grouped_interference_check_names_the_all_pairs_first_clash() {
+        use crate::bounds::estimate_bounds;
+        use regbal_workloads::Kernel;
+        let (mut checked, mut split) = (0, 0);
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: usize| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) as usize % n
+        };
+        for k in [Kernel::Frag, Kernel::Drr, Kernel::Url, Kernel::WrapsTx] {
+            let info = ProgramInfo::compute(&k.build(0, 4));
+            let est = estimate_bounds(&info);
+            let live = Arc::new(LiveMap::compute(&info));
+            let mut base =
+                ThreadAlloc::new(live, &est.coloring, est.bounds.max_pr, est.bounds.max_r);
+            for _split in 0..2 {
+                let ids: Vec<NodeId> = base.node_ids().collect();
+                split += usize::from(ids.len() > info.num_vregs());
+                for _trial in 0..8 {
+                    let mut a = base.clone();
+                    while clashes(&a) < 2 {
+                        let id = ids[next(ids.len())];
+                        let mut palette = a.private_palette().to_vec();
+                        if !a.node_is_boundary(id) {
+                            palette.extend_from_slice(a.shared_palette());
+                        }
+                        a.force_color(id, palette[next(palette.len())]);
+                    }
+                    let want = first_clash_all_pairs(&a);
+                    assert!(want.is_err(), "{}: {want:?}", k.name());
+                    assert_eq!(check_thread(&a), want, "{}", k.name());
+                    checked += 1;
+                }
+                // Split the fragments for the second round.
+                if base.reduce_private().is_none() {
+                    base.reduce_shared();
+                }
+            }
+        }
+        assert_eq!(checked, 64);
+        assert!(split > 0, "no kernel was split");
     }
 
     #[test]

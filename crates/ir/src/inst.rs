@@ -137,20 +137,6 @@ impl Cond {
         Cond::GeU,
     ];
 
-    /// The condition with swapped truth value.
-    pub fn negate(self) -> Cond {
-        match self {
-            Cond::Eq => Cond::Ne,
-            Cond::Ne => Cond::Eq,
-            Cond::Lt => Cond::Ge,
-            Cond::Le => Cond::Gt,
-            Cond::Gt => Cond::Le,
-            Cond::Ge => Cond::Lt,
-            Cond::LtU => Cond::GeU,
-            Cond::GeU => Cond::LtU,
-        }
-    }
-
     /// Evaluates the condition on two 32-bit values.
     pub fn eval(self, lhs: u32, rhs: u32) -> bool {
         let (sl, sr) = (lhs as i32, rhs as i32);
@@ -533,12 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn cond_eval_and_negate() {
-        for c in Cond::ALL {
-            for (a, b) in [(0u32, 0u32), (1, 2), (u32::MAX, 1), (5, 5), (3, u32::MAX)] {
-                assert_ne!(c.eval(a, b), c.negate().eval(a, b), "{c:?} {a} {b}");
-            }
-        }
+    fn cond_eval_signed_and_unsigned() {
         assert!(Cond::Lt.eval(u32::MAX, 1)); // -1 < 1 signed
         assert!(!Cond::LtU.eval(u32::MAX, 1));
         assert!(Cond::GeU.eval(u32::MAX, 1));

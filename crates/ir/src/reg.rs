@@ -68,14 +68,6 @@ impl Reg {
             Reg::Phys(_) => None,
         }
     }
-
-    /// Returns the physical register, if this is one.
-    pub fn as_phys(self) -> Option<PReg> {
-        match self {
-            Reg::Phys(p) => Some(p),
-            Reg::Virt(_) => None,
-        }
-    }
 }
 
 impl From<VReg> for Reg {
@@ -168,9 +160,7 @@ mod tests {
     fn conversions() {
         let r: Reg = VReg(1).into();
         assert_eq!(r.as_virt(), Some(VReg(1)));
-        assert_eq!(r.as_phys(), None);
         let r: Reg = PReg(9).into();
-        assert_eq!(r.as_phys(), Some(PReg(9)));
         let o: Operand = 5i64.into();
         assert_eq!(o.reg(), None);
         let o: Operand = r.into();

@@ -1480,7 +1480,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut cache = fresh_cache(&config);
-        let lines = vec![
+        let lines = [
             alloc_line(1, 32, "balanced"),
             r#"{"id": 2, "kind": "shutdown"}"#.to_string(),
             r#"{"id": 3, "kind": "shutdown", "token": "wrong"}"#.to_string(),

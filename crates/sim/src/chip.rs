@@ -281,7 +281,7 @@ done:
     }
 
     /// The producer/consumer pipeline, parameterized so the equivalence
-    //// tests can build identical chips for every core.
+    /// tests can build identical chips for every core.
     fn pipeline_chip() -> Chip {
         let producer = parse_func(
             "func producer {\nbb0:\n v0 = mov 512\n v1 = mov 8\n v2 = mov 100\n jump push\npush:\n v3 = load sram[v0+0]\n store sram[v3+64], v2\n v3 = add v3, 4\n store sram[v0+0], v3\n v2 = add v2, 10\n v1 = sub v1, 1\n iter_end\n bne v1, 0, push, done\ndone:\n halt\n}",

@@ -1326,7 +1326,7 @@ mod sanitizer_tests {
         .unwrap();
         let t1 = parse_func("func b {\nbb0:\n r4 = mov 99\n halt\n}").unwrap();
         let mut s = Simulator::new(SimConfig::default());
-        let mut cfg = SanitizerConfig::with_layout(vec![0..4], Some(4..8));
+        let mut cfg = SanitizerConfig::with_layout(std::iter::once(0..4).collect(), Some(4..8));
         cfg.fragments.insert((0, 4), "v0#0".into());
         cfg.fragments.insert((1, 4), "v7#0".into());
         s.enable_sanitizer(cfg);

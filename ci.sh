@@ -90,7 +90,10 @@ cmp target/BENCH_EVAL_W1.json target/BENCH_EVAL_W4.json
 # any worker count — over both the replay harness and a real stdio
 # pipe. Both send every request at once, so the worker pool answers
 # multi-request waves. `--verify` fails on any served/one-shot
-# divergence; `replay` itself fails if any warm pass misses.
+# divergence; `replay` itself fails if any warm pass misses. The stdio
+# sessions end with a `stats` request, so the `cmp` also pins the
+# deterministic counters (hits, misses, trajectories, descents) across
+# worker counts.
 ./target/release/regbal serve --gen-trace target/serve_trace.json \
     --requests 100 --lines target/serve_requests.txt
 ./target/release/regbal serve --replay target/serve_trace.json \
@@ -100,9 +103,10 @@ cmp target/BENCH_EVAL_W1.json target/BENCH_EVAL_W4.json
     --passes 2 --workers 4 \
     --responses target/serve_responses_w4.txt
 cmp target/serve_responses_w1.txt target/serve_responses_w4.txt
-cat target/serve_requests.txt target/serve_requests.txt \
+echo '{"id":"stats","kind":"stats"}' > target/serve_stats_request.txt
+cat target/serve_requests.txt target/serve_requests.txt target/serve_stats_request.txt \
     | ./target/release/regbal serve --stdio --workers 1 > target/serve_stdio_w1.txt
-cat target/serve_requests.txt target/serve_requests.txt \
+cat target/serve_requests.txt target/serve_requests.txt target/serve_stats_request.txt \
     | ./target/release/regbal serve --stdio --workers 4 > target/serve_stdio_w4.txt
 cmp target/serve_stdio_w1.txt target/serve_stdio_w4.txt
 
@@ -152,10 +156,13 @@ rm -rf target/serve_gc
 # class — while the failure still reproduces) and appended to the
 # committed regression corpus, which `cargo test` replays forever
 # after. The closing --minimize pass keeps the whole corpus minimal:
-# on a healthy corpus it is the identity. Then the full-corpus replay
-# property: the scratchpad tier replayed from the plain spill loop's
-# picks must equal the scratch-aware reference loop on every stress
-# bundle of seeds 0-23 at Nreg 1-40 (about 3.5 minutes in release).
+# on a healthy corpus it is the identity. Then the full-corpus
+# properties of the spill trajectory: the scratchpad tier replayed from
+# the plain spill loop's picks must equal the scratch-aware reference
+# loop on every stress bundle of seeds 0-23 at Nreg 1-40, and one
+# trajectory asked Nreg 1-140 in any order must answer each size as a
+# fresh one does, on the 11 kernels and stress seeds 0-3 (about 3.5 and
+# 5 minutes in release).
 if [ "${1:-}" = "nightly" ]; then
     ./target/release/regbal fuzz --seconds "${FUZZ_SECONDS:-300}" \
         --archive tests/fuzz_regressions.txt

@@ -53,8 +53,10 @@ use std::time::{Duration, Instant};
 /// Final allocation of one thread.
 #[derive(Debug, Clone)]
 pub struct ThreadResult {
-    /// The analysis bundle of the thread's program.
-    pub info: ProgramInfo,
+    /// The analysis bundle of the thread's program, shared by every
+    /// snapshot of a descent (and by every spill round the thread's
+    /// program is unchanged in).
+    pub info: Arc<ProgramInfo>,
     /// The paper's §5 bounds for the thread.
     pub bounds: Bounds,
     /// The final intra-thread allocation state.
@@ -226,7 +228,7 @@ impl MultiAllocation {
 
 /// Builds the initial (upper-bound) allocation state for one function.
 pub(crate) fn initial_thread(func: &Func) -> ThreadResult {
-    let info = ProgramInfo::compute(func);
+    let info = Arc::new(ProgramInfo::compute(func));
     let (bounds, alloc) = initial_state(&info);
     ThreadResult {
         info,
@@ -592,25 +594,6 @@ pub fn allocate_threads_stats(
         .map(|alloc| (alloc, stats))
 }
 
-/// Allocates the same threads against *several* register-file sizes in
-/// one greedy descent, returning one verdict per entry of `targets`
-/// (order preserved, duplicates allowed).
-///
-/// The greedy reduction's step selection never consults `nreg` — the
-/// file size only decides where the descent *stops* (and which
-/// hopeless requests fail) — so every target's allocation lies on one
-/// shared trajectory: the state the moment the demand first fits. Each
-/// verdict, success or error, is **bit-identical** to what a separate
-/// [`allocate_threads_with`] call at that size returns; a sweep over
-/// `k` sizes simply pays for one search instead of `k`.
-pub fn allocate_threads_sweep(
-    funcs: &[Func],
-    targets: &[usize],
-    config: EngineConfig,
-) -> Vec<Result<MultiAllocation, AllocError>> {
-    sweep_stats(funcs, targets, config).0
-}
-
 /// One verified snapshot of the descent: the allocation a single-target
 /// run at `nreg` would have returned from this state.
 fn snapshot(threads: &[ThreadResult], nreg: usize) -> Result<MultiAllocation, AllocError> {
@@ -630,7 +613,7 @@ fn snapshot(threads: &[ThreadResult], nreg: usize) -> Result<MultiAllocation, Al
 
 /// The shared engine core: the initial states of `funcs`, then one
 /// greedy descent serving every target.
-fn sweep_stats(
+pub(crate) fn sweep_stats(
     funcs: &[Func],
     targets: &[usize],
     config: EngineConfig,
@@ -1232,7 +1215,8 @@ mod tests {
     fn sweep_matches_independent_runs_bit_for_bit() {
         let funcs = vec![odd_cycle(), hungry(), lean()];
         let targets: Vec<usize> = vec![128, 6, 32, 8, 32, 5, 0, 200, 10];
-        let swept = allocate_threads_sweep(&funcs, &targets, EngineConfig::default());
+        let swept =
+            crate::SpillTrajectory::new(&funcs, EngineConfig::default()).balanced(&targets);
         assert_eq!(swept.len(), targets.len());
         for (&t, got) in targets.iter().zip(&swept) {
             let solo = allocate_threads_with(&funcs, t, EngineConfig::default());
@@ -1256,7 +1240,7 @@ mod tests {
                 ..EngineConfig::default()
             };
             let targets: Vec<usize> = (4..=40).collect();
-            let swept = allocate_threads_sweep(&funcs, &targets, config);
+            let swept = crate::SpillTrajectory::new(&funcs, config).balanced(&targets);
             for (&t, got) in targets.iter().zip(&swept) {
                 let solo = allocate_threads_with(&funcs, t, config);
                 assert_eq!(

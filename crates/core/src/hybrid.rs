@@ -23,12 +23,14 @@ use crate::bounds::Bounds;
 use crate::chaitin::insert_spill_code;
 use crate::engine::{
     below_floor, demand_floor, initial_state, initial_threads, par_map, sweep_from, EngineConfig,
-    MultiAllocation, ThreadResult, ThreadSummary,
+    IterationBudget, MultiAllocation, ThreadResult, ThreadSummary,
 };
 use crate::error::AllocError;
 use regbal_analysis::{ProgramInfo, SpillCosts};
 use regbal_igraph::build_gig;
 use regbal_ir::{Func, MemSpace, VReg};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The scratchpad spill tier: a small fast shared store the cheapest
 /// spills are packed into before the overflow falls back to memory.
@@ -105,11 +107,8 @@ impl HybridAllocation {
         spill_base: i64,
         scratch: &ScratchParams,
     ) -> HybridAllocation {
-        let mut state = SpillState::new(funcs, spill_base, Some(scratch));
-        for pick in &self.picks {
-            state.spill(pick.thread, VReg(pick.vreg), pick.cost);
-        }
-        state.allocation(self.alloc.clone())
+        SpillState::replay(funcs, spill_base, Some(*scratch), &self.picks)
+            .allocation(self.alloc.clone())
     }
 }
 
@@ -121,19 +120,18 @@ const SPILL_SPACE: MemSpace = MemSpace::Sram;
 
 /// Base address of the hybrid spill area (per-thread areas are spaced
 /// a page apart). Public so callers that must reproduce
-/// [`allocate_threads_with_spill`] byte-for-byte through
-/// [`allocate_threads_with_spill_sweep`] — or share one spill-sweep
-/// trajectory between the hybrid and the ladder's balanced-spill rung,
-/// which packs from the equal [`crate::DEFAULT_LADDER_SPILL_BASE`] —
-/// can name the default.
+/// [`allocate_threads_with_spill`] byte-for-byte through a
+/// [`SpillTrajectory`] — or share one spill trajectory between the
+/// hybrid and the ladder's balanced-spill rung, which packs from the
+/// equal [`crate::DEFAULT_LADDER_SPILL_BASE`] — can name the default.
 pub const DEFAULT_SPILL_BASE: i64 = 0x7_8000;
 
 /// Allocates like [`allocate_threads`], but when the demand cannot be
 /// reduced to `nreg` by sharing and splitting alone, spills live ranges
 /// (cheapest first, from the thread with the highest residual demand)
 /// until it fits. Spill slots live above [`DEFAULT_SPILL_BASE`] and the
-/// engine runs with its default configuration; the one-target
-/// [`allocate_threads_with_spill_sweep`] takes both explicitly.
+/// engine runs with its default configuration; a [`SpillTrajectory`]
+/// takes both explicitly.
 ///
 /// # Errors
 ///
@@ -143,127 +141,348 @@ pub fn allocate_threads_with_spill(
     funcs: &[Func],
     nreg: usize,
 ) -> Result<HybridAllocation, AllocError> {
-    allocate_threads_with_spill_sweep(
-        funcs,
-        &[nreg],
-        DEFAULT_SPILL_BASE,
-        EngineConfig::default(),
-        None,
-    )
-    .pop()
-    .expect("one verdict per target")
+    SpillTrajectory::new(funcs, EngineConfig::default())
+        .hybrid(&[nreg], DEFAULT_SPILL_BASE)
+        .pop()
+        .expect("one verdict per target")
 }
 
-/// Hybrid allocation of one thread group against *several* register-file
-/// sizes at once. Which range spills in round `r` depends only on the
-/// spill-augmented programs — never on `nreg` — so every target shares
-/// one spill trajectory: each peels off at the first round whose
-/// balancing verdict is no longer [`AllocError::Infeasible`], receiving
-/// exactly the result a dedicated one-target run would produce, while
-/// the expensive balancing search per round is paid once via
-/// [`crate::allocate_threads_sweep`].
+/// The most register-file sizes a trajectory memoizes per side.
+const MEMO_SIZES: usize = 32;
+
+/// Verdicts by register-file size, at most [`MEMO_SIZES`] of them. A
+/// full memo evicts the size farthest from the one it takes in, so a
+/// client asking ever new sizes cannot grow a trajectory without bound;
+/// an evicted size is resolved again, identically, when asked again.
+#[derive(Debug)]
+struct Memo<V>(BTreeMap<usize, V>);
+
+impl<V: Clone> Memo<V> {
+    /// The sizes of `targets` not memoized, sorted and deduplicated.
+    fn missing(&self, targets: &[usize]) -> Vec<usize> {
+        let mut missing: Vec<usize> = targets
+            .iter()
+            .copied()
+            .filter(|t| !self.0.contains_key(t))
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        missing
+    }
+
+    /// The verdict at each of `targets`, read from the memo or from
+    /// `fresh` — the verdicts at `missing` — which are memoized after.
+    fn answer(&mut self, targets: &[usize], missing: Vec<usize>, fresh: Vec<V>) -> Vec<V> {
+        let fresh: BTreeMap<usize, V> = missing.into_iter().zip(fresh).collect();
+        let answers = targets
+            .iter()
+            .map(|t| {
+                fresh
+                    .get(t)
+                    .or_else(|| self.0.get(t))
+                    .expect("every size resolved")
+                    .clone()
+            })
+            .collect();
+        for (nreg, verdict) in fresh {
+            if self.0.len() == MEMO_SIZES {
+                let (&lo, _) = self.0.first_key_value().expect("a full memo");
+                let (&hi, _) = self.0.last_key_value().expect("a full memo");
+                let far = if nreg.abs_diff(lo) >= nreg.abs_diff(hi) {
+                    lo
+                } else {
+                    hi
+                };
+                self.0.remove(&far);
+            }
+            self.0.insert(nreg, verdict);
+        }
+        answers
+    }
+}
+
+/// The hybrid spill loop of one thread group as one lazy trajectory
+/// that answers the balanced and the hybrid verdict at every
+/// register-file size, asked in any order and any number of times.
+/// Each answer is exactly what a dedicated one-target run returns.
 ///
-/// Spill slots live above `spill_base`, with per-thread areas `0x1000`
-/// bytes apart. Callers that allocate several thread groups over one
-/// shared memory — e.g. the PUs of a `regbal-sim` `Chip` — must give
-/// each group a disjoint base or their spill slots would alias. The
-/// balancing retries run under `config`, so they inherit the caller's
-/// iteration budget (the degradation ladder threads its budget through
-/// here) and propagate any budget error of the engine (e.g.
-/// [`AllocError::IterationCapHit`]).
+/// The greedy descent reads `nreg` only to decide where to stop, and
+/// which range spills in round `r` depends only on the spill-augmented
+/// programs, never on `nreg`. So every size walks the same sequence of
+/// spill rounds and takes the first round whose balancing verdict is
+/// not [`AllocError::Infeasible`]; the balanced verdict is round 0's.
+/// The trajectory builds rounds only as deep as the sizes asked so far
+/// need. Per round it remembers a bound — the demand below which the
+/// round's descent is known to end `Infeasible` (the round's demand
+/// floor, raised by every `Infeasible` verdict's `needed`) — and a size
+/// below it moves on to the next round without a descent.
 ///
-/// `first`, when given, must hold one balancing verdict per target for
-/// the *unmodified* `funcs` under the same `config` (e.g. a cached
-/// sweep, or an earlier ladder rung's verdict); it replaces round 0's
-/// search. The engine is deterministic, so reusing the verdict is
-/// behaviour-preserving — it only skips the most expensive search of
-/// the loop.
+/// It keeps the input programs, round 0's analyses and engine start
+/// states (every descent of round 0 starts there), the deepest round
+/// reached with its programs, analyses and spill bookkeeping, each
+/// round's bound, and a bounded memo of recent verdicts per side. A
+/// size that resolves in an earlier round rebuilds that round for the
+/// query: the spill picks before it are replayed over the inputs and
+/// only the threads they touched are analysed again. A thread's
+/// analysis is shared by `Arc` between the rounds it is unchanged in
+/// and with every allocation built over it.
 ///
-/// The returned vector has one verdict per target, in input order;
-/// failures are reported per target exactly as the single-target entry
-/// points do.
-///
-/// The spill costs are computed once, from the *unmodified* `funcs`:
+/// The spill costs are computed once, from the *unmodified* programs:
 /// the costs of original, not-yet-spilled registers are unaffected by
 /// spill code inserted for other registers.
-pub fn allocate_threads_with_spill_sweep(
-    funcs: &[Func],
-    targets: &[usize],
-    spill_base: i64,
+#[derive(Debug)]
+pub struct SpillTrajectory {
+    funcs: Vec<Func>,
     config: EngineConfig,
-    first: Option<&[Result<MultiAllocation, AllocError>]>,
-) -> Vec<Result<HybridAllocation, AllocError>> {
-    if let Some(seeds) = first {
-        assert_eq!(
-            seeds.len(),
-            targets.len(),
-            "one round-0 seed per swept target"
+    /// Round 0's analyses and start states; empty until first needed.
+    first: Vec<Analysis>,
+    /// Recent balanced verdicts: round 0's.
+    balanced: Memo<Result<MultiAllocation, AllocError>>,
+    /// Recent hybrid verdicts, with slots above the deepest round's
+    /// spill base.
+    hybrid: Memo<Result<HybridAllocation, AllocError>>,
+    /// Each thread's spill costs; empty until the first hybrid query.
+    costs: Vec<SpillCosts>,
+    /// The deepest spill round reached; `None` until the first hybrid
+    /// query.
+    deep: Option<Round>,
+    /// Per round reached, the demand below which its descent is known
+    /// to end [`AllocError::Infeasible`].
+    bounds: Vec<usize>,
+    /// The spill count the loop gives up at, once the round after the
+    /// deepest is known not to exist.
+    diverged: Option<usize>,
+}
+
+impl SpillTrajectory {
+    /// A trajectory over `funcs` under `config`. Nothing is computed
+    /// until the first query.
+    pub fn new(funcs: &[Func], config: EngineConfig) -> SpillTrajectory {
+        SpillTrajectory {
+            funcs: funcs.to_vec(),
+            config,
+            first: Vec::new(),
+            balanced: Memo(BTreeMap::new()),
+            hybrid: Memo(BTreeMap::new()),
+            costs: Vec::new(),
+            deep: None,
+            bounds: Vec::new(),
+            diverged: None,
+        }
+    }
+
+    /// The balancing verdict at each of `targets` — bit-identical to a
+    /// dedicated [`crate::allocate_threads_with`] run under this
+    /// trajectory's config. Sizes not memoized descend together from
+    /// round 0's start states.
+    pub fn balanced(&mut self, targets: &[usize]) -> Vec<Result<MultiAllocation, AllocError>> {
+        let missing = self.balanced.missing(targets);
+        let fresh = if missing.is_empty() {
+            Vec::new()
+        } else {
+            let config = self.config;
+            balance_round(self.first(), &missing, config)
+        };
+        self.balanced.answer(targets, missing, fresh)
+    }
+
+    /// The hybrid verdict at each of `targets`, with spill slots above
+    /// `spill_base` — bit-identical to a fresh trajectory asked that
+    /// size alone, which is what [`allocate_threads_with_spill`] runs
+    /// at the default base and config. Sizes not memoized walk the
+    /// rounds together; a round past the deepest is built by one more
+    /// spill. A `spill_base` other than the previous query's replays
+    /// the picks at the new base.
+    pub fn hybrid(
+        &mut self,
+        targets: &[usize],
+        spill_base: i64,
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        self.start_hybrid(spill_base);
+        let missing = self.hybrid.missing(targets);
+        let fresh = self.walk_rounds(&missing);
+        self.hybrid.answer(targets, missing, fresh)
+    }
+
+    /// The hybrid verdicts of `targets`, each walking the rounds from
+    /// round 0 until one resolves it.
+    fn walk_rounds(&mut self, targets: &[usize]) -> Vec<Result<HybridAllocation, AllocError>> {
+        let mut results: Vec<Option<Result<HybridAllocation, AllocError>>> =
+            targets.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..targets.len()).collect();
+        let mut round = 0;
+        while !pending.is_empty() {
+            let (descend, mut next): (Vec<usize>, Vec<usize>) = pending
+                .into_iter()
+                .partition(|&i| targets[i] >= self.bounds[round]);
+            if !descend.is_empty() {
+                let sizes: Vec<usize> = descend.iter().map(|&i| targets[i]).collect();
+                for (i, verdict) in descend.into_iter().zip(self.resolve_round(round, &sizes)) {
+                    match verdict {
+                        Some(verdict) => results[i] = Some(verdict),
+                        None => next.push(i),
+                    }
+                }
+            }
+            if !next.is_empty() && round == self.bounds.len() - 1 && !self.extend() {
+                let rounds = self
+                    .diverged
+                    .expect("a trajectory that cannot extend has diverged");
+                for &i in &next {
+                    results[i] = Some(Err(AllocError::SpillDiverged { rounds }));
+                }
+                break;
+            }
+            pending = next;
+            round += 1;
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every target resolved"))
+            .collect()
+    }
+
+    /// Round 0's analyses, built on first need.
+    fn first(&mut self) -> &mut Vec<Analysis> {
+        if self.first.is_empty() {
+            self.first = initial_threads(&self.funcs, self.config.parallel)
+                .into_iter()
+                .map(|t| Analysis {
+                    info: t.info,
+                    start: Some(Arc::new((t.bounds, t.alloc))),
+                })
+                .collect();
+        }
+        &mut self.first
+    }
+
+    /// Round 0 of the spill loop, on the first hybrid query; a later
+    /// query at another spill base moves the deepest round's slots and
+    /// forgets the hybrid verdicts at the old one.
+    fn start_hybrid(&mut self, spill_base: i64) {
+        match &mut self.deep {
+            Some(deep) if deep.state.spill_base != spill_base => {
+                deep.state = SpillState::replay(&self.funcs, spill_base, None, &deep.state.picks);
+                self.hybrid.0.clear();
+            }
+            Some(_) => {}
+            None => {
+                let analyses = self.first().clone();
+                self.bounds = vec![floor_bound(&analyses, self.config)];
+                self.costs = self.funcs.iter().map(SpillCosts::compute).collect();
+                self.deep = Some(Round {
+                    state: SpillState::new(&self.funcs, spill_base, None),
+                    analyses,
+                });
+            }
+        }
+    }
+
+    /// The hybrid verdicts of `sizes` in round `round`, each `None`
+    /// when the round's descent ends [`AllocError::Infeasible`] there
+    /// (the size moves on, and the round's bound rises to the verdict's
+    /// `needed`). Round 0 answers from the balanced verdicts; a round
+    /// before the deepest is rebuilt for the query.
+    fn resolve_round(
+        &mut self,
+        round: usize,
+        sizes: &[usize],
+    ) -> Vec<Option<Result<HybridAllocation, AllocError>>> {
+        let depth = self.bounds.len() - 1;
+        let mut rebuilt = (round < depth).then(|| self.rebuild(round));
+        let verdicts = if round == 0 {
+            self.balanced(sizes)
+        } else {
+            let analyses = match &mut rebuilt {
+                Some(r) => &mut r.analyses,
+                None => &mut self.deep.as_mut().expect("hybrid started").analyses,
+            };
+            balance_round(analyses, sizes, self.config)
+        };
+        let state = match &rebuilt {
+            Some(r) => &r.state,
+            None => &self.deep.as_ref().expect("hybrid started").state,
+        };
+        let bound = &mut self.bounds[round];
+        verdicts
+            .into_iter()
+            .map(|verdict| match verdict {
+                Ok(alloc) => Some(Ok(state.allocation(alloc))),
+                Err(AllocError::Infeasible { needed, .. }) => {
+                    *bound = (*bound).max(needed);
+                    None
+                }
+                Err(other) => Some(Err(other)),
+            })
+            .collect()
+    }
+
+    /// Round `round` (before the deepest) rebuilt from the inputs: the
+    /// picks before it replayed, and only the threads they touched
+    /// analysed again.
+    fn rebuild(&self, round: usize) -> Round {
+        let deep = self.deep.as_ref().expect("hybrid started");
+        let state = SpillState::replay(
+            &self.funcs,
+            deep.state.spill_base,
+            None,
+            &deep.state.picks[..round],
         );
+        let touched: Vec<usize> = (0..self.funcs.len())
+            .filter(|&t| state.spills[t] > 0)
+            .collect();
+        let infos = par_map(&touched, self.config.parallel, |&t| {
+            ProgramInfo::compute(&state.work[t])
+        });
+        let mut analyses = self.first.clone();
+        for (t, info) in touched.into_iter().zip(infos) {
+            analyses[t] = Analysis::of(info);
+        }
+        Round { state, analyses }
     }
-    let costs: Vec<SpillCosts> = funcs.iter().map(SpillCosts::compute).collect();
-    let mut state = SpillState::new(funcs, spill_base, None);
-    // Each thread's analyses, filled on first need and then refreshed
-    // only for the thread that spilled: spilling cannot change the
-    // other threads' programs.
-    let mut analyses: Vec<Analysis> = Vec::new();
 
-    let mut results: Vec<Option<Result<HybridAllocation, AllocError>>> =
-        targets.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = (0..targets.len()).collect();
-
-    for round in 0..MAX_SPILL_ROUNDS {
-        let verdicts: Vec<Result<MultiAllocation, AllocError>> = match (round, first) {
-            (0, Some(seeds)) => pending.iter().map(|&i| seeds[i].clone()).collect(),
-            _ => {
-                let pending_targets: Vec<usize> =
-                    pending.iter().map(|&i| targets[i]).collect();
-                balance_round(&mut analyses, &state.work, &pending_targets, config)
-            }
-        };
-        let mut still = Vec::with_capacity(pending.len());
-        for (&i, verdict) in pending.iter().zip(verdicts) {
-            match verdict {
-                Ok(alloc) => results[i] = Some(Ok(state.allocation(alloc))),
-                Err(AllocError::Infeasible { .. }) => still.push(i),
-                Err(other) => results[i] = Some(Err(other)),
-            }
+    /// Builds the round after the deepest by one more spill: the
+    /// cheapest range of the most demanding thread. Returns `false`, and
+    /// records the spill count the loop reports, when the loop gives up
+    /// instead — no range is left to spill, or the round would be one
+    /// past [`MAX_SPILL_ROUNDS`].
+    fn extend(&mut self) -> bool {
+        if self.diverged.is_some() {
+            return false;
         }
-        pending = still;
-        if pending.is_empty() {
-            break;
-        }
-        if analyses.is_empty() {
-            analyses = par_map(&state.work, config.parallel, |f| Analysis {
-                info: ProgramInfo::compute(f),
-                start: None,
-            });
-        }
-        let pressure: Vec<usize> = analyses.iter().map(|a| a.info.pressure.regp_max).collect();
+        let deep = self.deep.as_mut().expect("hybrid started");
+        let pressure: Vec<usize> = deep
+            .analyses
+            .iter()
+            .map(|a| a.info.pressure.regp_max)
+            .collect();
         let t = most_demanding_thread(&pressure);
-        let Some(v) = spill_candidate(&analyses[t].info, &state.already[t], &costs[t]) else {
-            break;
+        let spilled = deep.state.rounds();
+        let Some(v) = spill_candidate(
+            &deep.analyses[t].info,
+            &deep.state.already[t],
+            &self.costs[t],
+        ) else {
+            self.diverged = Some(spilled);
+            return false;
         };
-        state.spill(t, v, costs[t].cost(v.0));
-        analyses[t] = Analysis {
-            info: ProgramInfo::compute(&state.work[t]),
-            start: None,
-        };
+        if spilled + 1 == MAX_SPILL_ROUNDS {
+            self.diverged = Some(MAX_SPILL_ROUNDS);
+            return false;
+        }
+        deep.state.spill(t, v, self.costs[t].cost(v.0));
+        deep.analyses[t] = Analysis::of(ProgramInfo::compute(&deep.state.work[t]));
+        self.bounds.push(floor_bound(&deep.analyses, self.config));
+        true
     }
-    let rounds = state.rounds();
-    for &i in &pending {
-        results[i] = Some(Err(AllocError::SpillDiverged { rounds }));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every target resolved"))
-        .collect()
 }
 
 /// The spill-augmented programs and the record of every eviction so
 /// far. The one place that knows the slot policy: the loop spills with
 /// no scratchpad, [`HybridAllocation::with_scratch`] replays its picks
 /// with one.
-struct SpillState<'a> {
+#[derive(Debug)]
+struct SpillState {
     work: Vec<Func>,
     spills: Vec<usize>,
     scratch_spills: Vec<usize>,
@@ -273,11 +492,11 @@ struct SpillState<'a> {
     next_slot: Vec<i64>,
     spad_used: usize,
     spill_base: i64,
-    scratch: Option<&'a ScratchParams>,
+    scratch: Option<ScratchParams>,
 }
 
-impl<'a> SpillState<'a> {
-    fn new(funcs: &[Func], spill_base: i64, scratch: Option<&'a ScratchParams>) -> Self {
+impl SpillState {
+    fn new(funcs: &[Func], spill_base: i64, scratch: Option<ScratchParams>) -> Self {
         SpillState {
             work: funcs.to_vec(),
             spills: vec![0; funcs.len()],
@@ -292,6 +511,20 @@ impl<'a> SpillState<'a> {
             spill_base,
             scratch,
         }
+    }
+
+    /// The state after spilling `picks`, in order, from `funcs`.
+    fn replay(
+        funcs: &[Func],
+        spill_base: i64,
+        scratch: Option<ScratchParams>,
+        picks: &[SpillPick],
+    ) -> Self {
+        let mut state = SpillState::new(funcs, spill_base, scratch);
+        for pick in picks {
+            state.spill(pick.thread, VReg(pick.vreg), pick.cost);
+        }
+        state
     }
 
     /// Spills `v` of thread `t`, whose static cost is `cost`: to the
@@ -340,40 +573,64 @@ impl<'a> SpillState<'a> {
     }
 }
 
-/// One thread's analyses, kept across spill rounds.
-struct Analysis {
-    info: ProgramInfo,
-    /// The engine's initial state over `info`, built on the first round
-    /// that descends.
-    start: Option<(Bounds, ThreadAlloc)>,
+/// One spill round: its programs and spill bookkeeping, and each
+/// thread's analyses.
+#[derive(Debug)]
+struct Round {
+    state: SpillState,
+    analyses: Vec<Analysis>,
 }
 
-/// One round's balancing verdicts for `targets` — each exactly what
-/// [`crate::allocate_threads_sweep`] over `work` returns. A round whose demand
-/// floor exceeds every target resolves from the analyses alone; any
-/// other descends from the kept initial states, building only the
-/// missing ones.
-fn balance_round(
-    analyses: &mut Vec<Analysis>,
-    work: &[Func],
-    targets: &[usize],
-    config: EngineConfig,
-) -> Vec<Result<MultiAllocation, AllocError>> {
-    if analyses.is_empty() {
-        *analyses = initial_threads(work, config.parallel)
-            .into_iter()
-            .map(|t| Analysis {
-                info: t.info,
-                start: Some((t.bounds, t.alloc)),
-            })
-            .collect();
+/// One thread's analyses in one spill round.
+#[derive(Debug, Clone)]
+struct Analysis {
+    info: Arc<ProgramInfo>,
+    /// The engine's initial state over `info`, built on the round's
+    /// first descent.
+    start: Option<Arc<(Bounds, ThreadAlloc)>>,
+}
+
+impl Analysis {
+    fn of(info: ProgramInfo) -> Analysis {
+        Analysis {
+            info: Arc::new(info),
+            start: None,
+        }
     }
-    let floor = demand_floor(
+}
+
+/// The demand floor of a round's threads.
+fn round_floor(analyses: &[Analysis]) -> usize {
+    demand_floor(
         &analyses
             .iter()
             .map(|a| (a.info.pressure.min_pr(), a.info.pressure.min_r()))
             .collect::<Vec<_>>(),
-    );
+    )
+}
+
+/// The bound a round starts with: below its demand floor every descent
+/// ends `Infeasible` — unless a zero budget reports
+/// [`AllocError::IterationCapHit`] there instead.
+fn floor_bound(analyses: &[Analysis], config: EngineConfig) -> usize {
+    if config.max_iterations == IterationBudget::Fixed(0) {
+        0
+    } else {
+        round_floor(analyses)
+    }
+}
+
+/// One round's balancing verdicts for `targets` — each exactly what
+/// [`crate::allocate_threads_with`] over the round's programs returns.
+/// A round whose demand floor exceeds every target resolves from the
+/// analyses alone; any other descends from the kept initial states,
+/// building only the missing ones.
+fn balance_round(
+    analyses: &mut [Analysis],
+    targets: &[usize],
+    config: EngineConfig,
+) -> Vec<Result<MultiAllocation, AllocError>> {
+    let floor = round_floor(analyses);
     if targets.iter().all(|&t| floor > t) {
         return targets
             .iter()
@@ -387,16 +644,16 @@ fn balance_round(
         initial_state(&analyses[t].info)
     });
     for (t, start) in missing.into_iter().zip(built) {
-        analyses[t].start = Some(start);
+        analyses[t].start = Some(Arc::new(start));
     }
     let threads = analyses
         .iter()
         .map(|a| {
-            let (bounds, alloc) = a.start.clone().expect("every start state built");
+            let (bounds, alloc) = a.start.as_deref().expect("every start state built");
             ThreadResult {
                 info: a.info.clone(),
-                bounds,
-                alloc,
+                bounds: *bounds,
+                alloc: alloc.clone(),
             }
         })
         .collect();
@@ -447,9 +704,7 @@ fn spill_candidate(info: &ProgramInfo, already: &[bool], costs: &SpillCosts) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        allocate_threads, allocate_threads_sweep, allocate_threads_with, IterationBudget,
-    };
+    use crate::engine::{allocate_threads, allocate_threads_with, sweep_stats};
     use regbal_ir::parse_func;
 
     /// A function with five co-live values across a switch.
@@ -500,31 +755,23 @@ bb0:
         assert_eq!(hybrid.funcs[0], hot(), "programs untouched");
     }
 
-    /// One target of the spill sweep at an explicit base and engine,
-    /// round 0 seeded with `first` when given.
+    /// One target of the spill sweep at an explicit base.
     fn spill_at(
         funcs: &[Func],
         nreg: usize,
         spill_base: i64,
-        first: Option<Result<MultiAllocation, AllocError>>,
     ) -> Result<HybridAllocation, AllocError> {
-        let seeds = first.map(|verdict| vec![verdict]);
-        allocate_threads_with_spill_sweep(
-            funcs,
-            &[nreg],
-            spill_base,
-            EngineConfig::default(),
-            seeds.as_deref(),
-        )
-        .pop()
-        .unwrap()
+        SpillTrajectory::new(funcs, EngineConfig::default())
+            .hybrid(&[nreg], spill_base)
+            .pop()
+            .unwrap()
     }
 
     #[test]
     fn explicit_spill_base_relocates_slots() {
         let funcs = vec![hot(), hot()];
-        let a = spill_at(&funcs, 8, 0x1_0000, None).unwrap();
-        let b = spill_at(&funcs, 8, 0x2_0000, None).unwrap();
+        let a = spill_at(&funcs, 8, 0x1_0000).unwrap();
+        let b = spill_at(&funcs, 8, 0x2_0000).unwrap();
         // Same spill decisions, different slot addresses.
         assert_eq!(a.spills, b.spills);
         assert!(a.spills.iter().sum::<usize>() > 0);
@@ -532,22 +779,66 @@ bb0:
         // The default entry point keeps its historical area.
         let d = allocate_threads_with_spill(&funcs, 8).unwrap();
         assert_eq!(d.spills, a.spills);
+        // One trajectory asked at several bases moves its slots with
+        // each query, and answers each base like a fresh run.
+        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
+        for (base, want) in [(0x1_0000, &a), (0x2_0000, &b), (0x1_0000, &a)] {
+            let got = traj.hybrid(&[8], base).pop().unwrap().unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "base {base:#x}");
+        }
     }
 
+    /// A client asking ever new sizes grows no memo past
+    /// [`MEMO_SIZES`], and a size asked again after its eviction gets
+    /// the fresh run's verdict.
+    #[test]
+    fn memos_stay_bounded_under_ever_new_sizes() {
+        let funcs = vec![hot(), hot()];
+        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
+        let sizes: Vec<usize> = (1..=3 * MEMO_SIZES).collect();
+        for &n in sizes.iter().chain(&sizes) {
+            traj.balanced(&[n]);
+            traj.hybrid(&[n], DEFAULT_SPILL_BASE);
+            assert!(traj.balanced.0.len() <= MEMO_SIZES, "nreg={n}");
+            assert!(traj.hybrid.0.len() <= MEMO_SIZES, "nreg={n}");
+        }
+        let fresh = || SpillTrajectory::new(&funcs, EngineConfig::default());
+        for n in [1, 8, 2 * MEMO_SIZES, 3 * MEMO_SIZES] {
+            assert_eq!(
+                format!("{:?}", traj.balanced(&[n])),
+                format!("{:?}", fresh().balanced(&[n])),
+                "nreg={n}"
+            );
+            assert_eq!(
+                format!("{:?}", traj.hybrid(&[n], DEFAULT_SPILL_BASE)),
+                format!("{:?}", fresh().hybrid(&[n], DEFAULT_SPILL_BASE)),
+                "nreg={n}"
+            );
+        }
+    }
+
+    /// A trajectory whose round 0 was resolved by balanced queries
+    /// spills exactly like a fresh loop, and the verdicts it reuses
+    /// are the dedicated balanced runs'.
     #[test]
     fn seeded_round_zero_matches_the_unseeded_loop() {
         let funcs = vec![hot(), hot()];
-        let verdict = allocate_threads_with(&funcs, 8, EngineConfig::default());
-        assert!(verdict.is_err());
-        let seeded = spill_at(&funcs, 8, DEFAULT_SPILL_BASE, Some(verdict)).unwrap();
+        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
+        let balanced = traj.balanced(&[8, 32]);
+        for (nreg, verdict) in [8, 32].into_iter().zip(&balanced) {
+            let solo = allocate_threads_with(&funcs, nreg, EngineConfig::default());
+            assert_eq!(format!("{verdict:?}"), format!("{solo:?}"));
+        }
+        assert!(balanced[0].is_err());
+        let mut seeded = traj.hybrid(&[8, 32], DEFAULT_SPILL_BASE).into_iter();
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
-        assert_eq!(seeded.funcs, plain.funcs);
-        assert_eq!(seeded.spills, plain.spills);
-        // Seeding with a success short-circuits without touching code.
-        let ok = allocate_threads_with(&funcs, 32, EngineConfig::default());
-        let seeded_ok = spill_at(&funcs, 32, DEFAULT_SPILL_BASE, Some(ok)).unwrap();
-        assert_eq!(seeded_ok.spills, vec![0, 0]);
-        assert_eq!(seeded_ok.funcs[0], hot());
+        let spilled = seeded.next().unwrap().unwrap();
+        assert_eq!(spilled.funcs, plain.funcs);
+        assert_eq!(spilled.spills, plain.spills);
+        // A size round 0 fits is answered without touching code.
+        let fit = seeded.next().unwrap().unwrap();
+        assert_eq!(fit.spills, vec![0, 0]);
+        assert_eq!(fit.funcs[0], hot());
     }
 
     /// The shared spill trajectory must hand every swept size the exact
@@ -558,13 +849,8 @@ bb0:
     fn spill_sweep_matches_independent_runs() {
         let funcs = vec![hot(), hot()];
         let targets = [32usize, 8, 1, 12, 8, 2];
-        let swept = allocate_threads_with_spill_sweep(
-            &funcs,
-            &targets,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            None,
-        );
+        let swept = SpillTrajectory::new(&funcs, EngineConfig::default())
+            .hybrid(&targets, DEFAULT_SPILL_BASE);
         for (&t, got) in targets.iter().zip(&swept) {
             let solo = allocate_threads_with_spill(&funcs, t);
             match (got, &solo) {
@@ -581,15 +867,8 @@ bb0:
                 other => panic!("verdict kind diverged at nreg={t}: {other:?}"),
             }
         }
-        // Seeding round 0 from a balanced sweep is behaviour-preserving.
-        let seeds = allocate_threads_sweep(&funcs, &targets, EngineConfig::default());
-        let seeded = allocate_threads_with_spill_sweep(
-            &funcs,
-            &targets,
-            DEFAULT_SPILL_BASE,
-            EngineConfig::default(),
-            Some(&seeds),
-        );
+        // Answering round 0 from a balanced sweep is behaviour-preserving.
+        let seeded = balanced_first(&funcs, &targets, EngineConfig::default());
         for ((&t, a), b) in targets.iter().zip(&swept).zip(&seeded) {
             assert_eq!(
                 format!("{a:?}"),
@@ -757,30 +1036,36 @@ bb0:
         .unwrap()
     }
 
+    /// The hybrid verdicts at `targets` of a trajectory whose round 0
+    /// balanced queries at the same sizes resolved first.
+    fn balanced_first(
+        funcs: &[Func],
+        targets: &[usize],
+        config: EngineConfig,
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        let mut traj = SpillTrajectory::new(funcs, config);
+        traj.balanced(targets);
+        traj.hybrid(targets, DEFAULT_SPILL_BASE)
+    }
+
     /// The spill loop without kept state, with the scratchpad slot
     /// policy applied while it spills: every round descends over all
-    /// programs through [`allocate_threads_sweep`] and recomputes each
-    /// analysis for the pressure and the candidate.
+    /// programs through the engine's own sweep, from fresh analyses,
+    /// and recomputes each analysis for the pressure and the candidate.
     fn recomputing_spill_sweep(
         funcs: &[Func],
         targets: &[usize],
         config: EngineConfig,
-        first: Option<&[Result<MultiAllocation, AllocError>]>,
         scratch: Option<&ScratchParams>,
     ) -> Vec<Result<HybridAllocation, AllocError>> {
         let costs: Vec<SpillCosts> = funcs.iter().map(SpillCosts::compute).collect();
-        let mut state = SpillState::new(funcs, DEFAULT_SPILL_BASE, scratch);
+        let mut state = SpillState::new(funcs, DEFAULT_SPILL_BASE, scratch.copied());
         let mut results: Vec<Option<Result<HybridAllocation, AllocError>>> =
             targets.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..targets.len()).collect();
-        for round in 0..MAX_SPILL_ROUNDS {
-            let verdicts = match (round, first) {
-                (0, Some(seeds)) => pending.iter().map(|&i| seeds[i].clone()).collect(),
-                _ => {
-                    let pending_targets: Vec<usize> = pending.iter().map(|&i| targets[i]).collect();
-                    allocate_threads_sweep(&state.work, &pending_targets, config)
-                }
-            };
+        for _ in 0..MAX_SPILL_ROUNDS {
+            let pending_targets: Vec<usize> = pending.iter().map(|&i| targets[i]).collect();
+            let verdicts = sweep_stats(&state.work, &pending_targets, config).0;
             let mut still = Vec::new();
             for (&i, verdict) in pending.iter().zip(verdicts) {
                 match verdict {
@@ -814,16 +1099,14 @@ bb0:
 
     /// Keeping each thread's analyses and initial state across rounds,
     /// and resolving floor-only rounds without a descent, changes no
-    /// verdict: across iteration budgets, seeded and unseeded round 0,
-    /// the scratchpad tier's settings, and targets below the floor,
-    /// that spill and then fit, and that diverge.
+    /// verdict: across iteration budgets, a fresh trajectory and one
+    /// whose round 0 balanced queries resolved first, the scratchpad
+    /// tier's settings, and targets below the floor, that spill and
+    /// then fit, and that diverge.
     #[test]
     fn kept_state_loop_matches_the_recomputing_reference() {
         let funcs = vec![hot(), csb_dense(), hot()];
         let targets = [1usize, 4, 8, 11, 14, 20, 32];
-        // Round-0 seeds from the default engine: under a starved budget
-        // their `Infeasible` verdicts still lead to floor-only rounds.
-        let seeds = allocate_threads_sweep(&funcs, &targets, EngineConfig::default());
         let mut kinds = std::collections::BTreeSet::new();
         for budget in [
             IterationBudget::Adaptive,
@@ -836,23 +1119,19 @@ bb0:
                 max_iterations: budget,
                 ..EngineConfig::default()
             };
-            for first in [None, Some(seeds.as_slice())] {
-                let plain = allocate_threads_with_spill_sweep(
-                    &funcs,
-                    &targets,
-                    DEFAULT_SPILL_BASE,
-                    config,
-                    first,
-                );
+            for seeded in [false, true] {
+                let plain = if seeded {
+                    balanced_first(&funcs, &targets, config)
+                } else {
+                    SpillTrajectory::new(&funcs, config).hybrid(&targets, DEFAULT_SPILL_BASE)
+                };
                 for params in [None, Some(scratch(0)), Some(scratch(2))] {
                     let got = replayed(&plain, &funcs, params.as_ref());
-                    let want =
-                        recomputing_spill_sweep(&funcs, &targets, config, first, params.as_ref());
+                    let want = recomputing_spill_sweep(&funcs, &targets, config, params.as_ref());
                     assert_eq!(
                         format!("{got:?}"),
                         format!("{want:?}"),
-                        "{budget:?}, seeded: {}, scratch: {params:?}",
-                        first.is_some()
+                        "{budget:?}, seeded: {seeded}, scratch: {params:?}"
                     );
                     kinds.extend(got.iter().map(|v| match v {
                         Ok(h) if h.picks.is_empty() => "fit",
@@ -887,7 +1166,8 @@ bb0:
     }
 
     /// The replay oracle over one corpus: for every thread group, with
-    /// an unseeded and a seeded round 0, the plain sweep followed by
+    /// a fresh trajectory and one whose round 0 balanced queries
+    /// resolved first, the plain sweep followed by
     /// [`HybridAllocation::with_scratch`] must be `Debug`-identical to
     /// the reference loop spilling into the scratchpad as it goes, at
     /// every capacity and every target in `targets`. Returns how many
@@ -899,26 +1179,21 @@ bb0:
         let config = EngineConfig::default();
         let mut kinds = std::collections::BTreeMap::new();
         for (name, funcs) in groups {
-            let seeds = allocate_threads_sweep(funcs, targets, config);
-            for first in [None, Some(seeds.as_slice())] {
-                let plain = allocate_threads_with_spill_sweep(
-                    funcs,
-                    targets,
-                    DEFAULT_SPILL_BASE,
-                    config,
-                    first,
-                );
+            for seeded in [false, true] {
+                let plain = if seeded {
+                    balanced_first(funcs, targets, config)
+                } else {
+                    SpillTrajectory::new(funcs, config).hybrid(targets, DEFAULT_SPILL_BASE)
+                };
                 for capacity in [0, 1, 3, 16] {
                     let params = scratch(capacity);
                     let got = replayed(&plain, funcs, Some(&params));
-                    let want =
-                        recomputing_spill_sweep(funcs, targets, config, first, Some(&params));
+                    let want = recomputing_spill_sweep(funcs, targets, config, Some(&params));
                     for ((&nreg, g), w) in targets.iter().zip(&got).zip(&want) {
                         assert_eq!(
                             format!("{g:?}"),
                             format!("{w:?}"),
-                            "{name} nreg={nreg} capacity={capacity} seeded={}",
-                            first.is_some()
+                            "{name} nreg={nreg} capacity={capacity} seeded={seeded}"
                         );
                         let kind = match g {
                             Ok(h) if h.picks.iter().any(|p| p.to_scratch) => "scratch-resident",
@@ -980,6 +1255,220 @@ bb0:
         let targets: Vec<usize> = (1..=24).step_by(3).chain([32]).collect();
         let kinds = assert_replay_matches_scratch_loop(&groups, &targets);
         for kind in ["fit", "scratch-resident", "memory-only", "spill-diverged"] {
+            assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
+        }
+    }
+
+    /// splitmix64: the test orders' deterministic generator.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The orders a trajectory is asked `sizes` in: ascending,
+    /// descending, shuffled, and a random walk that repeats sizes.
+    fn orders(sizes: &[usize], seed: u64) -> [Vec<usize>; 4] {
+        let mut ascending = sizes.to_vec();
+        ascending.sort_unstable();
+        let descending = ascending.iter().rev().copied().collect();
+        let mut state = seed;
+        let mut shuffled = ascending.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let mut at = ascending.len() / 2;
+        let walk = (0..2 * ascending.len())
+            .map(|_| {
+                at = (at + (splitmix(&mut state) % 7) as usize)
+                    .saturating_sub(3)
+                    .min(ascending.len() - 1);
+                ascending[at]
+            })
+            .collect();
+        [ascending, descending, shuffled, walk]
+    }
+
+    /// The order-independence oracle over one corpus: for every thread
+    /// group and budget, one trajectory per order of [`orders`] is asked
+    /// the hybrid and the balanced verdict at each size — hybrid first
+    /// in the odd orders — and every answer's `Debug` text must equal,
+    /// by digest, a fresh trajectory's asked that size alone. Returns
+    /// how many fresh verdicts of each kind were compared, with
+    /// `rebuilt` counting the spilled answers that came from a round
+    /// before the deepest.
+    fn assert_order_independent(
+        groups: &[(String, Vec<Func>)],
+        sizes: &[usize],
+        budgets: &[IterationBudget],
+    ) -> std::collections::BTreeMap<&'static str, usize> {
+        let mut kinds = std::collections::BTreeMap::new();
+        for (g, (name, funcs)) in groups.iter().enumerate() {
+            for &budget in budgets {
+                let config = EngineConfig {
+                    max_iterations: budget,
+                    ..EngineConfig::default()
+                };
+                let mut fresh = std::collections::BTreeMap::new();
+                for &n in sizes {
+                    let balanced = SpillTrajectory::new(funcs, config).balanced(&[n]).pop();
+                    let hybrid = SpillTrajectory::new(funcs, config)
+                        .hybrid(&[n], DEFAULT_SPILL_BASE)
+                        .pop();
+                    for kind in [
+                        verdict_kind(&balanced.clone().unwrap()),
+                        verdict_kind(&hybrid.clone().unwrap().map(|h| h.alloc)),
+                    ] {
+                        *kinds.entry(kind).or_insert(0) += 1;
+                    }
+                    if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty()) {
+                        *kinds.entry("spilled").or_insert(0) += 1;
+                    }
+                    fresh.insert(n, (debug_digest(&balanced), debug_digest(&hybrid)));
+                }
+                for (k, order) in orders(sizes, g as u64).into_iter().enumerate() {
+                    let mut traj = SpillTrajectory::new(funcs, config);
+                    for &n in &order {
+                        let what = format!("{name} {budget:?} order {k} nreg={n}");
+                        let ask_balanced = |traj: &mut SpillTrajectory| {
+                            let balanced = traj.balanced(&[n]).pop();
+                            assert_eq!(debug_digest(&balanced), fresh[&n].0, "{what}");
+                        };
+                        if k % 2 == 0 {
+                            ask_balanced(&mut traj);
+                        }
+                        let depth = traj.bounds.len().saturating_sub(1);
+                        let hybrid = traj.hybrid(&[n], DEFAULT_SPILL_BASE).pop();
+                        if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty() && h.picks.len() < depth)
+                        {
+                            *kinds.entry("rebuilt").or_insert(0) += 1;
+                        }
+                        assert_eq!(debug_digest(&hybrid), fresh[&n].1, "{what}");
+                        if k % 2 == 1 {
+                            ask_balanced(&mut traj);
+                        }
+                    }
+                }
+            }
+        }
+        kinds
+    }
+
+    /// An FNV-1a digest of `value`'s `Debug` text, streamed: a verdict's
+    /// text carries every thread's analysis and runs to megabytes.
+    fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+        std::fmt::Write::write_fmt(&mut digest, format_args!("{value:?}")).unwrap();
+        digest.0
+    }
+
+    /// A verdict's kind, for the corpus tallies.
+    fn verdict_kind(verdict: &Result<MultiAllocation, AllocError>) -> &'static str {
+        match verdict {
+            Ok(_) => "fit",
+            Err(AllocError::Infeasible { .. }) => "infeasible",
+            Err(AllocError::IterationCapHit { .. }) => "iteration-cap",
+            Err(AllocError::SpillDiverged { .. }) => "spill-diverged",
+            Err(_) => "other",
+        }
+    }
+
+    /// The kernels of the suite, each as a group of `threads` copies.
+    fn kernel_groups(
+        kernels: &[regbal_workloads::Kernel],
+        threads: &[usize],
+    ) -> Vec<(String, Vec<Func>)> {
+        let mut groups = Vec::new();
+        for &kernel in kernels {
+            for &n in threads {
+                groups.push((
+                    format!("{} x{n}", kernel.name()),
+                    (0..n).map(|slot| kernel.build(slot, 4)).collect(),
+                ));
+            }
+        }
+        groups
+    }
+
+    /// One trajectory answers every size exactly as a fresh one asked
+    /// that size alone, whatever order the sizes arrive in — including
+    /// sizes resolved in a round before the deepest, which the
+    /// trajectory rebuilds — under the default budget and small fixed
+    /// ones.
+    #[test]
+    fn trajectory_answers_every_size_in_any_order() {
+        let mut groups = vec![
+            ("hot x2".to_string(), vec![hot(), hot()]),
+            ("hot dense hot".to_string(), vec![hot(), csb_dense(), hot()]),
+        ];
+        // The cheapest stress class; the others take seconds each in a
+        // debug build (the ignored test covers them).
+        groups.extend(
+            stress_groups(0..1, &[2])
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("csb_dense")),
+        );
+        // Every size up to 24, so each `Infeasible` verdict's `needed`
+        // that a later size can equal is asked too.
+        let sizes: Vec<usize> = (1..=24).chain([30, 40, 64, 140]).collect();
+        let budgets = [
+            IterationBudget::Adaptive,
+            IterationBudget::Fixed(0),
+            IterationBudget::Fixed(2),
+        ];
+        let mut kinds = assert_order_independent(&groups, &sizes, &budgets);
+        // A kernel whose descent stalls above its demand floor, so a
+        // round's bound rises past the floor.
+        let drr = kernel_groups(&[regbal_workloads::Kernel::Drr], &[2]);
+        for (kind, n) in assert_order_independent(&drr, &sizes, &[IterationBudget::Adaptive]) {
+            *kinds.entry(kind).or_insert(0) += n;
+        }
+        for kind in [
+            "fit",
+            "infeasible",
+            "iteration-cap",
+            "spill-diverged",
+            "spilled",
+            "rebuilt",
+        ] {
+            assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
+        }
+    }
+
+    /// The order-independence property over the suite's 11 kernels and
+    /// stress seeds 0–3, at 2 and 4 threads, Nreg 1–140. Slow (run in
+    /// release with `cargo test --release -p regbal-core -- --ignored`).
+    #[test]
+    #[ignore]
+    fn trajectory_answers_every_size_in_any_order_on_the_full_corpus() {
+        let mut groups = kernel_groups(&regbal_workloads::Kernel::ALL, &[2, 4]);
+        groups.extend(stress_groups(0..4, &[2, 4]));
+        let sizes: Vec<usize> = (1..=140).collect();
+        let budgets = [
+            IterationBudget::Adaptive,
+            IterationBudget::Fixed(1),
+            IterationBudget::Fixed(8),
+        ];
+        let kinds = assert_order_independent(&groups, &sizes, &budgets);
+        for kind in [
+            "fit",
+            "infeasible",
+            "iteration-cap",
+            "spill-diverged",
+            "spilled",
+            "rebuilt",
+        ] {
             assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
         }
     }

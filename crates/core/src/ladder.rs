@@ -14,7 +14,7 @@
 //!    overflow sent to memory (the balanced-spill verdict replayed
 //!    through [`HybridAllocation::with_scratch`]);
 //! 3. **balanced-spill** — balancing plus last-resort spilling, all
-//!    slots in memory ([`crate::allocate_threads_with_spill_sweep`]);
+//!    slots in memory ([`crate::allocate_threads_with_spill`]);
 //! 4. **fixed-partition** — the stock compiler's model: each thread gets
 //!    a private bank of `Nreg / Nthd` registers and a Chaitin allocator
 //!    ([`crate::chaitin`]);
@@ -57,9 +57,7 @@ use crate::engine::{
     allocate_threads_with, EngineConfig, IterationBudget, MultiAllocation, ThreadSummary,
 };
 use crate::error::{AllocError, Degradation, LadderStep, RungRetry};
-use crate::hybrid::{
-    allocate_threads_with_spill_sweep, HybridAllocation, ScratchParams, SpillPick,
-};
+use crate::hybrid::{HybridAllocation, ScratchParams, SpillPick, SpillTrajectory};
 use regbal_analysis::ProgramInfo;
 use regbal_ir::{Func, MemSpace, Reg, VReg};
 
@@ -413,8 +411,8 @@ pub struct RungProviders<'a> {
     /// ([`crate::allocate_threads_with`] on the unmodified `funcs`).
     pub balanced: Option<Provider<'a, MultiAllocation>>,
     /// The plain hybrid verdict both spilling rungs are read from
-    /// ([`crate::allocate_threads_with_spill_sweep`] at this ladder's
-    /// spilling rung base): balanced-spill takes it as is,
+    /// ([`crate::SpillTrajectory::hybrid`] at this ladder's spilling
+    /// rung base): balanced-spill takes it as is,
     /// balanced-scratch replays its picks into the scratchpad.
     pub balanced_spill: Option<Provider<'a, HybridAllocation>>,
 }
@@ -558,11 +556,10 @@ impl SpillVerdicts<'_> {
                 let base = config.rung_base(LadderStep::BalancedSpill);
                 let verdict = match provided {
                     Some(provider) => provider(),
-                    None => {
-                        allocate_threads_with_spill_sweep(funcs, &[nreg], base, engine, None)
-                            .pop()
-                            .expect("one verdict per target")
-                    }
+                    None => SpillTrajectory::new(funcs, engine)
+                        .hybrid(&[nreg], base)
+                        .pop()
+                        .expect("one verdict per target"),
                 };
                 self.verdicts.push((engine, verdict));
                 self.verdicts.len() - 1

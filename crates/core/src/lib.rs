@@ -60,16 +60,15 @@ pub mod verify;
 pub use alloc::{NodeId, ThreadAlloc};
 pub use bounds::{estimate_bounds, Bounds};
 pub use engine::{
-    allocate_threads, allocate_threads_stats, allocate_threads_sweep, allocate_threads_with,
-    force_min_bounds,
+    allocate_threads, allocate_threads_stats, allocate_threads_with, force_min_bounds,
     zero_cost_frontier, EngineConfig, EngineStats, IterationBudget, MultiAllocation,
     ThreadResult, ThreadSummary, ADAPTIVE_CAP_FACTOR, DEFAULT_ITERATION_CAP, MIN_ITERATION_CAP,
 };
 pub use error::{AllocError, Degradation, LadderStep, RungRetry};
 pub use half::HalfPoint;
 pub use hybrid::{
-    allocate_threads_with_spill, allocate_threads_with_spill_sweep, HybridAllocation,
-    ScratchParams, SpillPick, DEFAULT_SPILL_BASE,
+    allocate_threads_with_spill, HybridAllocation, ScratchParams, SpillPick, SpillTrajectory,
+    DEFAULT_SPILL_BASE,
 };
 pub use ladder::{
     allocate_ladder, allocate_ladder_with, LadderAllocation, LadderConfig, LadderError,

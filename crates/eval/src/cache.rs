@@ -8,35 +8,30 @@
 //! trajectory ([`regbal_core::HybridAllocation::with_scratch`] replays
 //! its picks into the scratchpad). On top of that, the engine's greedy
 //! descent never consults the register-file size while choosing steps,
-//! so one trajectory answers *every* swept `Nreg` at once
-//! ([`regbal_core::allocate_threads_sweep`]) and likewise one spill
-//! trajectory answers every hybrid cell
-//! ([`regbal_core::allocate_threads_with_spill_sweep`]).
+//! and the hybrid's spill picks never read it either, so one lazy
+//! [`regbal_core::SpillTrajectory`] answers the balanced and the hybrid
+//! verdict at *every* `Nreg`.
 //!
 //! This cache therefore stores one [`SweepColumn`] per
 //! `(scenario index, pu)`: within a scenario the PU's function set is
 //! fixed and the engine config is the default everywhere, so the key
-//! pins every input of the search, and a lookup at any `Nreg` of the
-//! sweep costs one shared computation for the whole column. The
-//! allocation server keeps one column per resident module for the same
-//! reason.
+//! pins every input of the search, and a lookup at any `Nreg` is
+//! answered from the column's one trajectory. The allocation server
+//! keeps one column per resident module for the same reason.
 //!
 //! Sharing is behaviour-preserving by construction: the engine is
-//! deterministic and the sweep entry points return bit-identical
-//! verdicts to dedicated per-size runs (proven by the core crate's
-//! equivalence tests). The sharded sweep's workers therefore produce
-//! byte-identical reports with the cache on or off, at any worker
-//! count.
+//! deterministic and the trajectory returns bit-identical verdicts to
+//! dedicated per-size runs, in any query order (proven by the core
+//! crate's equivalence tests). The sharded sweep's workers therefore
+//! produce byte-identical reports with the cache on or off, at any
+//! worker count.
 //!
-//! A cache over an empty sweep answers every lookup with a dedicated
-//! run. That is how the uncached callers allocate —
-//! [`crate::Strategy::compile`] and the server's one-shot path — so
-//! they run the very code the cached sweep runs.
+//! A fresh column's first lookup is a dedicated run. That is how the
+//! uncached callers allocate — [`crate::Strategy::compile`] and the
+//! server's one-shot path, each over a fresh column — so they run the
+//! very code the cached sweep runs.
 
-use regbal_core::{
-    allocate_threads, allocate_threads_sweep, allocate_threads_with_spill_sweep, AllocError,
-    EngineConfig, HybridAllocation, MultiAllocation,
-};
+use regbal_core::{AllocError, EngineConfig, HybridAllocation, MultiAllocation, SpillTrajectory};
 use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
 use std::collections::HashMap;
@@ -48,61 +43,73 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// size). The strategy is implied by which verdict is asked for.
 pub type CacheKey = (usize, usize, usize);
 
-/// The key of one whole-sweep column: (scenario index, PU).
+/// The key of one column: (scenario index, PU).
 type GroupKey = (usize, usize);
 
-type Verdicts<T> = OnceLock<Vec<Result<T, AllocError>>>;
-
-/// The whole-sweep descents of one fixed thread set: the balanced
-/// sweep, plus the hybrid spill sweep whose round 0 is seeded from it.
-/// Each descent runs at most once, on first demand, and answers every
-/// swept size; a size off the sweep falls back to an uncached dedicated
-/// run. Callers racing on one column block on its [`OnceLock`]s, so
-/// exactly one of them runs each descent.
+/// One fixed thread set's lazy [`SpillTrajectory`] behind a lock. Each
+/// lookup resolves only the size it asks, from the trajectory, which
+/// memoizes recent verdicts per side. Callers racing on one column
+/// block on its lock, so a verdict the trajectory still holds is
+/// computed once.
 ///
 /// A column does not own its functions: every call must pass the same
-/// thread set, and every on-sweep hybrid call the same spill base,
-/// since the first call fixes the stored trajectory.
+/// thread set, since the first call fixes the stored trajectory.
 #[derive(Debug)]
 pub struct SweepColumn {
-    sweep: Vec<usize>,
     descents: Arc<AtomicU64>,
-    balanced: Verdicts<MultiAllocation>,
-    hybrid: Verdicts<HybridAllocation>,
+    state: Mutex<ColumnState>,
+}
+
+/// What a column has computed so far.
+#[derive(Debug, Default)]
+struct ColumnState {
+    trajectory: Option<SpillTrajectory>,
+    balanced_started: bool,
+    hybrid_started: bool,
 }
 
 impl SweepColumn {
-    /// An empty column over the register-file sizes `sweep`, counting
-    /// every descent it actually runs into `descents`.
-    pub fn new(sweep: Vec<usize>, descents: Arc<AtomicU64>) -> SweepColumn {
+    /// An empty column, counting into `descents` each side of its
+    /// trajectory — balanced and hybrid — the first time it is asked.
+    pub fn new(descents: Arc<AtomicU64>) -> SweepColumn {
         SweepColumn {
-            sweep,
             descents,
-            balanced: OnceLock::new(),
-            hybrid: OnceLock::new(),
+            state: Mutex::default(),
         }
     }
 
-    fn position(&self, nreg: usize) -> Option<usize> {
-        self.sweep.iter().position(|&n| n == nreg)
-    }
-
-    /// Fills `slot` with `run`'s descent on first demand, counting it.
-    fn descend<'a, T>(
+    /// `query` run on the column's trajectory over `funcs`, under the
+    /// column's lock, counting the `hybrid` or balanced side on its
+    /// first lookup. A panic in an allocation poisons the lock and may
+    /// leave the trajectory half-updated, so the recovered state drops
+    /// it (each verdict is then computed afresh, identically); the
+    /// started flags stay, and the column is still counted once per
+    /// side.
+    fn query<T>(
         &self,
-        slot: &'a Verdicts<T>,
-        run: impl FnOnce() -> Vec<Result<T, AllocError>>,
-    ) -> &'a [Result<T, AllocError>] {
-        slot.get_or_init(|| {
+        funcs: &[Func],
+        hybrid: bool,
+        query: impl FnOnce(&mut SpillTrajectory) -> Vec<T>,
+    ) -> T {
+        let mut state = self.state.lock().unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            state.trajectory = None;
+            self.state.clear_poison();
+            state
+        });
+        let state = &mut *state;
+        let started = if hybrid {
+            &mut state.hybrid_started
+        } else {
+            &mut state.balanced_started
+        };
+        if !std::mem::replace(started, true) {
             self.descents.fetch_add(1, Ordering::Relaxed);
-            run()
-        })
-    }
-
-    fn balanced_sweep(&self, funcs: &[Func]) -> &[Result<MultiAllocation, AllocError>] {
-        self.descend(&self.balanced, || {
-            allocate_threads_sweep(funcs, &self.sweep, EngineConfig::default())
-        })
+        }
+        let trajectory = state
+            .trajectory
+            .get_or_insert_with(|| SpillTrajectory::new(funcs, EngineConfig::default()));
+        query(trajectory).pop().expect("one verdict per target")
     }
 
     /// The balanced-engine verdict for `funcs` at `nreg` registers —
@@ -114,17 +121,15 @@ impl SweepColumn {
     /// The engine's own verdict — [`AllocError::Infeasible`] and
     /// friends are cached and replayed like successes.
     pub fn balanced(&self, funcs: &[Func], nreg: usize) -> Result<MultiAllocation, AllocError> {
-        match self.position(nreg) {
-            Some(pos) => self.balanced_sweep(funcs)[pos].clone(),
-            None => allocate_threads(funcs, nreg),
-        }
+        self.query(funcs, false, |trajectory| trajectory.balanced(&[nreg]))
     }
 
     /// The hybrid (balancing + last-resort spilling) verdict for
-    /// `funcs` at `nreg` registers with spill slots above `spill_base`.
-    /// On-sweep, all sizes share one spill trajectory whose round 0 is
-    /// seeded from the balanced sweep, so a column that already ran (or
-    /// will run) the balanced descent never pays for it twice.
+    /// `funcs` at `nreg` registers with spill slots above `spill_base` —
+    /// bit-identical to a dedicated [`SpillTrajectory::hybrid`] run.
+    /// Its round 0 is the trajectory's balanced side, so a column that
+    /// answered a balanced verdict at a size still held in its memo
+    /// never descends for it twice.
     ///
     /// # Errors
     ///
@@ -135,27 +140,9 @@ impl SweepColumn {
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        match self.position(nreg) {
-            Some(pos) => self.descend(&self.hybrid, || {
-                allocate_threads_with_spill_sweep(
-                    funcs,
-                    &self.sweep,
-                    spill_base,
-                    EngineConfig::default(),
-                    Some(self.balanced_sweep(funcs)),
-                )
-            })[pos]
-                .clone(),
-            None => allocate_threads_with_spill_sweep(
-                funcs,
-                &[nreg],
-                spill_base,
-                EngineConfig::default(),
-                None,
-            )
-            .pop()
-            .expect("one verdict per target"),
-        }
+        self.query(funcs, true, |trajectory| {
+            trajectory.hybrid(&[nreg], spill_base)
+        })
     }
 }
 
@@ -163,21 +150,20 @@ impl SweepColumn {
 /// stored results is cheap relative to the searches they replace; the
 /// map locks are held only to fetch a column, never during allocation,
 /// so concurrent workers computing *different* columns don't serialise
-/// (workers racing on the *same* column share its descents).
+/// (workers racing on the *same* column share its trajectory).
 pub struct AllocCache {
-    /// The swept register-file sizes, in report order. Lookups at a
-    /// size outside this list fall back to uncached dedicated runs.
-    sweep: Vec<usize>,
     columns: Mutex<HashMap<GroupKey, Arc<SweepColumn>>>,
-    /// Descents run across every column.
+    /// Trajectory sides started across every column.
     descents: Arc<AtomicU64>,
 }
 
 impl AllocCache {
-    /// A fresh cache for the given `Nreg` sweep.
-    pub fn new(sweep: Vec<usize>) -> AllocCache {
+    /// A fresh cache. The `Nreg` sweep it is given is not read: every
+    /// column resolves only the sizes it is asked, so a cache over any
+    /// sweep — or none, the uncached callers' choice — allocates the
+    /// same way.
+    pub fn new(_sweep: Vec<usize>) -> AllocCache {
         AllocCache {
-            sweep,
             columns: Mutex::default(),
             descents: Arc::default(),
         }
@@ -189,24 +175,27 @@ impl AllocCache {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
-            .or_insert_with(|| {
-                Arc::new(SweepColumn::new(self.sweep.clone(), self.descents.clone()))
-            })
+            .or_insert_with(|| Arc::new(SweepColumn::new(self.descents.clone())))
             .clone()
     }
 
     /// Number of spill-cost models computed so far: one per column
-    /// whose hybrid descent ran, which computes its threads' costs
+    /// whose hybrid side started, which computes its threads' costs
     /// once for every (strategy, nreg) cell that reads it.
     pub fn cost_computes(&self) -> usize {
         self.columns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .values()
-            .filter(|column| column.hybrid.get().is_some())
+            .filter(|column| {
+                column
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .hybrid_started
+            })
             .count()
     }
-
     /// The balanced-engine verdict for `funcs` at `key.2` registers,
     /// from the `(scenario, PU)` column ([`SweepColumn::balanced`]).
     ///
@@ -381,7 +370,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regbal_core::ScratchParams;
+    use regbal_core::{allocate_threads, ScratchParams};
     use regbal_ir::parse_func;
 
     /// A dedicated one-target hybrid run with slots above `spill_base`.
@@ -390,7 +379,8 @@ mod tests {
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        allocate_threads_with_spill_sweep(funcs, &[nreg], spill_base, EngineConfig::default(), None)
+        SpillTrajectory::new(funcs, EngineConfig::default())
+            .hybrid(&[nreg], spill_base)
             .pop()
             .unwrap()
     }
@@ -420,7 +410,7 @@ mod tests {
         let plain = hybrid_at(&funcs, 8, 0x8_0000).unwrap();
         assert_eq!(h.funcs, plain.funcs);
         assert_eq!(h.spills, plain.spills);
-        // Sizes outside the sweep still answer, uncached.
+        // Sizes outside the sweep are answered from the same column.
         let off = cache.balanced((0, 0, 16), &funcs);
         assert_eq!(
             format!("{off:?}"),
@@ -464,9 +454,10 @@ mod tests {
         assert!(h.spills.iter().sum::<usize>() > 0);
     }
 
-    /// One whole-sweep descent answers every size of the column: the
-    /// first lookup runs it, and every other size replays the stored
-    /// verdict instead of searching again.
+    /// One trajectory answers every size of the column: the first
+    /// lookup of each kind starts its side, and every other size, on the
+    /// sweep or off it, is answered from it with the verdict of a
+    /// fresh one-target run.
     #[test]
     fn sweep_descents_are_computed_once_and_reused() {
         let sweep = vec![8, 16, 24, 32];
@@ -474,7 +465,7 @@ mod tests {
         let funcs = vec![hot(), hot()];
         let first = cache.balanced((0, 0, 32), &funcs).unwrap();
         assert_eq!(cache.descents.load(Ordering::Relaxed), 1);
-        for &nreg in &sweep {
+        for nreg in sweep.iter().copied().chain([12, 5, 40]) {
             let replayed = cache.balanced((0, 0, nreg), &funcs);
             assert_eq!(
                 format!("{replayed:?}"),
@@ -484,10 +475,16 @@ mod tests {
         }
         let again = cache.balanced((0, 0, 32), &funcs).unwrap();
         assert_eq!(first.total_registers(), again.total_registers());
-        // The hybrid descent reuses the balanced one as its seed, and
-        // an off-sweep size runs no descent at all.
-        let _ = cache.hybrid((0, 0, 8), &funcs, 0x8_0000);
-        let _ = cache.balanced((0, 0, 12), &funcs);
+        // The hybrid side reuses the balanced one as its round 0, and
+        // off-sweep sizes start nothing new.
+        for nreg in [8, 3, 12, 1, 40] {
+            let served = cache.hybrid((0, 0, nreg), &funcs, 0x8_0000);
+            assert_eq!(
+                format!("{served:?}"),
+                format!("{:?}", hybrid_at(&funcs, nreg, 0x8_0000)),
+                "hybrid size {nreg}"
+            );
+        }
         assert_eq!(cache.descents.load(Ordering::Relaxed), 2);
     }
 
@@ -576,8 +573,8 @@ mod tests {
             .map(|h| h.with_scratch(funcs, spill_base, &params))
     }
 
-    /// One spill-cost computation per (scenario, PU) column — its one
-    /// hybrid descent — however many (strategy, nreg) cells ask.
+    /// One spill-cost computation per (scenario, PU) column — when its
+    /// hybrid side starts — however many (strategy, nreg) cells ask.
     #[test]
     fn spill_costs_are_computed_once_per_column() {
         let funcs = vec![hot(), hot()];

@@ -19,8 +19,8 @@
 //!    against a virtual-register reference (byte-identical output
 //!    regions) before recording throughput. The (scenario × strategy
 //!    × size) grid is sharded across a work-stealing worker pool
-//!    ([`EvalConfig::workers`]) with per-(scenario, PU) whole-sweep
-//!    allocation caching ([`cache`]) and chip-run dedup; cells land in
+//!    ([`EvalConfig::workers`]) with one lazy allocation trajectory
+//!    per (scenario, PU) ([`cache`]) and chip-run dedup; cells land in
 //!    positional slots, so the merged report is byte-identical at any
 //!    worker count;
 //! 4. [`json`] — a small self-contained JSON model (the build

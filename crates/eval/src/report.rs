@@ -25,11 +25,11 @@
 //!
 //! Every sweep shares allocation verdicts between strategies whose
 //! searches overlap (balanced / balanced-spill / ladder on the same PU
-//! — one whole-sweep engine descent answers every `Nreg` at once,
-//! [`AllocCache`]) and chip runs between cells whose compiled binaries
-//! are identical ([`SimCache`]). Both are behaviour-preserving: engine
-//! and simulator are deterministic, so the report is byte-identical to
-//! compiling and running every cell on its own.
+//! — one lazy trajectory per PU answers every `Nreg`, [`AllocCache`])
+//! and chip runs between cells whose compiled binaries are identical
+//! ([`SimCache`]). Both are behaviour-preserving: engine and simulator
+//! are deterministic, so the report is byte-identical to compiling and
+//! running every cell on its own.
 
 use crate::cache::{AllocCache, SimCache, SimKey};
 use crate::json::Json;
@@ -331,7 +331,7 @@ fn run_eval_threads(
     cached: bool,
 ) -> EvalReport {
     let started = Instant::now();
-    let cache = AllocCache::new(config.nreg_sweep.clone());
+    let cache = AllocCache::new(Vec::new());
     let sim_cache: SimCache<ChipRun> = SimCache::default();
     let ctxs: Vec<ScenarioCtx<'_>> = suite
         .iter()

@@ -13,8 +13,8 @@
 //!   live-range splitting, no spilling; reports infeasibility when even
 //!   maximal sharing cannot fit.
 //! * [`BalancedSpill`] — the hybrid
-//!   ([`regbal_core::allocate_threads_with_spill_sweep`] at the PU's
-//!   spill base): balancing first, spilling the cheapest ranges of the
+//!   ([`regbal_core::SpillTrajectory::hybrid`] at the PU's spill
+//!   base): balancing first, spilling the cheapest ranges of the
 //!   most demanding thread only when sharing alone cannot fit.
 //! * [`BalancedScratch`] — the hybrid with the scratchpad spill tier
 //!   (the `balanced-spill` verdict replayed through

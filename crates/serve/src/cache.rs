@@ -7,25 +7,26 @@
 //!   holding finished outcomes (the `regbal-alloc/1` document, or a
 //!   cached failure). A hit answers without touching the allocator.
 //! * **trajectories** — keyed `(content hash, Nthd)`, holding the
-//!   loaded thread programs plus their [`SweepColumn`] of *whole-sweep*
-//!   descents (balanced, and hybrid at the one-shot default spill
-//!   base) — the same column type the eval sweep caches per
-//!   `(scenario, PU)`. The greedy descent never consults
-//!   the register-file size while choosing steps, so one cached
-//!   descent answers **every** swept `Nreg` — a request at a new
-//!   budget for a known module replays the trajectory instead of
-//!   re-searching. Every request allocates through the one strategy
-//!   dispatch the one-shot path uses too
-//!   ([`crate::oneshot::allocate`]), over this column instead of an
-//!   empty one: every ladder rung that balances is seeded from the
-//!   column — the balanced rung from the balanced descent, and both
-//!   spilling rungs from the hybrid one (the scratch rung replays its
+//!   loaded thread programs plus their [`SweepColumn`]: one lazy
+//!   [`regbal_core::SpillTrajectory`] (balanced, and hybrid at the
+//!   one-shot default spill base) — the same column type the eval
+//!   sweep caches per `(scenario, PU)`. The greedy descent never
+//!   consults the register-file size while choosing steps, and the
+//!   spill picks never read it, so one trajectory answers **every**
+//!   `Nreg`: a request at a new budget for a known module descends
+//!   only as far as that budget needs, from the analyses and rounds
+//!   the module already holds, instead of re-searching from scratch.
+//!   Every request allocates through the one strategy dispatch the
+//!   one-shot path uses too ([`crate::oneshot::allocate`]), over this
+//!   column instead of a fresh one: every ladder rung that balances
+//!   reads the column — the balanced rung its balanced side, and both
+//!   spilling rungs its hybrid side (the scratch rung replays its
 //!   picks).
 //!
 //! All map mutation happens on the dispatcher thread (deterministic
 //! hit/miss/eviction accounting); worker threads only race on the
-//! trajectories' columns, so exactly one worker runs each descent and
-//! the others share it.
+//! trajectories' columns, whose lock serialises them, so a module's
+//! analyses and spill rounds are computed once and shared.
 
 use crate::oneshot::{self, ServeStrategy};
 use crate::store::{DiskRead, DiskStore};
@@ -62,8 +63,8 @@ pub enum Outcome {
     },
 }
 
-/// One module's loaded programs plus its lazily-computed whole-sweep
-/// descents. Shared by `Arc` with the worker pool.
+/// One module's loaded programs plus its lazy spill trajectory. Shared
+/// by `Arc` with the worker pool.
 #[derive(Debug)]
 pub struct Trajectory {
     /// The replicated thread programs (roots × `nthd`).
@@ -75,7 +76,7 @@ impl Trajectory {
     /// Computes the outcome for one request against this trajectory:
     /// allocate under `strategy` from the column, build the
     /// CLI-identical document. Runs on a worker thread; only the
-    /// column's descents are shared state.
+    /// column is shared state.
     pub fn outcome(&self, nreg: usize, strategy: ServeStrategy) -> Outcome {
         match oneshot::verdict(&self.column, &self.funcs, nreg, strategy) {
             Ok(verdict) => {
@@ -105,11 +106,15 @@ pub struct Counters {
     pub evictions: u64,
     /// Trajectory-cache evictions.
     pub trajectory_evictions: u64,
-    /// Whole-sweep descents actually run (monotonic; shared with every
-    /// trajectory's [`SweepColumn`], which runs each descent at most
-    /// once, so the total is deterministic at any worker count). A
-    /// module's balanced-spill request, or a ladder request that
-    /// reaches a spilling rung, fills its hybrid descent.
+    /// Trajectory sides started: each resident module's column counts
+    /// its balanced side on the first request that balances and its
+    /// hybrid side on the first that spills (a balanced-spill request,
+    /// or a ladder request that reaches a spilling rung), whatever
+    /// `Nreg` asks — so at most two per trajectory admitted. Re-descents
+    /// and round rebuilds inside a trajectory are not counted: how many
+    /// there are depends on which racing worker reaches the column
+    /// first. The total is a function of the admitted request set, the
+    /// same at any worker count (monotonic; shared with every column).
     pub descents: Arc<AtomicU64>,
     /// Alloc misses that reused an already-resident trajectory
     /// instead of loading the module afresh.
@@ -157,7 +162,6 @@ fn retry_write(retries: &mut u64, mut write: impl FnMut() -> bool) -> bool {
 /// The persistent cross-request cache: both LRU tiers plus counters.
 /// Owned by the dispatcher; outlives connections.
 pub struct ServeCache {
-    sweep: Vec<usize>,
     responses: Lru<ResponseKey, Outcome>,
     trajectories: Lru<(u64, usize), Arc<Trajectory>>,
     store: Option<DiskStore>,
@@ -167,10 +171,9 @@ pub struct ServeCache {
 
 impl ServeCache {
     /// A fresh cache: `cache_cap` response entries, `trajectory_cap`
-    /// trajectories, descents shared across the given `sweep`.
-    pub fn new(cache_cap: usize, trajectory_cap: usize, sweep: Vec<usize>) -> ServeCache {
+    /// trajectories.
+    pub fn new(cache_cap: usize, trajectory_cap: usize) -> ServeCache {
         ServeCache {
-            sweep,
             responses: Lru::new(cache_cap),
             trajectories: Lru::new(trajectory_cap),
             store: None,
@@ -236,8 +239,8 @@ impl ServeCache {
     /// descent reuse — the caller only asks after a response miss).
     /// When the memory tier misses but the disk store holds a verified
     /// module text under `hash`, the trajectory is rebuilt from it (the
-    /// descent itself is deterministic, so a rebuilt trajectory serves
-    /// the same bytes the original did).
+    /// allocator is deterministic, so a rebuilt trajectory serves the
+    /// same bytes the original did).
     pub fn trajectory(&mut self, hash: u64, nthd: usize) -> Option<Arc<Trajectory>> {
         let t = self.trajectories.get(&(hash, nthd)).cloned();
         if t.is_some() {
@@ -295,7 +298,7 @@ impl ServeCache {
         })?;
         let funcs = oneshot::replicate(&roots, nthd);
         let traj = Arc::new(Trajectory {
-            column: SweepColumn::new(self.sweep.clone(), self.counters.descents.clone()),
+            column: SweepColumn::new(self.counters.descents.clone()),
             funcs,
         });
         if let Some(store) = &self.store {
@@ -391,45 +394,54 @@ mod tests {
     const PROG: &str = "func t {\nbb0:\n v0 = mov 64\n v1 = load sram[v0+0]\n v1 = add v1, 1\n store sram[v0+0], v1\n iter_end\n halt\n}";
 
     fn cache() -> ServeCache {
-        ServeCache::new(4096, 64, vec![8, 16, 32])
+        ServeCache::new(4096, 64)
     }
 
+    /// One trajectory per module serves every budget and strategy, on
+    /// a former sweep size or between them, and every served document
+    /// is the one a fresh one-shot run builds.
     #[test]
     fn one_descent_serves_every_swept_budget_and_strategy() {
         let mut cache = cache();
         let h = content_hash(PROG);
         let traj = cache.admit_trajectory(h, 2, PROG).unwrap();
         let descents = cache.counters.descents.clone();
-        for nreg in [8, 16, 32] {
+        for nreg in [32, 8, 13, 16, 3] {
             for strategy in [
                 ServeStrategy::Balanced,
                 ServeStrategy::BalancedSpill,
                 ServeStrategy::Ladder,
             ] {
                 let outcome = traj.outcome(nreg, strategy);
-                match outcome {
-                    Outcome::Doc(doc) => {
+                let direct = oneshot::allocate(&traj.funcs, nreg, strategy)
+                    .map(|v| oneshot::verdict_doc(&traj.funcs, nreg, &v));
+                match (outcome, direct) {
+                    (Outcome::Doc(doc), Ok(want)) => {
                         assert_eq!(doc.get("nreg").and_then(Json::as_u64), Some(nreg as u64));
+                        assert_eq!(doc.pretty(), want.pretty(), "{strategy:?}@{nreg}");
                     }
-                    Outcome::Fail { .. } | Outcome::Parse { .. } => {
-                        panic!("{strategy:?}@{nreg} failed")
+                    (Outcome::Fail { message, .. }, Err(e)) => {
+                        assert_eq!(message, e.message, "{strategy:?}@{nreg}");
                     }
+                    (a, b) => panic!("{strategy:?}@{nreg}: served {a:?} vs direct {b:?}"),
                 }
             }
         }
-        // Nine requests, at most two descents (balanced + hybrid): the
-        // trajectory answered every budget and the ladder's rungs were
-        // seeded, not re-searched.
-        assert!(descents.load(Ordering::Relaxed) <= 2);
+        // Fifteen requests, two trajectory sides (balanced + hybrid):
+        // the trajectory answered every budget and the ladder's rungs
+        // read it instead of searching afresh.
+        assert_eq!(descents.load(Ordering::Relaxed), 2);
     }
 
+    /// Served verdicts equal fresh one-target runs whatever order the
+    /// budgets arrive in: the hungry module spills below 12 registers,
+    /// so later, larger budgets resolve in rounds the trajectory has
+    /// already passed.
     #[test]
     fn trajectory_verdicts_match_dedicated_one_shot_runs() {
-        let cache_sweep = vec![8, 32];
-        let mut cache = ServeCache::new(16, 16, cache_sweep);
-        let traj = cache.admit_trajectory(content_hash(PROG), 2, PROG).unwrap();
-        for nreg in [8, 32, 20] {
-            // 20 is off-sweep: a dedicated run, still identical.
+        let mut cache = ServeCache::new(16, 16);
+        let traj = cache.admit_trajectory(content_hash(HOT), 2, HOT).unwrap();
+        for nreg in [4, 32, 8, 20, 6, 9, 8] {
             for strategy in [
                 ServeStrategy::Balanced,
                 ServeStrategy::BalancedSpill,
@@ -451,17 +463,45 @@ mod tests {
         }
     }
 
+    /// A resident module asked far more distinct budgets than its
+    /// trajectory memoizes, twice over, answers each like one-shot
+    /// allocation — evicted budgets too — and starts no side twice.
+    #[test]
+    fn ever_new_budgets_on_one_module_match_one_shot() {
+        let mut cache = ServeCache::new(16, 16);
+        let traj = cache.admit_trajectory(content_hash(HOT), 2, HOT).unwrap();
+        let budgets: Vec<usize> = (1..=100).chain((1..=100).rev()).collect();
+        for nreg in budgets {
+            for strategy in [ServeStrategy::Balanced, ServeStrategy::BalancedSpill] {
+                let served = traj.outcome(nreg, strategy);
+                let direct = oneshot::allocate(&traj.funcs, nreg, strategy)
+                    .map(|v| oneshot::verdict_doc(&traj.funcs, nreg, &v));
+                match (served, direct) {
+                    (Outcome::Doc(a), Ok(b)) => {
+                        assert_eq!(a.pretty(), b.pretty(), "{strategy:?}@{nreg}");
+                    }
+                    (Outcome::Fail { message, .. }, Err(e)) => {
+                        assert_eq!(message, e.message, "{strategy:?}@{nreg}");
+                    }
+                    (a, b) => panic!("{strategy:?}@{nreg}: served {a:?} vs direct {b:?}"),
+                }
+            }
+        }
+        assert_eq!(cache.counters.descents.load(Ordering::Relaxed), 2);
+    }
+
     /// Five co-live values across a switch: two copies cannot share
     /// eight registers, so the ladder settles on its scratch rung.
     const HOT: &str = "func hot {\nbb0:\n v0 = mov 1\n v1 = mov 2\n v2 = mov 3\n v3 = mov 4\n v4 = mov 5\n ctx\n v5 = add v0, v1\n v5 = add v5, v2\n v5 = add v5, v3\n v5 = add v5, v4\n store scratch[v5+0], v5\n halt\n}";
 
-    /// Every rung of a served ladder is seeded from the column: a walk
-    /// that settles on balanced-scratch runs the balanced descent and
-    /// the hybrid one (which the scratch rung replays) and nothing
-    /// else, and still answers exactly what one-shot allocation does.
+    /// Every rung of a served ladder reads the column: a walk that
+    /// settles on balanced-scratch starts the trajectory's balanced
+    /// side and its hybrid side (which the scratch rung replays) and
+    /// nothing else, and still answers exactly what one-shot
+    /// allocation does.
     #[test]
     fn the_ladder_scratch_rung_is_seeded_from_the_hybrid_descent() {
-        let mut cache = ServeCache::new(16, 16, vec![8, 32]);
+        let mut cache = ServeCache::new(16, 16);
         let traj = cache.admit_trajectory(content_hash(HOT), 2, HOT).unwrap();
         let served = traj.outcome(8, ServeStrategy::Ladder);
         let direct = oneshot::allocate(&traj.funcs, 8, ServeStrategy::Ladder).unwrap();
@@ -485,7 +525,7 @@ mod tests {
 
     #[test]
     fn response_tier_counts_hits_misses_and_evictions() {
-        let mut cache = ServeCache::new(1, 16, vec![32]);
+        let mut cache = ServeCache::new(1, 16);
         let key_a: ResponseKey = (1, 1, 32, ServeStrategy::Balanced);
         let key_b: ResponseKey = (2, 1, 32, ServeStrategy::Balanced);
         assert!(cache.lookup(&key_a).is_none());
@@ -548,7 +588,7 @@ mod tests {
         // The first write attempt fails; the retry (call index 1) lands.
         let plan = Arc::new(FaultPlan::seeded(3).with_exact(FaultSite::DiskWriteFail, &[0]));
         let store = DiskStore::open(&dir).unwrap().with_faults(plan);
-        let mut cache = ServeCache::new(16, 16, vec![32]).with_store(store);
+        let mut cache = ServeCache::new(16, 16).with_store(store);
         let key: ResponseKey = (7, 1, 32, ServeStrategy::Balanced);
         cache.store(
             key,

@@ -12,22 +12,23 @@
 //! a bounded queue and sharded across the eval crate's work-stealing
 //! pool, and results persist in a two-tier LRU cache — finished
 //! response documents keyed `(content hash, Nthd, Nreg, strategy)`,
-//! and per-module *whole-sweep descent trajectories* keyed
-//! `(content hash, Nthd)` so one cached descent answers every swept
-//! register budget and seeds the degradation ladder.
+//! and per-module lazy *spill trajectories* keyed `(content hash,
+//! Nthd)` so one trajectory answers every register budget — descending
+//! only as far as a request needs — and feeds the degradation ladder.
 //!
 //! Responses are byte-identical to `regbal alloc --json` and to each
 //! other at any worker count: all cache mutation happens serially in
-//! admission order on the dispatcher, and workers only race on
-//! once-initialised descent cells.
+//! admission order on the dispatcher, and workers only race on a
+//! trajectory's lock, behind which every verdict equals a dedicated
+//! run whatever order the budgets arrive in.
 //!
 //! Module map:
 //!
 //! * [`proto`] — the wire protocol: request parsing, content hashing,
 //!   structured errors.
 //! * [`oneshot`] — the module loader, the one strategy dispatch (over
-//!   a module's cached descents for served requests, over an empty
-//!   sweep for the one-shot path) and the `regbal-alloc/1` document
+//!   a module's cached trajectory for served requests, over a fresh
+//!   one for the one-shot path) and the `regbal-alloc/1` document
 //!   builders, all shared with `regbal-cli`.
 //! * [`cache`] — the persistent response and trajectory tiers.
 //! * [`store`] — the content-addressed on-disk cache behind

@@ -9,8 +9,8 @@
 //! document builders, and the CLI delegates to all three: a served
 //! request allocates through `verdict` over its module's cached
 //! [`SweepColumn`], and [`allocate`] — the one-shot path — runs the
-//! same function over a column with an empty sweep, whose every lookup
-//! is a dedicated run under the default configurations.
+//! same function over a fresh column, whose lookups are dedicated runs
+//! under the default configurations.
 
 use regbal_core::{
     allocate_ladder_with, AllocError, HybridAllocation, LadderAllocation, LadderConfig,
@@ -173,7 +173,7 @@ pub enum Verdict {
 }
 
 /// Allocates `funcs` the way the one-shot CLI does: the server's
-/// strategy dispatch over an empty column, so every verdict is a
+/// strategy dispatch over a fresh column, so every verdict is a
 /// dedicated run under the default configurations (and thus the
 /// default spill bases, so spill code is byte-identical too).
 ///
@@ -185,16 +185,16 @@ pub fn allocate(
     nreg: usize,
     strategy: ServeStrategy,
 ) -> Result<Verdict, AllocFailure> {
-    let column = SweepColumn::new(Vec::new(), Arc::default());
+    let column = SweepColumn::new(Arc::default());
     verdict(&column, funcs, nreg, strategy)
 }
 
 /// Allocates `funcs` under `strategy`, reading the balanced and hybrid
 /// verdicts from `column` (hybrid at [`DEFAULT_SPILL_BASE`]) — the one
 /// place a served strategy maps to allocator calls. The ladder's
-/// balanced rung is seeded from the column's balanced verdict and both
-/// spilling rungs from its hybrid one (the scratch rung replays its
-/// picks). That is exact: the engine is deterministic, and the
+/// balanced rung reads the column's balanced verdict and both spilling
+/// rungs its hybrid one (the scratch rung replays its picks). That is
+/// exact: the engine is deterministic, and the
 /// ladder's spilling rungs pack from the same default base
 /// ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] == [`DEFAULT_SPILL_BASE`]).
 pub(crate) fn verdict(

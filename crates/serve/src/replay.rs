@@ -579,10 +579,7 @@ mod tests {
     #[test]
     fn warm_passes_are_all_hits_and_transcripts_repeat() {
         let trace = small_trace();
-        let config = ServeConfig {
-            sweep: vec![48], // mostly off-sweep: dedicated runs, still cached
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let reports = replay(&trace, &config, 2, &ServeMetrics::default()).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[1].misses, 0, "pass 2 must be all hits");
@@ -607,7 +604,6 @@ mod tests {
         let run = |workers: usize| {
             let config = ServeConfig {
                 workers,
-                sweep: vec![48],
                 ..ServeConfig::default()
             };
             replay(&trace, &config, 1, &ServeMetrics::default()).unwrap()[0]
@@ -626,7 +622,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let trace = small_trace();
         let config = ServeConfig {
-            sweep: vec![48],
             cache_dir: Some(dir.to_string_lossy().into_owned()),
             ..ServeConfig::default()
         };
@@ -667,7 +662,6 @@ mod tests {
         )
         .unwrap();
         let config = ServeConfig {
-            sweep: vec![48],
             cache_dir: Some(dir.to_string_lossy().into_owned()),
             faults: Some(std::sync::Arc::new(plan)),
             ..ServeConfig::default()
@@ -706,7 +700,6 @@ mod tests {
         });
         let plan = FaultPlan::parse_spec("seed=3,disconnect=1000").unwrap();
         let config = ServeConfig {
-            sweep: vec![48],
             faults: Some(std::sync::Arc::new(plan)),
             ..ServeConfig::default()
         };

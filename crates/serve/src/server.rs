@@ -12,8 +12,9 @@
 //! work-stealing pool ([`regbal_eval::pool::shard_metered`]), then
 //! writes every response in admission order. Because all cache mutation
 //! is serial and the workers only race on each trajectory's
-//! [`regbal_eval::SweepColumn`], the response stream is byte-identical
-//! at any worker count.
+//! [`regbal_eval::SweepColumn`] — whose verdicts equal dedicated runs
+//! in any order — the response stream is byte-identical at any worker
+//! count.
 //!
 //! The TCP server admits N connections into the same queue: one accept
 //! thread, one reader thread per connection, one dispatcher owning all
@@ -62,11 +63,9 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Response-cache capacity (finished outcomes).
     pub cache_cap: usize,
-    /// Trajectory-cache capacity (loaded modules + descent vectors).
+    /// Trajectory-cache capacity (loaded modules and their lazy spill
+    /// trajectories).
     pub trajectory_cap: usize,
-    /// The register-file sizes the shared descents cover; requests at
-    /// other sizes fall back to dedicated (still cached) runs.
-    pub sweep: Vec<usize>,
     /// Content-addressed on-disk cache directory: admitted modules and
     /// finished outcomes are written through, and a restarted server
     /// over the same directory answers warm. `None` = memory only.
@@ -103,7 +102,6 @@ impl Default for ServeConfig {
             queue_cap: 256,
             cache_cap: 4096,
             trajectory_cap: 256,
-            sweep: (32..=128).step_by(4).collect(),
             cache_dir: None,
             max_conns: 0,
             read_timeout_ms: 25,
@@ -123,7 +121,7 @@ impl ServeConfig {
     ///
     /// Only a cache directory that cannot be created.
     pub fn open_cache(&self) -> std::io::Result<ServeCache> {
-        let cache = ServeCache::new(self.cache_cap, self.trajectory_cap, self.sweep.clone());
+        let cache = ServeCache::new(self.cache_cap, self.trajectory_cap);
         match &self.cache_dir {
             Some(dir) => {
                 let mut store = DiskStore::open(std::path::Path::new(dir))?;
@@ -352,8 +350,8 @@ fn resolve_wave(
     }
 
     // The parallel phase: shard the misses across the pool. Workers
-    // race only on the trajectories' sweep columns, so overlapping
-    // descents are computed once and shared.
+    // race only on the trajectories' columns, so a module's analyses
+    // and spill rounds are computed once and shared.
     let meter = metrics.map(|m| &m.pool);
     let outcomes = pool::shard_metered(compute.len(), config.workers, meter, |i| {
         let item = &compute[i];
@@ -1155,7 +1153,7 @@ mod tests {
     const PROG: &str = "func t {\nbb0:\n v0 = mov 64\n v1 = load sram[v0+0]\n v1 = add v1, 1\n store sram[v0+0], v1\n iter_end\n halt\n}";
 
     fn fresh_cache(config: &ServeConfig) -> ServeCache {
-        ServeCache::new(config.cache_cap, config.trajectory_cap, config.sweep.clone())
+        ServeCache::new(config.cache_cap, config.trajectory_cap)
     }
 
     fn serve_script(lines: &[String], config: &ServeConfig, cache: &mut ServeCache) -> Vec<Json> {
@@ -1191,10 +1189,7 @@ mod tests {
 
     #[test]
     fn repeated_requests_hit_the_cache_with_identical_documents() {
-        let config = ServeConfig {
-            sweep: vec![8, 32],
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let mut cache = fresh_cache(&config);
         let lines = vec![
             alloc_line(1, 8, "balanced"),
@@ -1225,10 +1220,7 @@ mod tests {
 
     #[test]
     fn stats_with_metrics_carries_the_backpressure_member() {
-        let config = ServeConfig {
-            sweep: vec![8],
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let mut cache = fresh_cache(&config);
         let lines = vec![
             alloc_line(1, 8, "balanced"),
@@ -1245,10 +1237,7 @@ mod tests {
 
     #[test]
     fn hash_only_requests_reuse_the_resident_trajectory() {
-        let config = ServeConfig {
-            sweep: vec![8, 32],
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let mut cache = fresh_cache(&config);
         let first = serve_script(&[alloc_line(1, 8, "balanced")], &config, &mut cache);
         let hash = first[0].get("hash").and_then(Json::as_str).unwrap().to_string();
@@ -1299,10 +1288,7 @@ mod tests {
 
     #[test]
     fn infeasible_allocations_return_stable_codes_and_cache() {
-        let config = ServeConfig {
-            sweep: vec![4],
-            ..ServeConfig::default()
-        };
+        let config = ServeConfig::default();
         let mut cache = fresh_cache(&config);
         let hungry = "func h {\nbb0:\n v0 = mov 1\n v1 = mov 2\n v2 = mov 3\n ctx\n v3 = add v0, v1\n v3 = add v3, v2\n store scratch[v3+0], v3\n halt\n}";
         let func = Json::str(hungry).compact();
@@ -1333,7 +1319,6 @@ mod tests {
     fn batches_answer_as_one_line_and_share_the_wave() {
         let config = ServeConfig {
             workers: 4,
-            sweep: vec![8, 32],
             ..ServeConfig::default()
         };
         let mut cache = fresh_cache(&config);
@@ -1369,7 +1354,6 @@ mod tests {
         for workers in [1, 4] {
             let config = ServeConfig {
                 workers,
-                sweep: vec![8, 32],
                 ..ServeConfig::default()
             };
             let mut cache = fresh_cache(&config);
@@ -1433,7 +1417,6 @@ mod tests {
     fn eviction_pressure_is_counted() {
         let config = ServeConfig {
             cache_cap: 1,
-            sweep: vec![8, 32],
             ..ServeConfig::default()
         };
         let mut cache = fresh_cache(&config);
@@ -1475,7 +1458,6 @@ mod tests {
     #[test]
     fn unauthorized_shutdowns_answer_in_band_and_serving_continues() {
         let config = ServeConfig {
-            sweep: vec![32],
             shutdown_token: Some("s3cret".into()),
             ..ServeConfig::default()
         };
@@ -1522,7 +1504,6 @@ mod tests {
                 .with_stall_ms(80),
         );
         let config = ServeConfig {
-            sweep: vec![32],
             deadline_ms: 20,
             faults: Some(plan),
             ..ServeConfig::default()
@@ -1616,7 +1597,6 @@ mod tests {
     fn concurrent_disjoint_clients_see_their_solo_transcripts() {
         let config = ServeConfig {
             workers: 2,
-            sweep: vec![8, 32],
             ..ServeConfig::default()
         };
         let (addr, server) = spawn_server(config.clone());
@@ -1666,10 +1646,7 @@ mod tests {
 
     #[test]
     fn a_client_disconnecting_mid_request_does_not_kill_the_listener() {
-        let (addr, server) = spawn_server(ServeConfig {
-            sweep: vec![32],
-            ..ServeConfig::default()
-        });
+        let (addr, server) = spawn_server(ServeConfig::default());
         // A client that sends half a request line and vanishes.
         {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -1690,10 +1667,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_other_connections_before_acking() {
-        let (addr, server) = spawn_server(ServeConfig {
-            sweep: vec![8, 32],
-            ..ServeConfig::default()
-        });
+        let (addr, server) = spawn_server(ServeConfig::default());
         // Client B: two allocs, write side closed — its lines are all
         // at its reader before the drain can begin.
         let mut b = TcpStream::connect(addr).unwrap();
@@ -1739,7 +1713,6 @@ mod tests {
     #[test]
     fn the_connection_cap_rejects_in_band_and_recovers() {
         let (addr, server) = spawn_server(ServeConfig {
-            sweep: vec![32],
             max_conns: 1,
             ..ServeConfig::default()
         });
@@ -1818,7 +1791,6 @@ mod tests {
     #[test]
     fn a_token_gated_tcp_server_rejects_and_then_obeys_shutdown() {
         let (addr, server) = spawn_server(ServeConfig {
-            sweep: vec![32],
             shutdown_token: Some("s3cret".into()),
             ..ServeConfig::default()
         });
@@ -1850,7 +1822,6 @@ mod tests {
     fn an_injected_dispatcher_write_failure_drops_only_that_connection() {
         let plan = Arc::new(FaultPlan::seeded(11).with_exact(FaultSite::DispatcherWriteFail, &[0]));
         let (addr, server) = spawn_server(ServeConfig {
-            sweep: vec![32],
             faults: Some(plan.clone()),
             ..ServeConfig::default()
         });
@@ -1888,7 +1859,6 @@ mod tests {
     fn a_restarted_server_over_the_same_cache_dir_answers_warm() {
         let dir = temp_cache_dir("restart");
         let config = ServeConfig {
-            sweep: vec![8, 32],
             cache_dir: Some(dir.to_string_lossy().into_owned()),
             ..ServeConfig::default()
         };
@@ -1941,7 +1911,6 @@ mod tests {
     fn corrupt_disk_entries_degrade_to_cold_misses_in_service() {
         let dir = temp_cache_dir("corrupt");
         let config = ServeConfig {
-            sweep: vec![8],
             cache_dir: Some(dir.to_string_lossy().into_owned()),
             ..ServeConfig::default()
         };

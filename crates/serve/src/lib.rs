@@ -40,8 +40,10 @@
 //!   seeded points, for the chaos gates.
 //! * [`metrics`] — wall-clock backpressure counters: queue depth,
 //!   admission waits, deferred/rejected, per-connection totals.
-//! * [`server`] — admission, wave dispatch, the stdio loop and the
-//!   concurrent TCP listener with drain-on-shutdown.
+//! * [`server`] — admission, one reader function and one wave
+//!   dispatcher for both transports (a byte stream is connection 0; a
+//!   socket listener adds concurrent connections and drain-on-shutdown),
+//!   and the policy that sets what a transport failure ends.
 //! * [`trace`] — materialising generated traces into request lines and
 //!   the `regbal-trace/1` file format.
 //! * [`replay`] — the pipelined trace-replay session, the chaos
@@ -69,8 +71,7 @@ pub use oneshot::{
 pub use proto::{content_hash, hash_hex, parse_request, Request, SCHEMA};
 pub use replay::{chaos_json, chaos_replay, replay, sanitize_check, ChaosReport, PassReport};
 pub use server::{
-    serve_lines, serve_lines_metered, serve_listener, serve_tcp, serve_tcp_metered, ServeConfig,
-    ServeEnd,
+    serve_lines, serve_lines_metered, serve_listener, serve_tcp_metered, ServeConfig, ServeEnd,
 };
 pub use store::{DiskRead, DiskStore};
 pub use trace::{kernel_text, materialize, request_line, MaterializedRequest, TraceFile};

@@ -1,14 +1,16 @@
 //! The resident server loop: bounded admission, wave dispatch over the
-//! work-stealing pool, deterministic in-order responses — over one
-//! transport ([`serve_lines`]) or many concurrent TCP connections
-//! ([`serve_tcp`]).
+//! work-stealing pool, deterministic in-order responses — over one byte
+//! stream ([`serve_lines`]) or many concurrent TCP connections
+//! ([`serve_listener`], [`serve_tcp_metered`]).
 //!
-//! Reader threads parse and content-hash each request line at admission
-//! and feed one **bounded** queue (a [`std::sync::mpsc`] sync channel —
-//! a full queue back-pressures the transport instead of buffering
-//! unboundedly; the measured wait is the admission-wait metric). The
-//! dispatcher drains whatever is queued into a *wave*, resolves cache
-//! hits serially in admission order, shards the misses across the PR-5
+//! Both transports run one reader function and one dispatcher. A reader
+//! thread per connection splits request lines off its transport, parses
+//! and content-hashes each at admission, and feeds one **bounded** queue
+//! (a [`std::sync::mpsc`] sync channel — a full queue back-pressures the
+//! transport instead of buffering unboundedly; the measured wait is the
+//! admission-wait metric). The dispatcher owns every connection's write
+//! half. It drains whatever is queued into a *wave*, resolves cache
+//! hits serially in admission order, shards the misses across the
 //! work-stealing pool ([`regbal_eval::pool::shard_metered`]), then
 //! writes every response in admission order. Because all cache mutation
 //! is serial and the workers only race on each trajectory's
@@ -16,21 +18,26 @@
 //! in any order — the response stream is byte-identical at any worker
 //! count.
 //!
-//! The TCP server admits N connections into the same queue: one accept
-//! thread, one reader thread per connection, one dispatcher owning all
-//! the writers. Each wave is **fair-interleaved** before resolution —
+//! A byte stream is connection 0, its write half installed before its
+//! reader starts. The TCP server adds one accept thread, which hands
+//! each connection's write half to the dispatcher and starts its
+//! reader. Each wave is **fair-interleaved** before resolution —
 //! grouped by connection with every connection's own order intact,
 //! then taken one request per connection per round — so a bursty
-//! neighbour cannot occupy an entire wave. Per-connection response
-//! order is still per-connection request order, and for workloads
-//! whose cache keys do not overlap another connection's, each
-//! connection's transcript is byte-identical to serving it alone
-//! (overlapping keys still serve identical *documents* — only the
-//! `cached` flags can differ, because one connection's miss becomes
-//! the other's hit). A connection that fails mid-request is logged and
-//! dropped; the listener keeps accepting. `shutdown` drains: the
-//! server stops accepting, finishes every request admitted before the
-//! drain completes, and answers the shutdown ack(s) last — unless the
+//! neighbour cannot occupy an entire wave; on one connection that is
+//! the identity. Per-connection response order is still per-connection
+//! request order, and for workloads whose cache keys do not overlap
+//! another connection's, each connection's transcript is byte-identical
+//! to serving it alone (overlapping keys still serve identical
+//! *documents* — only the `cached` flags can differ, because one
+//! connection's miss becomes the other's hit).
+//!
+//! The transports differ in one policy: what a failure ends. A byte
+//! stream's read or write error ends the session and is returned. A
+//! socket that fails mid-request is logged and dropped, and the
+//! listener keeps accepting. `shutdown` drains: reading stops (and a
+//! TCP server stops accepting), every request admitted before the drain
+//! completes is answered, and the shutdown ack(s) go last — unless the
 //! server requires a `--shutdown-token` and the request's token does
 //! not match, in which case the reply is an in-band `unauthorized`
 //! error and serving continues. With `--deadline-ms` set, a request
@@ -45,7 +52,7 @@ use crate::store::DiskStore;
 use regbal_eval::{pool, Json};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -470,6 +477,101 @@ fn line_text(bytes: &[u8]) -> Cow<'_, str> {
     }
 }
 
+/// One admission-queue event from a reader thread or the accept loop.
+enum Event {
+    /// A new socket connection: the dispatcher takes ownership of the
+    /// write half. Always precedes the connection's first `Request`. (A
+    /// byte stream's write half is installed before its reader starts.)
+    Open { conn: u64, stream: TcpStream },
+    /// One parsed request line, stamped at parse time (the deadline
+    /// clock).
+    Request {
+        conn: u64,
+        request: Request,
+        at: Instant,
+    },
+    /// The connection reached EOF (or its reader stopped for drain).
+    Closed { conn: u64 },
+    /// The connection's read failed; the transport's policy decides
+    /// whether that ends the session or drops only the connection.
+    ReadError { conn: u64, error: std::io::Error },
+}
+
+/// One connection's reader, for both transports: splits request lines
+/// off `input`, parses and stamps each, and admits it. Returns when the
+/// connection ends (EOF, a read error, a forwarded shutdown) or, on a
+/// socket, when the server drains.
+///
+/// `drain` is a socket's stop flag. A socket reads under a timeout, and
+/// each idle tick checks the flag. A byte stream (`None`) never times
+/// out, so for it a would-block or timed-out read is an error like any
+/// other.
+fn read_requests(
+    conn: u64,
+    input: impl Read,
+    tx: &SyncSender<Event>,
+    drain: Option<&AtomicBool>,
+    config: &ServeConfig,
+    metrics: &ServeMetrics,
+) {
+    // One reused buffer, and no copy of a valid line.
+    let mut reader = BufReader::new(input);
+    let mut buf = Vec::new();
+    loop {
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) if buf.is_empty() => break,
+            Ok(_) => {}
+            // An idle tick. A failed `read_until` leaves every byte it
+            // consumed in `buf`, so the next read appends to a partly
+            // received line instead of losing it.
+            Err(e)
+                if drain.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                if drain.is_some_and(|stop| stop.load(Ordering::SeqCst)) {
+                    break;
+                }
+                continue;
+            }
+            Err(error) => {
+                let _ = tx.send(Event::ReadError { conn, error });
+                return;
+            }
+        }
+        // A full line, or an unterminated last one at EOF. That one is
+        // answered too (in all likelihood with `bad-json`, to a peer
+        // that may be gone).
+        let line = match buf.strip_suffix(b"\n") {
+            Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
+            None => &buf,
+        };
+        let line = line_text(line);
+        if !line.trim().is_empty() {
+            let request = proto::parse_request(&line);
+            // The deadline clock starts here — before any injected
+            // stall and before the admission wait, so both count
+            // against it.
+            let at = Instant::now();
+            if let Some(plan) = &config.faults {
+                if plan.fire(FaultSite::ReaderStall) {
+                    std::thread::sleep(std::time::Duration::from_millis(plan.stall_ms()));
+                }
+            }
+            // Stop reading once an *authorized* shutdown is forwarded:
+            // this thread must not keep blocking on a transport the
+            // client may hold open. An unauthorized shutdown is
+            // answered in band and reading goes on.
+            let last = matches!(&request, Request::Shutdown { token, .. }
+                if config.shutdown_authorized(token));
+            if !admit(tx, Event::Request { conn, request, at }, metrics, conn) || last {
+                break;
+            }
+        }
+        buf.clear();
+    }
+    let _ = tx.send(Event::Closed { conn });
+}
+
 /// Serves one connection: reads request lines from `input` until EOF
 /// or a `shutdown` request, writing one response line per request (in
 /// request order) to `output`. The cache outlives the call — pass the
@@ -491,6 +593,10 @@ pub fn serve_lines<R: Read + Send, W: Write>(
 /// [`serve_lines`], recording admission waits, queue depth and pool
 /// activity into `metrics`.
 ///
+/// The byte stream is connection 0 of the same dispatcher the TCP
+/// server runs; its failures end the session instead of dropping a
+/// connection.
+///
 /// # Errors
 ///
 /// Only transport failures, exactly as [`serve_lines`].
@@ -501,59 +607,11 @@ pub fn serve_lines_metered<R: Read + Send, W: Write>(
     cache: &mut ServeCache,
     metrics: &ServeMetrics,
 ) -> std::io::Result<ServeEnd> {
-    let (tx, rx) =
-        sync_channel::<Result<(Request, Instant), std::io::Error>>(config.queue_cap.max(1));
+    let (tx, rx) = sync_channel::<Event>(config.queue_cap.max(1));
+    let conns = HashMap::from([(0, Conn::new(Box::new(output)))]);
     std::thread::scope(|scope| {
-        scope.spawn(move || {
-            // One reused buffer, and no copy of a valid line.
-            let mut reader = BufReader::new(input);
-            let mut buf = Vec::new();
-            loop {
-                buf.clear();
-                match reader.read_until(b'\n', &mut buf) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        let line = match buf.strip_suffix(b"\n") {
-                            Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
-                            None => &buf,
-                        };
-                        let line = line_text(line);
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let request = proto::parse_request(&line);
-                        // The deadline clock starts here — before any
-                        // injected stall and before the admission wait,
-                        // so both count against it.
-                        let at = Instant::now();
-                        if let Some(plan) = &config.faults {
-                            if plan.fire(FaultSite::ReaderStall) {
-                                std::thread::sleep(std::time::Duration::from_millis(
-                                    plan.stall_ms(),
-                                ));
-                            }
-                        }
-                        // Stop reading once an *authorized* shutdown is
-                        // forwarded: the dispatcher will ack and
-                        // return, and this thread must not keep
-                        // blocking on a transport the client may hold
-                        // open. An unauthorized shutdown is answered
-                        // in-band and serving continues.
-                        let last = matches!(&request, Request::Shutdown { token, .. }
-                            if config.shutdown_authorized(token));
-                        if !admit(&tx, Ok((request, at)), metrics, 0) || last {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-        });
-        let mut out = BufWriter::new(output);
-        let end = dispatch(&rx, &mut out, config, cache, metrics);
+        scope.spawn(move || read_requests(0, input, &tx, None, config, metrics));
+        let end = dispatch(&rx, conns, Transport::Stream, config, cache, metrics);
         drop(rx); // unblock a reader waiting on a full queue
         end
     })
@@ -575,215 +633,246 @@ fn unauthorized_line(id: Json) -> String {
     .compact()
 }
 
-fn dispatch<W: Write>(
-    rx: &Receiver<Result<(Request, Instant), std::io::Error>>,
-    out: &mut BufWriter<W>,
-    config: &ServeConfig,
-    cache: &mut ServeCache,
-    metrics: &ServeMetrics,
-) -> std::io::Result<ServeEnd> {
-    loop {
-        // Block for the first request, then drain the queue into one
-        // wave, stopping at the first control request so stats and
-        // shutdown observe every earlier allocation.
-        let first = match rx.recv() {
-            Ok(job) => {
-                metrics.note_dequeued();
-                job?
-            }
-            Err(_) => return Ok(ServeEnd::Eof),
+/// What a transport failure ends — the one way the transports differ.
+enum Transport<'a> {
+    /// One byte stream is the whole session: its read or write error
+    /// ends the session and is returned.
+    Stream,
+    /// Sockets are connections among many: an error is logged to `log`
+    /// and drops only its connection, and an authorized `shutdown` sets
+    /// `stop` and wakes the accept loop on `local`.
+    Sockets {
+        stop: &'a AtomicBool,
+        local: std::net::SocketAddr,
+        log: &'a mut dyn Write,
+    },
+}
+
+/// One connection's write half, as the dispatcher owns it.
+struct Conn<'w> {
+    writer: BufWriter<Box<dyn Write + 'w>>,
+    /// A write already failed; further responses are discarded.
+    dead: bool,
+    /// Written since the last flush.
+    touched: bool,
+}
+
+impl<'w> Conn<'w> {
+    fn new(writer: Box<dyn Write + 'w>) -> Conn<'w> {
+        Conn {
+            writer: BufWriter::new(writer),
+            dead: false,
+            touched: false,
+        }
+    }
+}
+
+/// The dispatcher's connection table and the policy its failures
+/// follow.
+struct Writers<'a> {
+    conns: HashMap<u64, Conn<'a>>,
+    transport: Transport<'a>,
+    faults: Option<&'a FaultPlan>,
+    metrics: &'a ServeMetrics,
+}
+
+impl Writers<'_> {
+    /// Writes one response line to `conn`. The dispatcher-write fault
+    /// site fires here, on sockets only: an injected failure behaves
+    /// exactly like a peer that vanished mid-write.
+    fn write(&mut self, conn: u64, line: &str) -> std::io::Result<()> {
+        let Some(state) = self.conns.get_mut(&conn).filter(|state| !state.dead) else {
+            return Ok(()); // dropped, or closed and reaped
         };
+        let injected = matches!(self.transport, Transport::Sockets { .. })
+            && self
+                .faults
+                .is_some_and(|plan| plan.fire(FaultSite::DispatcherWriteFail));
+        let written = if injected {
+            Err(std::io::Error::other("injected fault"))
+        } else {
+            writeln!(state.writer, "{line}")
+        };
+        match written {
+            Ok(()) => {
+                state.touched = true;
+                self.metrics.note_response(conn);
+                Ok(())
+            }
+            Err(e) => self.fail(conn, "write", e),
+        }
+    }
+
+    /// Flushes every connection written since its last flush.
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut failed = Vec::new();
+        for (&conn, state) in self.conns.iter_mut().filter(|(_, s)| s.touched && !s.dead) {
+            state.touched = false;
+            if let Err(e) = state.writer.flush() {
+                failed.push((conn, e));
+            }
+        }
+        for (conn, e) in failed {
+            self.fail(conn, "write", e)?;
+        }
+        Ok(())
+    }
+
+    /// A failed `op` on `conn`, under the transport's policy: a byte
+    /// stream returns the error; a socket logs it and drops `conn`.
+    fn fail(&mut self, conn: u64, op: &str, error: std::io::Error) -> std::io::Result<()> {
+        let Transport::Sockets { log, .. } = &mut self.transport else {
+            return Err(error);
+        };
+        if let Some(state) = self.conns.get_mut(&conn) {
+            state.dead = true;
+        }
+        self.metrics.note_dropped();
+        let _ = writeln!(
+            log,
+            "conn {conn}: {op} failed ({error}); dropping connection"
+        );
+        Ok(())
+    }
+}
+
+/// The one dispatcher, for both transports: waves in global admission
+/// order, responses routed per connection, and `shutdown` acks owed
+/// until every producer is gone. Returns [`ServeEnd::Shutdown`] exactly
+/// when an ack was written.
+fn dispatch<'a>(
+    rx: &Receiver<Event>,
+    conns: HashMap<u64, Conn<'a>>,
+    transport: Transport<'a>,
+    config: &'a ServeConfig,
+    cache: &mut ServeCache,
+    metrics: &'a ServeMetrics,
+) -> std::io::Result<ServeEnd> {
+    let mut writers = Writers {
+        conns,
+        transport,
+        faults: config.faults.as_deref(),
+        metrics,
+    };
+    // Shutdown acks owed, in admission order; answered after drain.
+    let mut acks: Vec<(u64, Json)> = Vec::new();
+    loop {
         let mut wave: Vec<(u64, Request, Instant)> = Vec::new();
-        let mut control = None;
-        match first {
-            (c @ (Request::Stats { .. } | Request::Shutdown { .. }), _) => control = Some(c),
-            (other, at) => {
-                wave.push((0, other, at));
-                while let Ok(job) = rx.try_recv() {
-                    metrics.note_dequeued();
-                    match job? {
-                        (c @ (Request::Stats { .. } | Request::Shutdown { .. }), _) => {
-                            control = Some(c);
-                            break;
-                        }
-                        (other, at) => wave.push((0, other, at)),
+        let mut control: Option<(u64, Request)> = None;
+        // Connections whose reader ended this iteration, with the read
+        // error that ended it. Reaping is deferred to the end of the
+        // iteration: per-connection FIFO admission means every request
+        // of the connection is in (or before) this wave, so its
+        // responses are written first.
+        let mut ended: Vec<(u64, Option<std::io::Error>)> = Vec::new();
+        let mut disconnected = false;
+        {
+            // Returns true once a control request ends the wave.
+            let mut handle = |event: Event| -> bool {
+                match event {
+                    Event::Open { conn, stream } => {
+                        writers.conns.insert(conn, Conn::new(Box::new(stream)));
                     }
+                    Event::Closed { conn } => ended.push((conn, None)),
+                    Event::ReadError { conn, error } => ended.push((conn, Some(error))),
+                    Event::Request { conn, request, at } => {
+                        metrics.note_dequeued();
+                        match request {
+                            c @ (Request::Stats { .. } | Request::Shutdown { .. }) => {
+                                control = Some((conn, c));
+                                return true;
+                            }
+                            other => wave.push((conn, other, at)),
+                        }
+                    }
+                }
+                false
+            };
+            // Block for one event, then drain the queue into a wave,
+            // stopping at the first control request so stats and
+            // shutdown observe every earlier allocation.
+            let mut done = match rx.recv() {
+                Ok(event) => handle(event),
+                // Every producer is gone: the drain is complete.
+                Err(_) => {
+                    disconnected = true;
+                    true
+                }
+            };
+            while !done {
+                match rx.try_recv() {
+                    Ok(event) => done = handle(event),
+                    Err(_) => break,
                 }
             }
         }
 
-        for (_, line) in resolve_wave(&wave, config, cache, Some(metrics)) {
-            writeln!(out, "{line}")?;
-            metrics.note_response(0);
+        // Fair admission: interleave the wave one request per
+        // connection per round (per-connection order intact), so a
+        // bursty neighbour cannot occupy an entire wave.
+        let wave = fair_interleave(wave, |(conn, _, _)| *conn);
+        for (conn, line) in resolve_wave(&wave, config, cache, Some(metrics)) {
+            writers.write(conn, &line)?;
         }
-        if !wave.is_empty() {
-            out.flush()?;
-        }
+        writers.flush()?;
+
         match control {
-            Some(Request::Stats { id, metrics: want }) => {
+            Some((conn, Request::Stats { id, metrics: want })) => {
                 cache.count_request();
-                writeln!(out, "{}", stats_line(id, cache, want.then_some(metrics)))?;
-                out.flush()?;
+                writers.write(conn, &stats_line(id, cache, want.then_some(metrics)))?;
+                writers.flush()?;
             }
-            Some(Request::Shutdown { id, token }) => {
+            Some((conn, Request::Shutdown { id, token })) => {
                 cache.count_request();
-                if config.shutdown_authorized(&token) {
-                    writeln!(out, "{}", ack_line(id))?;
-                    out.flush()?;
-                    return Ok(ServeEnd::Shutdown);
+                if !config.shutdown_authorized(&token) {
+                    writers.write(conn, &unauthorized_line(id))?;
+                    writers.flush()?;
+                } else {
+                    // Keep serving: every request admitted before the
+                    // readers stop still gets its response, and the ack
+                    // comes after all of them.
+                    if let Transport::Sockets { stop, local, .. } = &writers.transport {
+                        if acks.is_empty() {
+                            stop.store(true, Ordering::SeqCst);
+                            wake_accept(*local);
+                        }
+                    }
+                    acks.push((conn, id));
                 }
-                writeln!(out, "{}", unauthorized_line(id))?;
-                out.flush()?;
             }
             _ => {}
         }
+
+        // Reap ended connections — except those still owed a shutdown
+        // ack, whose write half must survive until after the drain.
+        for (conn, error) in ended {
+            if let Some(error) = error {
+                writers.fail(conn, "read", error)?;
+            }
+            if !acks.iter().any(|(c, _)| *c == conn) {
+                writers.conns.remove(&conn);
+            }
+        }
+        if disconnected {
+            break;
+        }
     }
+    // Drain complete: the acks are the last lines their connections
+    // ever see.
+    let end = if acks.is_empty() {
+        ServeEnd::Eof
+    } else {
+        ServeEnd::Shutdown
+    };
+    for (conn, id) in acks {
+        writers.write(conn, &ack_line(id))?;
+    }
+    writers.flush()?;
+    Ok(end)
 }
 
 // ---------------------------------------------------------------------
 // The concurrent TCP server.
-
-/// One admission-queue event from the accept loop or a reader thread.
-enum Event {
-    /// A new connection: the dispatcher takes ownership of the write
-    /// half. Always precedes the connection's first `Request`.
-    Open { conn: u64, stream: TcpStream },
-    /// One parsed request line, stamped at parse time (the deadline
-    /// clock).
-    Request {
-        conn: u64,
-        request: Request,
-        at: Instant,
-    },
-    /// The connection reached EOF (or its reader stopped for drain).
-    Closed { conn: u64 },
-    /// The connection died mid-read; logged, dropped, served around.
-    ReadError { conn: u64, error: String },
-}
-
-/// An incremental line splitter over raw socket reads. Owning the
-/// bytes (instead of `BufReader::read_line`) means a read timeout can
-/// never drop a partially-received line — the next read appends to it.
-struct LineBuf {
-    buf: Vec<u8>,
-    scanned: usize,
-}
-
-impl LineBuf {
-    fn new() -> LineBuf {
-        LineBuf {
-            buf: Vec::new(),
-            scanned: 0,
-        }
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// The next complete line (without its newline), if one arrived.
-    fn next_line(&mut self) -> Option<String> {
-        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let end = self.scanned + pos;
-                let line = line_text(&self.buf[..end]).into_owned();
-                self.buf.drain(..=end);
-                self.scanned = 0;
-                Some(line)
-            }
-            None => {
-                self.scanned = self.buf.len();
-                None
-            }
-        }
-    }
-
-    /// Whatever is buffered at EOF — a half-written final line.
-    fn take_partial(&mut self) -> Option<String> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let line = line_text(&self.buf).into_owned();
-        self.buf.clear();
-        self.scanned = 0;
-        (!line.trim().is_empty()).then_some(line)
-    }
-}
-
-/// One connection's reader loop: split lines off the socket, parse,
-/// admit. Returns when the connection ends (EOF, error, a forwarded
-/// shutdown) or the server starts draining.
-fn reader_loop(
-    conn: u64,
-    stream: &TcpStream,
-    tx: &SyncSender<Event>,
-    stop: &AtomicBool,
-    config: &ServeConfig,
-    metrics: &ServeMetrics,
-) {
-    let mut lines = LineBuf::new();
-    let mut scratch = [0u8; 8192];
-    let mut stream = stream;
-    loop {
-        while let Some(line) = lines.next_line() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let request = proto::parse_request(&line);
-            let at = Instant::now();
-            if let Some(plan) = &config.faults {
-                if plan.fire(FaultSite::ReaderStall) {
-                    std::thread::sleep(std::time::Duration::from_millis(plan.stall_ms()));
-                }
-            }
-            // Only an *authorized* shutdown ends this reader; an
-            // unauthorized one is answered in-band by the dispatcher
-            // and the connection keeps being read.
-            let last = matches!(&request, Request::Shutdown { token, .. }
-                if config.shutdown_authorized(token));
-            if !admit(tx, Event::Request { conn, request, at }, metrics, conn) || last {
-                // After forwarding a shutdown this reader must not keep
-                // blocking on a transport the client may hold open.
-                let _ = tx.send(Event::Closed { conn });
-                return;
-            }
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => {
-                // EOF. A half-written final line is still answered (in
-                // all likelihood with `bad-json`, to a peer that may be
-                // gone — the dispatcher's write simply fails and the
-                // connection is dropped there).
-                if let Some(partial) = lines.take_partial() {
-                    let request = proto::parse_request(&partial);
-                    let at = Instant::now();
-                    let _ = admit(tx, Event::Request { conn, request, at }, metrics, conn);
-                }
-                let _ = tx.send(Event::Closed { conn });
-                return;
-            }
-            Ok(n) => lines.push(&scratch[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // An idle poll tick: the only place drain is observed,
-                // so buffered bytes are never abandoned mid-line.
-                if stop.load(Ordering::SeqCst) {
-                    let _ = tx.send(Event::Closed { conn });
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(Event::ReadError {
-                    conn,
-                    error: e.to_string(),
-                });
-                return;
-            }
-        }
-    }
-}
 
 /// The accept loop: admit connections (up to `max_conns`), hand the
 /// write half to the dispatcher, spawn a reader per connection.
@@ -849,7 +938,7 @@ fn accept_loop<'scope>(
         let reader_tx = tx.clone();
         let active = active.clone();
         scope.spawn(move || {
-            reader_loop(conn, &stream, &reader_tx, stop, config, metrics);
+            read_requests(conn, &stream, &reader_tx, Some(stop), config, metrics);
             active.fetch_sub(1, Ordering::SeqCst);
         });
     }
@@ -857,220 +946,11 @@ fn accept_loop<'scope>(
     // channel disconnects once every reader is gone too.
 }
 
-/// One connection's write half, as the dispatcher owns it.
-struct Conn {
-    writer: BufWriter<TcpStream>,
-    /// A write already failed; further responses are discarded.
-    dead: bool,
-    /// This wave touched the connection; flush once at the wave end.
-    touched: bool,
-}
-
-/// Writes one response line to `conn`, marking the connection dead on
-/// the first failure (logged, never fatal to the server). The
-/// dispatcher-write fault site fires here: an injected failure behaves
-/// exactly like a peer that vanished mid-write — the connection is
-/// dropped and the server keeps serving everyone else. (The stdio
-/// dispatcher has no equivalent site: its single transport failing is
-/// transport-fatal by design.)
-fn write_line(
-    conns: &mut HashMap<u64, Conn>,
-    conn: u64,
-    line: &str,
-    faults: Option<&FaultPlan>,
-    metrics: &ServeMetrics,
-    log: &mut dyn Write,
-) {
-    let Some(state) = conns.get_mut(&conn) else {
-        return; // already closed and reaped
-    };
-    if state.dead {
-        return;
-    }
-    if faults.is_some_and(|plan| plan.fire(FaultSite::DispatcherWriteFail)) {
-        state.dead = true;
-        metrics.note_dropped();
-        let _ = writeln!(
-            log,
-            "conn {conn}: write failed (injected fault); dropping connection"
-        );
-        return;
-    }
-    match writeln!(state.writer, "{line}") {
-        Ok(()) => {
-            state.touched = true;
-            metrics.note_response(conn);
-        }
-        Err(e) => {
-            state.dead = true;
-            metrics.note_dropped();
-            let _ = writeln!(log, "conn {conn}: write failed ({e}); dropping connection");
-        }
-    }
-}
-
 /// Unblocks the accept loop after the stop flag is set, by connecting
 /// to the listener once. The woken loop observes the flag and exits
 /// before treating the wake-up as a real connection.
 fn wake_accept(local: std::net::SocketAddr) {
     let _ = TcpStream::connect(local);
-}
-
-/// The multi-connection dispatcher: waves in global admission order,
-/// responses routed per connection, drain on shutdown.
-fn tcp_dispatch(
-    rx: &Receiver<Event>,
-    config: &ServeConfig,
-    cache: &mut ServeCache,
-    metrics: &ServeMetrics,
-    log: &mut dyn Write,
-    stop: &AtomicBool,
-    local: std::net::SocketAddr,
-) {
-    let faults = config.faults.as_deref();
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut draining = false;
-    // Shutdown acks owed, in admission order; answered after drain.
-    let mut acks: Vec<(u64, Json)> = Vec::new();
-    loop {
-        let mut wave: Vec<(u64, Request, Instant)> = Vec::new();
-        let mut control: Option<(u64, Request)> = None;
-        // Connections whose reader ended this iteration. Reaping is
-        // deferred to the end of the iteration: per-connection FIFO
-        // admission means every request of the connection is in (or
-        // before) this wave, so its responses are written first.
-        let mut reap: Vec<u64> = Vec::new();
-        let mut disconnected = false;
-        {
-            // Returns true once a control request ends the wave.
-            let mut handle = |event: Event| -> bool {
-                match event {
-                    Event::Open { conn, stream } => {
-                        conns.insert(
-                            conn,
-                            Conn {
-                                writer: BufWriter::new(stream),
-                                dead: false,
-                                touched: false,
-                            },
-                        );
-                    }
-                    Event::Closed { conn } => reap.push(conn),
-                    Event::ReadError { conn, error } => {
-                        metrics.note_dropped();
-                        let _ = writeln!(
-                            log,
-                            "conn {conn}: read failed ({error}); dropping connection"
-                        );
-                        reap.push(conn);
-                    }
-                    Event::Request { conn, request, at } => {
-                        metrics.note_dequeued();
-                        match request {
-                            c @ (Request::Stats { .. } | Request::Shutdown { .. }) => {
-                                control = Some((conn, c));
-                                return true;
-                            }
-                            other => wave.push((conn, other, at)),
-                        }
-                    }
-                }
-                false
-            };
-            // Block for one event, then drain the queue into a wave,
-            // stopping at the first control request so stats and
-            // shutdown observe every earlier allocation.
-            let mut done = match rx.recv() {
-                Ok(event) => handle(event),
-                // Every producer is gone: the accept loop stopped and
-                // all readers exited — the drain is complete.
-                Err(_) => {
-                    disconnected = true;
-                    true
-                }
-            };
-            while !done {
-                match rx.try_recv() {
-                    Ok(event) => done = handle(event),
-                    Err(_) => break,
-                }
-            }
-        }
-
-        // Fair admission: interleave the wave one request per
-        // connection per round (per-connection order intact), so a
-        // bursty neighbour cannot occupy an entire wave.
-        let wave = fair_interleave(wave, |(conn, _, _)| *conn);
-        for (conn, line) in resolve_wave(&wave, config, cache, Some(metrics)) {
-            write_line(&mut conns, conn, &line, faults, metrics, log);
-        }
-        for state in conns.values_mut() {
-            if state.touched && !state.dead {
-                if state.writer.flush().is_err() {
-                    state.dead = true;
-                    metrics.note_dropped();
-                }
-                state.touched = false;
-            }
-        }
-
-        match control {
-            Some((conn, Request::Stats { id, metrics: want })) => {
-                cache.count_request();
-                let line = stats_line(id, cache, want.then_some(metrics));
-                write_line(&mut conns, conn, &line, faults, metrics, log);
-                if let Some(state) = conns.get_mut(&conn) {
-                    let _ = state.writer.flush();
-                    state.touched = false;
-                }
-            }
-            Some((conn, Request::Shutdown { id, token })) => {
-                cache.count_request();
-                if config.shutdown_authorized(&token) {
-                    acks.push((conn, id));
-                    if !draining {
-                        draining = true;
-                        stop.store(true, Ordering::SeqCst);
-                        wake_accept(local);
-                    }
-                    // Keep serving: every request admitted before the
-                    // readers observe the drain still gets its
-                    // response, and the ack comes after all of them.
-                } else {
-                    let line = unauthorized_line(id);
-                    write_line(&mut conns, conn, &line, faults, metrics, log);
-                    if let Some(state) = conns.get_mut(&conn) {
-                        let _ = state.writer.flush();
-                        state.touched = false;
-                    }
-                }
-            }
-            _ => {}
-        }
-
-        // Reap ended connections — except those still owed a shutdown
-        // ack, whose write half must survive until after the drain.
-        for conn in reap {
-            if acks.iter().any(|(c, _)| *c == conn) {
-                continue;
-            }
-            if let Some(mut state) = conns.remove(&conn) {
-                let _ = state.writer.flush();
-            }
-        }
-        if disconnected {
-            break;
-        }
-    }
-    // Drain complete: the acks are the last lines their connections
-    // ever see.
-    for (conn, id) in acks {
-        let line = ack_line(id);
-        write_line(&mut conns, conn, &line, faults, metrics, log);
-    }
-    for (_, mut state) in conns.drain() {
-        let _ = state.writer.flush();
-    }
 }
 
 /// Serves concurrent TCP connections from `listener` over one shared
@@ -1100,39 +980,32 @@ pub fn serve_listener(
             let metrics = &*metrics;
             scope.spawn(move || accept_loop(scope, listener, tx, stop, config, metrics));
         }
-        tcp_dispatch(&rx, config, &mut cache, metrics, log, &stop, local);
-        // Belt and braces: tcp_dispatch only returns after a drain (or
-        // a dead accept loop), but make the stop unconditional so the
-        // scope's implicit joins below can never hang.
+        let sockets = Transport::Sockets {
+            stop: &stop,
+            local,
+            log,
+        };
+        let end = dispatch(&rx, HashMap::new(), sockets, config, &mut cache, metrics);
+        // Belt and braces: the dispatcher only returns after a drain
+        // (or a dead accept loop), but make the stop unconditional so
+        // the scope's implicit joins below can never hang.
         stop.store(true, Ordering::SeqCst);
         wake_accept(local);
         drop(rx);
-    });
-    Ok(())
+        end.map(|_| ())
+    })
 }
 
 /// Serves TCP connections on `addr` — concurrently, over one shared
-/// persistent cache — until a connection issues `shutdown`. Announces
-/// readiness with one `listening <addr>` line on `announce`; dropped
-/// connections are logged to the same writer.
+/// persistent cache — until a connection issues `shutdown`, recording
+/// backpressure metrics into `metrics`. Announces readiness with one
+/// `listening <addr>` line on `announce`; dropped connections are
+/// logged to the same writer.
 ///
 /// # Errors
 ///
 /// Bind failures, an unwritable announce stream, or an unusable
 /// `cache_dir`.
-pub fn serve_tcp(
-    addr: &str,
-    config: &ServeConfig,
-    announce: &mut dyn Write,
-) -> std::io::Result<()> {
-    serve_tcp_metered(addr, config, announce, &ServeMetrics::default())
-}
-
-/// [`serve_tcp`], recording backpressure metrics into `metrics`.
-///
-/// # Errors
-///
-/// Exactly as [`serve_tcp`].
 pub fn serve_tcp_metered(
     addr: &str,
     config: &ServeConfig,
@@ -1414,6 +1287,38 @@ mod tests {
     }
 
     #[test]
+    fn a_byte_stream_transport_failure_ends_the_session_with_its_error() {
+        /// Yields its bytes, then fails every read.
+        struct Unplugged<'a>(&'a [u8]);
+        impl Read for Unplugged<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::Error::other("unplugged"));
+                }
+                self.0.read(buf)
+            }
+        }
+        /// Fails every write.
+        struct Unwritable;
+        impl Write for Unwritable {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::new(ErrorKind::BrokenPipe, "closed"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let config = ServeConfig::default();
+        let stats = b"{\"id\": 1, \"kind\": \"stats\"}\n";
+        let mut cache = fresh_cache(&config);
+        let read = serve_lines(Unplugged(stats), Vec::new(), &config, &mut cache);
+        assert_eq!(read.unwrap_err().to_string(), "unplugged");
+        let mut cache = fresh_cache(&config);
+        let written = serve_lines(&stats[..], Unwritable, &config, &mut cache);
+        assert_eq!(written.unwrap_err().kind(), ErrorKind::BrokenPipe);
+    }
+
+    #[test]
     fn eviction_pressure_is_counted() {
         let config = ServeConfig {
             cache_cap: 1,
@@ -1584,6 +1489,25 @@ mod tests {
                 line.trim_end().to_string()
             })
             .collect()
+    }
+
+    /// Sends `bytes` over one TCP connection in writes of `chunk` bytes,
+    /// `pause` apart, half-closes, and returns every byte sent back.
+    fn tcp_bytes(
+        addr: std::net::SocketAddr,
+        bytes: &[u8],
+        chunk: usize,
+        pause: std::time::Duration,
+    ) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        for part in bytes.chunks(chunk) {
+            stream.write_all(part).unwrap();
+            std::thread::sleep(pause);
+        }
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut back = Vec::new();
+        stream.read_to_end(&mut back).unwrap();
+        back
     }
 
     fn send_shutdown(addr: std::net::SocketAddr) {
@@ -1843,6 +1767,75 @@ mod tests {
         let (result, log) = server.join().unwrap();
         result.unwrap();
         assert!(log.contains("injected fault"), "{log:?}");
+    }
+
+    #[test]
+    fn a_byte_stream_and_a_socket_serve_one_script_identically() {
+        let script = [
+            format!("{}\r\n", alloc_line(1, 32, "balanced")).into_bytes(),
+            b"\n   \t \r\n{\"id\": 2, \"kind\": \"stats\"}\n".to_vec(),
+            b"\xff\xfe bad\r\n{\"id\": 3, \"kind\": \"alloc\", \"nreg\": }\n".to_vec(),
+            b"{\"id\": 4, \"kind\": \"shutdown\", \"token\": \"wrong\"}\n".to_vec(),
+            format!("{}\n", alloc_line(5, 8, "balanced")).into_bytes(),
+            b"{\"id\": 6, \"kind\": \"stats\"}\n".to_vec(),
+            // An unterminated last line.
+            b"{\"id\": 7, \"kind\": \"alloc\", \"func\": \"fu".to_vec(),
+        ]
+        .concat();
+        // A plan that never fires but counts the reader-stall site's
+        // calls: one per non-blank line, the torn last line included.
+        let config = |plan: &Arc<FaultPlan>| ServeConfig {
+            shutdown_token: Some("s3cret".into()),
+            faults: Some(plan.clone()),
+            ..ServeConfig::default()
+        };
+        let counting =
+            || Arc::new(FaultPlan::seeded(7).with_exact(FaultSite::ReaderStall, &[u64::MAX]));
+        let plan = counting();
+        let mut cache = fresh_cache(&config(&plan));
+        let mut stream = Vec::new();
+        let end = serve_lines(&script[..], &mut stream, &config(&plan), &mut cache).unwrap();
+        assert_eq!(end, ServeEnd::Eof);
+        assert_eq!(plan.summary(), "seed 7 | reader_stall 0/8");
+        assert_eq!(String::from_utf8_lossy(&stream).lines().count(), 8);
+
+        let plan = counting();
+        let (addr, server) = spawn_server(config(&plan));
+        let socket = tcp_bytes(addr, &script, script.len(), std::time::Duration::ZERO);
+        // Read before the shutdown connection, which consults the site
+        // too.
+        assert_eq!(plan.summary(), "seed 7 | reader_stall 0/8");
+        let bye = [r#"{"id": "bye", "kind": "shutdown", "token": "s3cret"}"#.to_string()];
+        tcp_client(addr, &bye, 1);
+        let (result, _log) = server.join().unwrap();
+        result.unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&socket),
+            String::from_utf8_lossy(&stream),
+            "the transports' transcripts diverged"
+        );
+    }
+
+    #[test]
+    fn a_line_split_across_read_timeouts_is_not_lost() {
+        let (addr, server) = spawn_server(ServeConfig {
+            read_timeout_ms: 5,
+            ..ServeConfig::default()
+        });
+        // 9-byte writes 30 ms apart: every line spans several idle ticks.
+        let script = b"{\"id\": 1, \"kind\": \"stats\"}\n{\"id\": 2, \"kind\": \"shutdown\"}\n";
+        let back = tcp_bytes(addr, script, 9, std::time::Duration::from_millis(30));
+        let lines: Vec<Json> = String::from_utf8_lossy(&back)
+            .lines()
+            .map(|l| regbal_eval::json::parse(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(lines[0].get("id").and_then(Json::as_u64), Some(1));
+        assert!(lines[0].get("stats").is_some(), "{lines:?}");
+        assert_eq!(lines[1].get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(lines[1].get("ok").and_then(Json::as_bool), Some(true));
+        let (result, _log) = server.join().unwrap();
+        result.unwrap();
     }
 
     /// A scratch cache directory, wiped at the start of the test.

@@ -160,9 +160,10 @@ rm -rf target/serve_gc
 # properties of the spill trajectory: the scratchpad tier replayed from
 # the plain spill loop's picks must equal the scratch-aware reference
 # loop on every stress bundle of seeds 0-23 at Nreg 1-40, and one
-# trajectory asked Nreg 1-140 in any order must answer each size as a
+# trajectory asked Nreg 1-140 in any order must answer each size (its
+# balanced and hybrid verdicts, and at even sizes its ladder walk) as a
 # fresh one does, on the 11 kernels and stress seeds 0-3 (about 3.5 and
-# 5 minutes in release).
+# 6 minutes in release).
 if [ "${1:-}" = "nightly" ]; then
     ./target/release/regbal fuzz --seconds "${FUZZ_SECONDS:-300}" \
         --archive tests/fuzz_regressions.txt

@@ -41,7 +41,7 @@
 
 use crate::alloc::ThreadAlloc;
 use crate::bounds::{estimate_bounds, Bounds};
-use crate::error::{AllocError, Degradation};
+use crate::error::AllocError;
 use crate::livemap::LiveMap;
 use crate::rewrite::Layout;
 use regbal_analysis::ProgramInfo;
@@ -102,10 +102,6 @@ pub struct MultiAllocation {
     pub threads: Vec<ThreadResult>,
     /// Size of the register file allocated against.
     pub nreg: usize,
-    /// Fallback-ladder transitions taken to reach this allocation
-    /// (empty when the primary strategy succeeded directly; stamped by
-    /// [`crate::allocate_ladder`]).
-    pub degradations: Vec<Degradation>,
 }
 
 impl MultiAllocation {
@@ -502,38 +498,58 @@ pub(crate) fn par_map<T: Sync, R: Send>(
     parallel: bool,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let workers = worker_count(parallel, items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
+    steal_map(items.len(), worker_count(parallel, items.len()), |k| {
+        f(&items[k])
+    })
+}
+
+/// Runs `compute(0..total)` across `workers` scoped OS threads stealing
+/// indices from a shared atomic cursor, returning the results in index
+/// order. Tasks may differ wildly in cost; the cursor keeps every
+/// worker busy until the range is drained, and the positional merge
+/// makes the output identical at any worker count whenever `compute`
+/// is deterministic.
+///
+/// `workers <= 1` (or a single task) runs the plain serial loop in the
+/// calling thread — same closure, so the paths cannot diverge. Workers
+/// are clamped to `total`; a panic inside `compute` propagates to the
+/// caller.
+pub fn steal_map<R: Send>(
+    total: usize,
+    workers: usize,
+    compute: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || total <= 1 {
+        return (0..total).map(compute).collect();
     }
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..workers.min(total))
             .map(|_| {
-                let (next, f) = (&next, &f);
+                let (next, compute) = (&next, &compute);
                 s.spawn(move || {
                     let mut out = Vec::new();
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= items.len() {
+                        if k >= total {
                             break;
                         }
-                        out.push((k, f(&items[k])));
+                        out.push((k, compute(k)));
                     }
                     out
                 })
             })
             .collect();
         for h in handles {
-            for (k, r) in h.join().expect("engine worker panicked") {
+            for (k, r) in h.join().expect("a work-stealing worker panicked") {
                 results[k] = Some(r);
             }
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("every item mapped"))
+        .map(|r| r.expect("every index computed"))
         .collect()
 }
 
@@ -607,7 +623,6 @@ fn snapshot(threads: &[ThreadResult], nreg: usize) -> Result<MultiAllocation, Al
     Ok(MultiAllocation {
         threads: threads.to_vec(),
         nreg,
-        degradations: Vec::new(),
     })
 }
 

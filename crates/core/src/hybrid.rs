@@ -74,6 +74,18 @@ pub struct HybridAllocation {
 }
 
 impl HybridAllocation {
+    /// A balancing allocation of the unmodified `funcs`, as the hybrid
+    /// result with no spills that round 0 of the spill loop returns.
+    pub(crate) fn unspilled(funcs: &[Func], alloc: MultiAllocation) -> HybridAllocation {
+        HybridAllocation {
+            funcs: funcs.to_vec(),
+            alloc,
+            spills: vec![0; funcs.len()],
+            scratch_spills: vec![0; funcs.len()],
+            picks: Vec::new(),
+        }
+    }
+
     /// Rewrites every thread to physical registers.
     pub fn rewrite(&self) -> Vec<Func> {
         self.alloc.rewrite_funcs(&self.funcs)
@@ -115,8 +127,9 @@ impl HybridAllocation {
 /// Maximum spill rounds before giving up.
 const MAX_SPILL_ROUNDS: usize = 64;
 
-/// Memory space used for hybrid spill slots.
-const SPILL_SPACE: MemSpace = MemSpace::Sram;
+/// Memory space of every memory spill slot, the hybrid loop's and the
+/// ladder's Chaitin rungs' alike.
+pub(crate) const SPILL_SPACE: MemSpace = MemSpace::Sram;
 
 /// Base address of the hybrid spill area (per-thread areas are spaced
 /// a page apart). Public so callers that must reproduce
@@ -302,6 +315,25 @@ impl SpillTrajectory {
         let missing = self.hybrid.missing(targets);
         let fresh = self.walk_rounds(&missing);
         self.hybrid.answer(targets, missing, fresh)
+    }
+
+    /// The input programs.
+    pub(crate) fn funcs(&self) -> &[Func] {
+        &self.funcs
+    }
+
+    /// The engine configuration every descent runs under.
+    pub(crate) fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    /// Each thread's `RegPmax` in round 0 — the unmodified programs —
+    /// read from round 0's analyses.
+    pub(crate) fn first_pressures(&mut self) -> Vec<usize> {
+        self.first()
+            .iter()
+            .map(|a| a.info.pressure.regp_max)
+            .collect()
     }
 
     /// The hybrid verdicts of `targets`, each walking the rounds from
@@ -1294,16 +1326,20 @@ bb0:
     /// The order-independence oracle over one corpus: for every thread
     /// group and budget, one trajectory per order of [`orders`] is asked
     /// the hybrid and the balanced verdict at each size — hybrid first
-    /// in the odd orders — and every answer's `Debug` text must equal,
-    /// by digest, a fresh trajectory's asked that size alone. Returns
-    /// how many fresh verdicts of each kind were compared, with
+    /// in the odd orders — and then, at every `ladder_every`-th size,
+    /// the default ladder's walk; every answer's `Debug` text must
+    /// equal, by digest, a fresh trajectory's asked that size alone.
+    /// Returns how many fresh verdicts of each kind were compared, with
     /// `rebuilt` counting the spilled answers that came from a round
-    /// before the deepest.
+    /// before the deepest, `partitioned` the walks settled on a Chaitin
+    /// rung and `retried` the walks that retried a starved rung.
     fn assert_order_independent(
         groups: &[(String, Vec<Func>)],
         sizes: &[usize],
         budgets: &[IterationBudget],
+        ladder_every: usize,
     ) -> std::collections::BTreeMap<&'static str, usize> {
+        use crate::ladder::{LadderConfig, LadderOutcome};
         let mut kinds = std::collections::BTreeMap::new();
         for (g, (name, funcs)) in groups.iter().enumerate() {
             for &budget in budgets {
@@ -1326,7 +1362,30 @@ bb0:
                     if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty()) {
                         *kinds.entry("spilled").or_insert(0) += 1;
                     }
-                    fresh.insert(n, (debug_digest(&balanced), debug_digest(&hybrid)));
+                    let walk = (n % ladder_every == 0).then(|| {
+                        SpillTrajectory::new(funcs, config).ladder(n, &LadderConfig::default())
+                    });
+                    if let Some(walk) = &walk {
+                        let retries = match walk {
+                            Ok(a) => &a.retries,
+                            Err(e) => &e.retries,
+                        };
+                        if !retries.is_empty() {
+                            *kinds.entry("retried").or_insert(0) += 1;
+                        }
+                        if matches!(walk, Ok(a) if matches!(a.outcome, LadderOutcome::Partitioned { .. }))
+                        {
+                            *kinds.entry("partitioned").or_insert(0) += 1;
+                        }
+                    }
+                    fresh.insert(
+                        n,
+                        (
+                            debug_digest(&balanced),
+                            debug_digest(&hybrid),
+                            walk.map(|w| debug_digest(&w)),
+                        ),
+                    );
                 }
                 for (k, order) in orders(sizes, g as u64).into_iter().enumerate() {
                     let mut traj = SpillTrajectory::new(funcs, config);
@@ -1348,6 +1407,10 @@ bb0:
                         assert_eq!(debug_digest(&hybrid), fresh[&n].1, "{what}");
                         if k % 2 == 1 {
                             ask_balanced(&mut traj);
+                        }
+                        if let Some(want) = fresh[&n].2 {
+                            let walk = traj.ladder(n, &LadderConfig::default());
+                            assert_eq!(debug_digest(&walk), want, "{what} ladder");
                         }
                     }
                 }
@@ -1427,11 +1490,11 @@ bb0:
             IterationBudget::Fixed(0),
             IterationBudget::Fixed(2),
         ];
-        let mut kinds = assert_order_independent(&groups, &sizes, &budgets);
+        let mut kinds = assert_order_independent(&groups, &sizes, &budgets, 1);
         // A kernel whose descent stalls above its demand floor, so a
         // round's bound rises past the floor.
         let drr = kernel_groups(&[regbal_workloads::Kernel::Drr], &[2]);
-        for (kind, n) in assert_order_independent(&drr, &sizes, &[IterationBudget::Adaptive]) {
+        for (kind, n) in assert_order_independent(&drr, &sizes, &[IterationBudget::Adaptive], 1) {
             *kinds.entry(kind).or_insert(0) += n;
         }
         for kind in [
@@ -1441,14 +1504,16 @@ bb0:
             "spill-diverged",
             "spilled",
             "rebuilt",
+            "partitioned",
         ] {
             assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
         }
     }
 
     /// The order-independence property over the suite's 11 kernels and
-    /// stress seeds 0–3, at 2 and 4 threads, Nreg 1–140. Slow (run in
-    /// release with `cargo test --release -p regbal-core -- --ignored`).
+    /// stress seeds 0–3, at 2 and 4 threads, Nreg 1–140, with the
+    /// ladder's walk at every even size. Slow (run in release with
+    /// `cargo test --release -p regbal-core -- --ignored`).
     #[test]
     #[ignore]
     fn trajectory_answers_every_size_in_any_order_on_the_full_corpus() {
@@ -1460,7 +1525,7 @@ bb0:
             IterationBudget::Fixed(1),
             IterationBudget::Fixed(8),
         ];
-        let kinds = assert_order_independent(&groups, &sizes, &budgets);
+        let kinds = assert_order_independent(&groups, &sizes, &budgets, 2);
         for kind in [
             "fit",
             "infeasible",
@@ -1468,6 +1533,8 @@ bb0:
             "spill-diverged",
             "spilled",
             "rebuilt",
+            "partitioned",
+            "retried",
         ] {
             assert!(kinds.contains_key(kind), "no {kind} verdict: {kinds:?}");
         }

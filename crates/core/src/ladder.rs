@@ -34,32 +34,32 @@
 //! and every pick's cost is recorded in the trail
 //! ([`LadderAllocation::spill_picks`]).
 //!
-//! The two spilling rungs share one spill trajectory: no decision of
-//! the spill loop can see where a slot lives, so the walk runs the loop
-//! once per engine budget and derives the scratch rung from that
-//! verdict. A failed balanced-scratch rung therefore means
-//! balanced-spill fails with the same error, at no extra cost.
+//! The walk is a query of the thread group's [`SpillTrajectory`]
+//! ([`SpillTrajectory::ladder`]): the plan is priced from round 0's
+//! analyses, the balanced rung reads the trajectory's balanced side,
+//! and both spilling rungs read its hybrid side. No decision of the
+//! spill loop can see where a slot lives, so the scratch rung replays
+//! the hybrid verdict's picks into the scratchpad, and a failed
+//! balanced-scratch rung means balanced-spill fails with the same
+//! error, at no extra cost.
 //!
-//! Every rung is bounded: the balanced rungs inherit the caller's
+//! Every rung is bounded: the balancing rungs inherit the trajectory's
 //! [`EngineConfig::max_iterations`] budget, the Chaitin rungs carry
-//! their own round caps. When a balanced rung fails with
+//! their own round caps. When a balancing rung fails with
 //! [`AllocError::IterationCapHit`] — a starved budget, not a proof of
 //! infeasibility — the ladder retries that rung once with a doubled
-//! (still bounded) budget before descending, recording the attempt as
-//! a [`RungRetry`]. A rung fails with a structured [`AllocError`] —
-//! never a panic — and the ladder either returns the first rung that
-//! works (with the trail of [`Degradation`]s and [`RungRetry`]s that
-//! led there) or a [`LadderError`] carrying the full trail plus the
-//! final error.
+//! (still bounded) budget, on a trajectory of its own, before
+//! descending, recording the attempt as a [`RungRetry`]. A rung fails
+//! with a structured [`AllocError`] — never a panic — and the ladder
+//! either returns the first rung that works (with the trail of
+//! [`Degradation`]s and [`RungRetry`]s that led there) or a
+//! [`LadderError`] carrying the full trail plus the final error.
 
 use crate::chaitin::{self, ChaitinConfig};
-use crate::engine::{
-    allocate_threads_with, EngineConfig, IterationBudget, MultiAllocation, ThreadSummary,
-};
+use crate::engine::{EngineConfig, IterationBudget, MultiAllocation, ThreadSummary};
 use crate::error::{AllocError, Degradation, LadderStep, RungRetry};
-use crate::hybrid::{HybridAllocation, ScratchParams, SpillPick, SpillTrajectory};
-use regbal_analysis::ProgramInfo;
-use regbal_ir::{Func, MemSpace, Reg, VReg};
+use crate::hybrid::{HybridAllocation, ScratchParams, SpillPick, SpillTrajectory, SPILL_SPACE};
+use regbal_ir::{Func, Reg, VReg};
 
 /// Default base address of the ladder's spill region (shared with the
 /// plain hybrid allocator's default, so single-chip callers see one
@@ -82,14 +82,11 @@ const SCRATCH_EST_LATENCY: u64 = 4;
 /// Per-access latency (cycles) the rung plan charges a memory slot.
 const MEM_EST_LATENCY: u64 = 20;
 
-/// Configuration of the fallback ladder.
+/// Where the fallback ladder puts its spill slots. The engine knobs,
+/// iteration budget included, are the walked trajectory's own
+/// ([`SpillTrajectory::new`]).
 #[derive(Debug, Clone)]
 pub struct LadderConfig {
-    /// Engine knobs (including the iteration budget) used by the
-    /// balanced rungs.
-    pub engine: EngineConfig,
-    /// Memory space holding spill slots for the spilling rungs.
-    pub spill_space: MemSpace,
     /// Base address of the ladder's spill region. Each rung uses a
     /// disjoint `0x1_0000`-byte area above this base, with per-thread
     /// sub-areas `0x1000` bytes apart. Callers allocating several
@@ -108,8 +105,6 @@ pub struct LadderConfig {
 impl Default for LadderConfig {
     fn default() -> Self {
         LadderConfig {
-            engine: EngineConfig::default(),
-            spill_space: MemSpace::Sram,
             spill_base: DEFAULT_LADDER_SPILL_BASE,
             scratch_base: 0,
             scratch_capacity: DEFAULT_SCRATCH_CAPACITY,
@@ -155,17 +150,19 @@ pub struct PlannedRung {
     pub estimate: u64,
 }
 
-/// Prices every statically feasible rung and orders them cheapest
-/// first; ties keep the canonical top-to-bottom ladder order. The
-/// balanced rung is never skipped (its estimate is zero — it adds no
-/// spill code), and the plan always ends with at least one
-/// guaranteed-to-terminate Chaitin rung, so the walk cannot run dry.
-fn plan_rungs(funcs: &[Func], nreg: usize, config: &LadderConfig) -> Vec<PlannedRung> {
-    let pressures: Vec<u64> = funcs
-        .iter()
-        .map(|f| ProgramInfo::compute(f).pressure.regp_max as u64)
-        .collect();
-    let total: u64 = pressures.iter().sum();
+/// Prices every statically feasible rung of `funcs`, whose threads'
+/// `RegPmax` are `pressures`, and orders them cheapest first; ties keep
+/// the canonical top-to-bottom ladder order. The balanced rung is never
+/// skipped (its estimate is zero — it adds no spill code), and the plan
+/// always ends with at least one guaranteed-to-terminate Chaitin rung,
+/// so the walk cannot run dry.
+fn plan_rungs(
+    pressures: &[usize],
+    funcs: &[Func],
+    nreg: usize,
+    config: &LadderConfig,
+) -> Vec<PlannedRung> {
+    let total: u64 = pressures.iter().map(|&p| p as u64).sum();
     let excess = total.saturating_sub(nreg as u64);
     let nthd = funcs.len().max(1);
     let k = (nreg / nthd) as u64;
@@ -175,7 +172,7 @@ fn plan_rungs(funcs: &[Func], nreg: usize, config: &LadderConfig) -> Vec<Planned
     let spill_est = excess.saturating_mul(MEM_EST_LATENCY);
     let partition_est = pressures
         .iter()
-        .map(|&p| p.saturating_sub(k))
+        .map(|&p| (p as u64).saturating_sub(k))
         .sum::<u64>()
         .saturating_mul(MEM_EST_LATENCY);
     let spill_all_est = funcs
@@ -212,19 +209,12 @@ fn plan_rungs(funcs: &[Func], nreg: usize, config: &LadderConfig) -> Vec<Planned
 /// How the ladder ultimately allocated the threads.
 #[derive(Debug, Clone)]
 pub enum LadderOutcome {
-    /// The balanced engine succeeded with no spills.
-    Balanced {
-        /// The thread programs (unchanged inputs).
-        funcs: Vec<Func>,
-        /// The balancing allocation.
-        alloc: MultiAllocation,
-    },
-    /// Balancing succeeded after spilling some live ranges (the
-    /// balanced-scratch and balanced-spill rungs both produce this
-    /// shape; the [`LadderAllocation::step`] distinguishes them, and
+    /// A balancing rung succeeded: balanced (no spills and no picks),
+    /// balanced-scratch or balanced-spill — the
+    /// [`LadderAllocation::step`] distinguishes them, and
     /// [`HybridAllocation::scratch_spills`] says which slots landed in
-    /// the scratchpad tier).
-    BalancedSpill(HybridAllocation),
+    /// the scratchpad tier.
+    Balanced(HybridAllocation),
     /// Per-thread Chaitin allocation over fixed `Nreg / Nthd` banks
     /// (the third and fourth rungs both produce this shape; the
     /// [`LadderAllocation::step`] distinguishes them).
@@ -269,8 +259,7 @@ impl LadderAllocation {
     /// balanced rung (used e.g. to derive sanitizer ownership maps).
     pub fn balanced_alloc(&self) -> Option<&MultiAllocation> {
         match &self.outcome {
-            LadderOutcome::Balanced { alloc, .. } => Some(alloc),
-            LadderOutcome::BalancedSpill(h) => Some(&h.alloc),
+            LadderOutcome::Balanced(h) => Some(&h.alloc),
             LadderOutcome::Partitioned { .. } => None,
         }
     }
@@ -279,8 +268,7 @@ impl LadderAllocation {
     /// (all zero unless the balanced-scratch rung won).
     pub fn scratch_spills(&self) -> Vec<usize> {
         match &self.outcome {
-            LadderOutcome::Balanced { alloc, .. } => vec![0; alloc.threads.len()],
-            LadderOutcome::BalancedSpill(h) => h.scratch_spills.clone(),
+            LadderOutcome::Balanced(h) => h.scratch_spills.clone(),
             LadderOutcome::Partitioned { funcs, .. } => vec![0; funcs.len()],
         }
     }
@@ -291,16 +279,15 @@ impl LadderAllocation {
     /// cost-ordered).
     pub fn spill_picks(&self) -> &[SpillPick] {
         match &self.outcome {
-            LadderOutcome::BalancedSpill(h) => &h.picks,
-            _ => &[],
+            LadderOutcome::Balanced(h) => &h.picks,
+            LadderOutcome::Partitioned { .. } => &[],
         }
     }
 
     /// Physical registers consumed by the allocation.
     pub fn registers_used(&self) -> usize {
         match &self.outcome {
-            LadderOutcome::Balanced { alloc, .. } => alloc.total_registers(),
-            LadderOutcome::BalancedSpill(h) => h.alloc.total_registers(),
+            LadderOutcome::Balanced(h) => h.alloc.total_registers(),
             LadderOutcome::Partitioned { funcs, .. } => {
                 let mut used = std::collections::BTreeSet::new();
                 for f in funcs {
@@ -325,8 +312,7 @@ impl LadderAllocation {
     /// Per-thread `(PR, SR, moves, spills)` accounting.
     pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
         match &self.outcome {
-            LadderOutcome::Balanced { alloc, .. } => alloc.thread_summaries(),
-            LadderOutcome::BalancedSpill(h) => h.thread_summaries(),
+            LadderOutcome::Balanced(h) => h.thread_summaries(),
             LadderOutcome::Partitioned { k, spills, .. } => spills
                 .iter()
                 .map(|&s| ThreadSummary {
@@ -348,8 +334,7 @@ impl LadderAllocation {
     /// invariant violation — surfaced as an error, not a panic).
     pub fn rewrite(&self) -> Result<Vec<Func>, AllocError> {
         match &self.outcome {
-            LadderOutcome::Balanced { funcs, alloc } => alloc.try_rewrite_funcs(funcs),
-            LadderOutcome::BalancedSpill(h) => h.alloc.try_rewrite_funcs(&h.funcs),
+            LadderOutcome::Balanced(h) => h.alloc.try_rewrite_funcs(&h.funcs),
             LadderOutcome::Partitioned { funcs, .. } => Ok(funcs.clone()),
         }
     }
@@ -380,228 +365,153 @@ impl std::fmt::Display for LadderError {
 impl std::error::Error for LadderError {}
 
 /// Allocates `funcs` over `nreg` registers, degrading gracefully
-/// through the fallback ladder with the default configuration.
+/// through the fallback ladder: a walk on a fresh trajectory under the
+/// default engine configuration, with the default [`LadderConfig`].
 ///
 /// # Errors
 ///
 /// Returns [`LadderError`] only when every rung fails (e.g. a register
 /// file too small to hold even spill-address temporaries).
 pub fn allocate_ladder(funcs: &[Func], nreg: usize) -> Result<LadderAllocation, LadderError> {
-    allocate_ladder_with(
-        funcs,
-        nreg,
-        &LadderConfig::default(),
-        RungProviders::default(),
-    )
+    SpillTrajectory::new(funcs, EngineConfig::default()).ladder(nreg, &LadderConfig::default())
 }
 
-/// A caller-supplied verdict of type `T`, computed on demand.
-type Provider<'a, T> = Box<dyn FnOnce() -> Result<T, AllocError> + 'a>;
-
-/// Caller-supplied verdicts for the balanced rungs, so a caller that
-/// already ran (or cached) the same allocation under the same `funcs`,
-/// `nreg`, and engine config can hand it to the ladder instead of
-/// paying for the search again. Each provider is consumed on the
-/// first attempt it answers; the budget-doubling retry always re-runs
-/// the engine itself (its budget differs from the cached one). The
-/// default provides nothing: the ladder computes every verdict.
-#[derive(Default)]
-pub struct RungProviders<'a> {
-    /// Verdict of the balanced rung
-    /// ([`crate::allocate_threads_with`] on the unmodified `funcs`).
-    pub balanced: Option<Provider<'a, MultiAllocation>>,
-    /// The plain hybrid verdict both spilling rungs are read from
-    /// ([`crate::SpillTrajectory::hybrid`] at this ladder's spilling
-    /// rung base): balanced-spill takes it as is,
-    /// balanced-scratch replays its picks into the scratchpad.
-    pub balanced_spill: Option<Provider<'a, HybridAllocation>>,
-}
-
-/// [`allocate_ladder`] with explicit engine/spill configuration,
-/// seeding the balanced rungs from `providers`. The engine is
-/// deterministic, so a correctly keyed provider is
-/// behaviour-preserving: the ladder walks the same rungs and returns
-/// the same allocation, it just skips recomputing verdicts the caller
-/// already holds.
-///
-/// # Errors
-///
-/// Returns [`LadderError`] when every rung fails.
-pub fn allocate_ladder_with(
-    funcs: &[Func],
-    nreg: usize,
-    config: &LadderConfig,
-    providers: RungProviders<'_>,
-) -> Result<LadderAllocation, LadderError> {
-    let plan = plan_rungs(funcs, nreg, config);
-    let mut balanced = providers.balanced;
-    let mut spill = SpillVerdicts {
-        provider: providers.balanced_spill,
-        verdicts: Vec::new(),
-    };
-    let mut degradations: Vec<Degradation> = Vec::new();
-    let mut retries: Vec<RungRetry> = Vec::new();
-    let mut idx = 0;
-    loop {
-        let step = plan[idx].step;
-        let result = match step {
-            LadderStep::Balanced => match balanced.take() {
-                Some(provider) => provider().map(|alloc| LadderOutcome::Balanced {
-                    funcs: funcs.to_vec(),
-                    alloc,
-                }),
-                None => run_rung(funcs, nreg, config, step, config.engine, &mut spill),
-            },
-            _ => run_rung(funcs, nreg, config, step, config.engine, &mut spill),
-        };
-        // Partial-rung retry: a starved budget is not a proof of
-        // infeasibility, so before descending, re-run the rung once
-        // with a doubled (still bounded) budget. A cap of zero is the
-        // ladder's own "skip the balanced rungs" idiom and is honored
-        // as-is.
-        let result = match result {
-            Err(AllocError::IterationCapHit { cap, .. })
-                if cap > 0
-                    && matches!(
+impl SpillTrajectory {
+    /// Walks the fallback ladder at `nreg` registers with spill slots
+    /// placed by `config`, reading every balancing rung from this
+    /// trajectory: the plan is priced from round 0's analyses, the
+    /// balanced rung is [`SpillTrajectory::balanced`], and both
+    /// spilling rungs are [`SpillTrajectory::hybrid`] at the ladder's
+    /// spilling rung base (balanced-scratch replays its picks). A walk
+    /// on a used trajectory returns exactly what one on a fresh
+    /// trajectory does; it just skips the verdicts already memoized.
+    ///
+    /// A rung starved by the iteration budget is retried on a fresh
+    /// trajectory with the doubled budget, one per distinct doubled
+    /// budget and walk, so this trajectory never sees that budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LadderError`] when every rung fails.
+    pub fn ladder(
+        &mut self,
+        nreg: usize,
+        config: &LadderConfig,
+    ) -> Result<LadderAllocation, LadderError> {
+        let plan = plan_rungs(&self.first_pressures(), self.funcs(), nreg, config);
+        let mut retried: Vec<(usize, SpillTrajectory)> = Vec::new();
+        let mut degradations: Vec<Degradation> = Vec::new();
+        let mut retries: Vec<RungRetry> = Vec::new();
+        let mut idx = 0;
+        loop {
+            let step = plan[idx].step;
+            // Partial-rung retry: a starved budget is not a proof of
+            // infeasibility, so before descending, re-run the rung once
+            // with a doubled (still bounded) budget. A cap of zero is the
+            // ladder's own "skip the balanced rungs" idiom and is honored
+            // as-is.
+            let result = match self.rung(nreg, config, step) {
+                Err(AllocError::IterationCapHit { cap, .. })
+                    if cap > 0
+                        && matches!(
+                            step,
+                            LadderStep::Balanced
+                                | LadderStep::BalancedScratch
+                                | LadderStep::BalancedSpill
+                        ) =>
+                {
+                    let retry_cap = cap.saturating_mul(2);
+                    let pos = match retried.iter().position(|(c, _)| *c == retry_cap) {
+                        Some(pos) => pos,
+                        None => {
+                            let engine = EngineConfig {
+                                max_iterations: IterationBudget::Fixed(retry_cap),
+                                ..self.config()
+                            };
+                            retried.push((retry_cap, SpillTrajectory::new(self.funcs(), engine)));
+                            retried.len() - 1
+                        }
+                    };
+                    let result = retried[pos].1.rung(nreg, config, step);
+                    retries.push(RungRetry {
                         step,
-                        LadderStep::Balanced
-                            | LadderStep::BalancedScratch
-                            | LadderStep::BalancedSpill
-                    ) =>
-            {
-                let retry_cap = cap.saturating_mul(2);
-                let retried = run_rung(
-                    funcs,
-                    nreg,
-                    config,
-                    step,
-                    EngineConfig {
-                        max_iterations: IterationBudget::Fixed(retry_cap),
-                        ..config.engine
-                    },
-                    &mut spill,
-                );
-                retries.push(RungRetry {
-                    step,
-                    cap,
-                    retry_cap,
-                    recovered: retried.is_ok(),
-                });
-                retried
-            }
-            other => other,
-        };
-        match result {
-            Ok(outcome) => {
-                return Ok(LadderAllocation {
-                    nreg,
-                    step,
-                    plan,
-                    degradations,
-                    retries,
-                    outcome,
-                })
-            }
-            Err(error) => {
-                idx += 1;
-                match plan.get(idx) {
-                    Some(next) => {
-                        degradations.push(Degradation {
-                            from: step,
-                            to: next.step,
-                            reason: error,
-                        });
-                    }
-                    None => {
-                        return Err(LadderError {
-                            degradations,
-                            retries,
-                            error,
-                        })
+                        cap,
+                        retry_cap,
+                        recovered: result.is_ok(),
+                    });
+                    result
+                }
+                other => other,
+            };
+            match result {
+                Ok(outcome) => {
+                    return Ok(LadderAllocation {
+                        nreg,
+                        step,
+                        plan,
+                        degradations,
+                        retries,
+                        outcome,
+                    })
+                }
+                Err(error) => {
+                    idx += 1;
+                    match plan.get(idx) {
+                        Some(next) => {
+                            degradations.push(Degradation {
+                                from: step,
+                                to: next.step,
+                                reason: error,
+                            });
+                        }
+                        None => {
+                            return Err(LadderError {
+                                degradations,
+                                retries,
+                                error,
+                            })
+                        }
                     }
                 }
             }
         }
     }
-}
 
-/// The plain hybrid verdicts of one walk, one per engine budget. Both
-/// spilling rungs read the same spill trajectory, so the walk runs the
-/// spill loop at most once for the first attempt and once for the
-/// doubled-budget retry.
-struct SpillVerdicts<'a> {
-    /// The caller's verdict under the ladder's own engine config.
-    provider: Option<Provider<'a, HybridAllocation>>,
-    verdicts: Vec<(EngineConfig, Result<HybridAllocation, AllocError>)>,
-}
-
-impl SpillVerdicts<'_> {
-    /// The plain hybrid verdict under `engine`, computed on first
-    /// demand.
-    fn get(
+    /// Runs one rung of the ladder on this trajectory.
+    fn rung(
         &mut self,
-        funcs: &[Func],
         nreg: usize,
         config: &LadderConfig,
-        engine: EngineConfig,
-    ) -> &Result<HybridAllocation, AllocError> {
-        let pos = match self.verdicts.iter().position(|(e, _)| *e == engine) {
-            Some(pos) => pos,
-            None => {
-                let provided = if engine == config.engine {
-                    self.provider.take()
+        step: LadderStep,
+    ) -> Result<LadderOutcome, AllocError> {
+        let base = config.rung_base(step);
+        let hybrid = match step {
+            LadderStep::Balanced => {
+                let alloc = self
+                    .balanced(&[nreg])
+                    .pop()
+                    .expect("one verdict per target")?;
+                HybridAllocation::unspilled(self.funcs(), alloc)
+            }
+            LadderStep::BalancedScratch | LadderStep::BalancedSpill => {
+                let plain = self
+                    .hybrid(&[nreg], base)
+                    .pop()
+                    .expect("one verdict per target")?;
+                if step == LadderStep::BalancedScratch {
+                    plain.with_scratch(self.funcs(), base, &config.scratch_params())
                 } else {
-                    None
-                };
-                let base = config.rung_base(LadderStep::BalancedSpill);
-                let verdict = match provided {
-                    Some(provider) => provider(),
-                    None => SpillTrajectory::new(funcs, engine)
-                        .hybrid(&[nreg], base)
-                        .pop()
-                        .expect("one verdict per target"),
-                };
-                self.verdicts.push((engine, verdict));
-                self.verdicts.len() - 1
+                    plain
+                }
+            }
+            LadderStep::FixedPartition => {
+                return partitioned_rung(self.funcs(), nreg, config, step, false)
+            }
+            LadderStep::SpillAll => {
+                return partitioned_rung(self.funcs(), nreg, config, step, true)
             }
         };
-        &self.verdicts[pos].1
-    }
-}
-
-/// Runs one rung of the ladder with an explicit engine config (the
-/// budget-doubling retry passes a different budget than `config`'s).
-fn run_rung(
-    funcs: &[Func],
-    nreg: usize,
-    config: &LadderConfig,
-    step: LadderStep,
-    engine: EngineConfig,
-    spill: &mut SpillVerdicts<'_>,
-) -> Result<LadderOutcome, AllocError> {
-    match step {
-        LadderStep::Balanced => {
-            let alloc = allocate_threads_with(funcs, nreg, engine)?;
-            Ok(LadderOutcome::Balanced {
-                funcs: funcs.to_vec(),
-                alloc,
-            })
-        }
-        LadderStep::BalancedScratch => {
-            let plain = spill.get(funcs, nreg, config, engine).as_ref();
-            let hybrid = plain.map_err(Clone::clone)?.with_scratch(
-                funcs,
-                config.rung_base(step),
-                &config.scratch_params(),
-            );
-            Ok(LadderOutcome::BalancedSpill(hybrid))
-        }
-        LadderStep::BalancedSpill => spill
-            .get(funcs, nreg, config, engine)
-            .clone()
-            .map(LadderOutcome::BalancedSpill),
-        LadderStep::FixedPartition => partitioned_rung(funcs, nreg, config, step, false),
-        LadderStep::SpillAll => partitioned_rung(funcs, nreg, config, step, true),
+        Ok(LadderOutcome::Balanced(hybrid))
     }
 }
 
@@ -634,18 +544,13 @@ fn partitioned_rung(
             // left for any residual Chaitin spills.
             for v in 0..func.num_vregs {
                 spills[t] += 1;
-                chaitin::insert_spill_code(
-                    &mut work,
-                    VReg(v),
-                    area + (v as i64) * 4,
-                    config.spill_space,
-                );
+                chaitin::insert_spill_code(&mut work, VReg(v), area + (v as i64) * 4, SPILL_SPACE);
             }
         }
         let chaitin_cfg = ChaitinConfig {
             k,
             phys_base: (t * k) as u32,
-            spill_space: config.spill_space,
+            spill_space: SPILL_SPACE,
             spill_base: area + THREAD_STRIDE / 2,
         };
         let result = chaitin::allocate(&work, &chaitin_cfg)?;
@@ -693,6 +598,7 @@ fn verify_partition(func: &Func, t: usize, k: usize) -> Result<(), AllocError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regbal_analysis::ProgramInfo;
     use regbal_ir::parse_func;
 
     fn easy() -> Func {
@@ -771,7 +677,9 @@ bb0:
             scratch_capacity: 0,
             ..LadderConfig::default()
         };
-        let a = allocate_ladder_with(&funcs, 8, &config, RungProviders::default()).unwrap();
+        let a = SpillTrajectory::new(&funcs, EngineConfig::default())
+            .ladder(8, &config)
+            .unwrap();
         assert_eq!(a.step, LadderStep::BalancedSpill);
         assert_eq!(a.degradations[0].to, LadderStep::BalancedSpill);
         assert!(a.plan.iter().all(|r| r.step != LadderStep::BalancedScratch));
@@ -810,19 +718,18 @@ bb0:
     #[test]
     fn starved_iteration_budget_falls_through_to_partitioning() {
         let funcs = vec![hot(), hot()];
-        let config = LadderConfig {
-            engine: EngineConfig {
-                max_iterations: IterationBudget::Fixed(0),
-                ..EngineConfig::default()
-            },
-            ..LadderConfig::default()
+        let engine = EngineConfig {
+            max_iterations: IterationBudget::Fixed(0),
+            ..EngineConfig::default()
         };
         // A file just below the zero-work demand forces reduction
         // steps; cap 0 starves both balanced rungs, while Chaitin
         // doesn't iterate the greedy engine and still delivers.
         let zero_work = allocate_ladder(&funcs, 64).unwrap();
         let nreg = zero_work.registers_used() - 1;
-        let a = allocate_ladder_with(&funcs, nreg, &config, RungProviders::default()).unwrap();
+        let a = SpillTrajectory::new(&funcs, engine)
+            .ladder(nreg, &LadderConfig::default())
+            .unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
         assert_eq!(a.degraded_count(), 3);
         assert!(a
@@ -873,14 +780,13 @@ bb0:
         // doubled retry covers the full descent, so the ladder settles
         // on the top rung with no degradations — only a retry record.
         let cap = iters.div_ceil(2);
-        let config = LadderConfig {
-            engine: EngineConfig {
-                max_iterations: IterationBudget::Fixed(cap),
-                ..EngineConfig::default()
-            },
-            ..LadderConfig::default()
+        let engine = EngineConfig {
+            max_iterations: IterationBudget::Fixed(cap),
+            ..EngineConfig::default()
         };
-        let a = allocate_ladder_with(&funcs, nreg, &config, RungProviders::default()).unwrap();
+        let a = SpillTrajectory::new(&funcs, engine)
+            .ladder(nreg, &LadderConfig::default())
+            .unwrap();
         assert_eq!(a.step, LadderStep::Balanced);
         assert_eq!(a.degraded_count(), 0);
         assert_eq!(
@@ -904,14 +810,13 @@ bb0:
         // need), so the ladder descends to partitioning with three
         // failed retries on record, and the degradation reasons carry
         // the retry cap.
-        let config = LadderConfig {
-            engine: EngineConfig {
-                max_iterations: IterationBudget::Fixed(1),
-                ..EngineConfig::default()
-            },
-            ..LadderConfig::default()
+        let engine = EngineConfig {
+            max_iterations: IterationBudget::Fixed(1),
+            ..EngineConfig::default()
         };
-        let a = allocate_ladder_with(&funcs, nreg, &config, RungProviders::default()).unwrap();
+        let a = SpillTrajectory::new(&funcs, engine)
+            .ladder(nreg, &LadderConfig::default())
+            .unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
         assert_eq!(
             a.retries
@@ -932,18 +837,16 @@ bb0:
     }
 
     #[test]
-    fn seeded_providers_reproduce_the_unseeded_walk() {
+    fn a_walk_on_a_used_trajectory_reproduces_a_fresh_walk() {
         let funcs = vec![hot(), hot()];
         // Infeasible for pure balancing at 8 registers: the ladder
         // lands on balanced-scratch either way.
         let plain = allocate_ladder(&funcs, 8).unwrap();
         assert_eq!(plain.step, LadderStep::BalancedScratch);
-        let config = LadderConfig::default();
-        let providers = RungProviders {
-            balanced: Some(Box::new(|| allocate_threads_with(&funcs, 8, config.engine))),
-            balanced_spill: Some(Box::new(|| crate::allocate_threads_with_spill(&funcs, 8))),
-        };
-        let seeded = allocate_ladder_with(&funcs, 8, &config, providers).unwrap();
+        let mut used = SpillTrajectory::new(&funcs, EngineConfig::default());
+        used.balanced(&[8]);
+        used.hybrid(&[8], DEFAULT_LADDER_SPILL_BASE);
+        let seeded = used.ladder(8, &LadderConfig::default()).unwrap();
         assert_eq!(seeded.step, plain.step);
         assert_eq!(seeded.degraded_count(), plain.degraded_count());
         assert_eq!(seeded.rewrite().unwrap(), plain.rewrite().unwrap());

@@ -61,7 +61,7 @@ pub use alloc::{NodeId, ThreadAlloc};
 pub use bounds::{estimate_bounds, Bounds};
 pub use engine::{
     allocate_threads, allocate_threads_stats, allocate_threads_with, force_min_bounds,
-    zero_cost_frontier, EngineConfig, EngineStats, IterationBudget, MultiAllocation,
+    steal_map, zero_cost_frontier, EngineConfig, EngineStats, IterationBudget, MultiAllocation,
     ThreadResult, ThreadSummary, ADAPTIVE_CAP_FACTOR, DEFAULT_ITERATION_CAP, MIN_ITERATION_CAP,
 };
 pub use error::{AllocError, Degradation, LadderStep, RungRetry};
@@ -71,9 +71,8 @@ pub use hybrid::{
     DEFAULT_SPILL_BASE,
 };
 pub use ladder::{
-    allocate_ladder, allocate_ladder_with, LadderAllocation, LadderConfig, LadderError,
-    LadderOutcome, PlannedRung, RungProviders, DEFAULT_LADDER_SPILL_BASE,
-    DEFAULT_SCRATCH_CAPACITY,
+    allocate_ladder, LadderAllocation, LadderConfig, LadderError, LadderOutcome, PlannedRung,
+    DEFAULT_LADDER_SPILL_BASE, DEFAULT_SCRATCH_CAPACITY,
 };
 pub use livemap::LiveMap;
 pub use rewrite::{rewrite_thread, try_rewrite_thread, Layout};

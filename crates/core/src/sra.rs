@@ -56,7 +56,6 @@ impl SraAllocation {
         MultiAllocation {
             threads: vec![self.thread.clone(); self.nthd],
             nreg: self.nreg,
-            degradations: Vec::new(),
         }
     }
 }

@@ -10,14 +10,16 @@
 //! descent never consults the register-file size while choosing steps,
 //! and the hybrid's spill picks never read it either, so one lazy
 //! [`regbal_core::SpillTrajectory`] answers the balanced and the hybrid
-//! verdict at *every* `Nreg`.
+//! verdict — and the fallback ladder's walk, its third query — at
+//! *every* `Nreg`.
 //!
 //! This cache therefore stores one [`SweepColumn`] per
-//! `(scenario index, pu)`: within a scenario the PU's function set is
-//! fixed and the engine config is the default everywhere, so the key
-//! pins every input of the search, and a lookup at any `Nreg` is
-//! answered from the column's one trajectory. The allocation server
-//! keeps one column per resident module for the same reason.
+//! `(scenario index, pu)` ([`AllocCache::column`]): within a scenario
+//! the PU's function set is fixed and the engine config is the default
+//! everywhere, so the key pins every input of the search, and a lookup
+//! at any `Nreg` is answered from the column's one trajectory. The
+//! allocation server keeps one column per resident module for the same
+//! reason.
 //!
 //! Sharing is behaviour-preserving by construction: the engine is
 //! deterministic and the trajectory returns bit-identical verdicts to
@@ -31,7 +33,10 @@
 //! server's one-shot path, each over a fresh column — so they run the
 //! very code the cached sweep runs.
 
-use regbal_core::{AllocError, EngineConfig, HybridAllocation, MultiAllocation, SpillTrajectory};
+use regbal_core::{
+    AllocError, EngineConfig, HybridAllocation, LadderAllocation, LadderConfig, LadderError,
+    LadderStep, MultiAllocation, SpillTrajectory,
+};
 use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
 use std::collections::HashMap;
@@ -39,18 +44,17 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// One cache key: (scenario index in the suite, PU, register-file
-/// size). The strategy is implied by which verdict is asked for.
-pub type CacheKey = (usize, usize, usize);
-
-/// The key of one column: (scenario index, PU).
-type GroupKey = (usize, usize);
-
 /// One fixed thread set's lazy [`SpillTrajectory`] behind a lock. Each
 /// lookup resolves only the size it asks, from the trajectory, which
 /// memoizes recent verdicts per side. Callers racing on one column
 /// block on its lock, so a verdict the trajectory still holds is
 /// computed once.
+///
+/// A balanced or hybrid lookup holds the lock for its own verdict. A
+/// ladder lookup holds it for the whole walk: the rung plan, both
+/// balancing verdicts, the scratch replay, and — only after both
+/// spilling rungs have failed, since the plan always orders the Chaitin
+/// rungs after balanced-spill — the Chaitin rungs.
 ///
 /// A column does not own its functions: every call must pass the same
 /// thread set, since the first call fixes the stored trajectory.
@@ -79,8 +83,9 @@ impl SweepColumn {
     }
 
     /// `query` run on the column's trajectory over `funcs`, under the
-    /// column's lock, counting the `hybrid` or balanced side on its
-    /// first lookup. A panic in an allocation poisons the lock and may
+    /// column's lock. The query returns its answer with the sides it
+    /// asked — `[balanced, hybrid]` — and each side is counted on its
+    /// first ask. A panic in an allocation poisons the lock and may
     /// leave the trajectory half-updated, so the recovered state drops
     /// it (each verdict is then computed afresh, identically); the
     /// started flags stay, and the column is still counted once per
@@ -88,8 +93,7 @@ impl SweepColumn {
     fn query<T>(
         &self,
         funcs: &[Func],
-        hybrid: bool,
-        query: impl FnOnce(&mut SpillTrajectory) -> Vec<T>,
+        query: impl FnOnce(&mut SpillTrajectory) -> (T, [bool; 2]),
     ) -> T {
         let mut state = self.state.lock().unwrap_or_else(|poisoned| {
             let mut state = poisoned.into_inner();
@@ -98,18 +102,19 @@ impl SweepColumn {
             state
         });
         let state = &mut *state;
-        let started = if hybrid {
-            &mut state.hybrid_started
-        } else {
-            &mut state.balanced_started
-        };
-        if !std::mem::replace(started, true) {
-            self.descents.fetch_add(1, Ordering::Relaxed);
-        }
         let trajectory = state
             .trajectory
             .get_or_insert_with(|| SpillTrajectory::new(funcs, EngineConfig::default()));
-        query(trajectory).pop().expect("one verdict per target")
+        let (answer, [balanced, hybrid]) = query(trajectory);
+        for (asked, started) in [
+            (balanced, &mut state.balanced_started),
+            (hybrid, &mut state.hybrid_started),
+        ] {
+            if asked && !std::mem::replace(started, true) {
+                self.descents.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        answer
     }
 
     /// The balanced-engine verdict for `funcs` at `nreg` registers —
@@ -121,7 +126,10 @@ impl SweepColumn {
     /// The engine's own verdict — [`AllocError::Infeasible`] and
     /// friends are cached and replayed like successes.
     pub fn balanced(&self, funcs: &[Func], nreg: usize) -> Result<MultiAllocation, AllocError> {
-        self.query(funcs, false, |trajectory| trajectory.balanced(&[nreg]))
+        self.query(funcs, |trajectory| {
+            let verdict = trajectory.balanced(&[nreg]).pop();
+            (verdict.expect("one verdict per target"), [true, false])
+        })
     }
 
     /// The hybrid (balancing + last-resort spilling) verdict for
@@ -140,8 +148,40 @@ impl SweepColumn {
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        self.query(funcs, true, |trajectory| {
-            trajectory.hybrid(&[nreg], spill_base)
+        self.query(funcs, |trajectory| {
+            let verdict = trajectory.hybrid(&[nreg], spill_base).pop();
+            (verdict.expect("one verdict per target"), [false, true])
+        })
+    }
+
+    /// The fallback ladder's walk for `funcs` at `nreg` registers under
+    /// `config` ([`SpillTrajectory::ladder`]) — bit-identical to
+    /// [`regbal_core::allocate_ladder`] on a fresh trajectory with the
+    /// same config. The walk always asks the balanced side, and the
+    /// hybrid side only when its trail reaches a spilling rung.
+    ///
+    /// # Errors
+    ///
+    /// The ladder's own [`LadderError`] when every rung fails.
+    pub fn ladder(
+        &self,
+        funcs: &[Func],
+        nreg: usize,
+        config: &LadderConfig,
+    ) -> Result<LadderAllocation, LadderError> {
+        self.query(funcs, |trajectory| {
+            let walk = trajectory.ladder(nreg, config);
+            let trail = match &walk {
+                Ok(alloc) => &alloc.degradations,
+                Err(error) => &error.degradations,
+            };
+            let spilled = trail.iter().any(|d| {
+                matches!(
+                    d.to,
+                    LadderStep::BalancedScratch | LadderStep::BalancedSpill
+                )
+            });
+            (walk, [true, spilled])
         })
     }
 }
@@ -152,7 +192,7 @@ impl SweepColumn {
 /// so concurrent workers computing *different* columns don't serialise
 /// (workers racing on the *same* column share its trajectory).
 pub struct AllocCache {
-    columns: Mutex<HashMap<GroupKey, Arc<SweepColumn>>>,
+    columns: Mutex<HashMap<(usize, usize), Arc<SweepColumn>>>,
     /// Trajectory sides started across every column.
     descents: Arc<AtomicU64>,
 }
@@ -169,12 +209,16 @@ impl AllocCache {
         }
     }
 
-    /// The column of `key`, created empty on first sight.
-    fn column(&self, key: GroupKey) -> Arc<SweepColumn> {
+    /// The column of PU `pu` in the suite's scenario `scenario`,
+    /// created empty on first sight. Every strategy reads its verdicts
+    /// from it: `balanced` the balanced side, `balanced-spill` and
+    /// `balanced-scratch` the hybrid side (the latter through
+    /// [`HybridAllocation::with_scratch`]), and the ladder its walk.
+    pub fn column(&self, scenario: usize, pu: usize) -> Arc<SweepColumn> {
         self.columns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
+            .entry((scenario, pu))
             .or_insert_with(|| Arc::new(SweepColumn::new(self.descents.clone())))
             .clone()
     }
@@ -195,33 +239,6 @@ impl AllocCache {
                     .hybrid_started
             })
             .count()
-    }
-    /// The balanced-engine verdict for `funcs` at `key.2` registers,
-    /// from the `(scenario, PU)` column ([`SweepColumn::balanced`]).
-    ///
-    /// # Errors
-    ///
-    /// The engine's own verdict, replayed like a success.
-    pub fn balanced(&self, key: CacheKey, funcs: &[Func]) -> Result<MultiAllocation, AllocError> {
-        self.column((key.0, key.1)).balanced(funcs, key.2)
-    }
-
-    /// The hybrid verdict for `funcs` at `key.2` registers and the
-    /// given spill base, from the `(scenario, PU)` column
-    /// ([`SweepColumn::hybrid`]). Every spilling strategy reads it:
-    /// `balanced-spill` as is, `balanced-scratch` and the ladder's
-    /// scratch rung through [`HybridAllocation::with_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// The hybrid allocator's own verdict.
-    pub fn hybrid(
-        &self,
-        key: CacheKey,
-        funcs: &[Func],
-        spill_base: i64,
-    ) -> Result<HybridAllocation, AllocError> {
-        self.column((key.0, key.1)).hybrid(funcs, key.2, spill_base)
     }
 }
 
@@ -370,6 +387,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{BalancedSpill, CompileCtx, Ladder, Strategy};
     use regbal_core::{allocate_threads, ScratchParams};
     use regbal_ir::parse_func;
 
@@ -397,26 +415,26 @@ mod tests {
         let funcs = vec![hot(), hot()];
         let cache = AllocCache::new(vec![8, 32]);
         let direct = allocate_threads(&funcs, 32).unwrap();
-        let cached = cache.balanced((0, 0, 32), &funcs).unwrap();
+        let cached = cache.column(0, 0).balanced(&funcs, 32).unwrap();
         assert_eq!(direct.total_registers(), cached.total_registers());
         // Errors replay identically too.
-        let e1 = cache.balanced((0, 0, 8), &funcs).unwrap_err();
-        let e2 = cache.balanced((0, 0, 8), &funcs).unwrap_err();
+        let e1 = cache.column(0, 0).balanced(&funcs, 8).unwrap_err();
+        let e2 = cache.column(0, 0).balanced(&funcs, 8).unwrap_err();
         assert_eq!(e1, e2);
         // The hybrid path rescues the infeasible size, seeded by the
         // cached balanced failure.
-        let h = cache.hybrid((0, 0, 8), &funcs, 0x8_0000).unwrap();
+        let h = cache.column(0, 0).hybrid(&funcs, 8, 0x8_0000).unwrap();
         assert!(h.spills.iter().sum::<usize>() > 0);
         let plain = hybrid_at(&funcs, 8, 0x8_0000).unwrap();
         assert_eq!(h.funcs, plain.funcs);
         assert_eq!(h.spills, plain.spills);
         // Sizes outside the sweep are answered from the same column.
-        let off = cache.balanced((0, 0, 16), &funcs);
+        let off = cache.column(0, 0).balanced(&funcs, 16);
         assert_eq!(
             format!("{off:?}"),
             format!("{:?}", allocate_threads(&funcs, 16))
         );
-        let off_h = cache.hybrid((0, 0, 3), &funcs, 0x8_0000);
+        let off_h = cache.column(0, 0).hybrid(&funcs, 3, 0x8_0000);
         assert_eq!(
             format!("{off_h:?}"),
             format!("{:?}", hybrid_at(&funcs, 3, 0x8_0000))
@@ -434,22 +452,22 @@ mod tests {
 
         // Nreg axis: the same column answers each size with its own
         // verdict (8 is infeasible for four threads, 32 fits).
-        assert!(cache.balanced((0, 0, 8), &four).is_err());
-        assert!(cache.balanced((0, 0, 32), &four).is_ok());
+        assert!(cache.column(0, 0).balanced(&four, 8).is_err());
+        assert!(cache.column(0, 0).balanced(&four, 32).is_ok());
 
         // Nthd axis: the same (scenario, pu) key must never be reused
         // across different function sets — distinct groups get distinct
         // keys, and their verdicts differ.
-        let a = cache.balanced((0, 1, 32), &two).unwrap();
-        let b = cache.balanced((1, 1, 32), &four).unwrap();
+        let a = cache.column(0, 1).balanced(&two, 32).unwrap();
+        let b = cache.column(1, 1).balanced(&four, 32).unwrap();
         assert_eq!(a.threads.len(), 2);
         assert_eq!(b.threads.len(), 4);
 
         // Strategy axis: balanced and hybrid verdicts of one key live
         // in separate tables; at a size where balancing fails, the
         // hybrid entry still answers with spills.
-        let e = cache.balanced((2, 0, 8), &four).unwrap_err();
-        let h = cache.hybrid((2, 0, 8), &four, 0x8_0000).unwrap();
+        let e = cache.column(2, 0).balanced(&four, 8).unwrap_err();
+        let h = cache.column(2, 0).hybrid(&four, 8, 0x8_0000).unwrap();
         assert_eq!(e.code(), "infeasible");
         assert!(h.spills.iter().sum::<usize>() > 0);
     }
@@ -463,22 +481,22 @@ mod tests {
         let sweep = vec![8, 16, 24, 32];
         let cache = AllocCache::new(sweep.clone());
         let funcs = vec![hot(), hot()];
-        let first = cache.balanced((0, 0, 32), &funcs).unwrap();
+        let first = cache.column(0, 0).balanced(&funcs, 32).unwrap();
         assert_eq!(cache.descents.load(Ordering::Relaxed), 1);
         for nreg in sweep.iter().copied().chain([12, 5, 40]) {
-            let replayed = cache.balanced((0, 0, nreg), &funcs);
+            let replayed = cache.column(0, 0).balanced(&funcs, nreg);
             assert_eq!(
                 format!("{replayed:?}"),
                 format!("{:?}", allocate_threads(&funcs, nreg)),
                 "size {nreg} must replay the trajectory verdict"
             );
         }
-        let again = cache.balanced((0, 0, 32), &funcs).unwrap();
+        let again = cache.column(0, 0).balanced(&funcs, 32).unwrap();
         assert_eq!(first.total_registers(), again.total_registers());
         // The hybrid side reuses the balanced one as its round 0, and
         // off-sweep sizes start nothing new.
         for nreg in [8, 3, 12, 1, 40] {
-            let served = cache.hybrid((0, 0, nreg), &funcs, 0x8_0000);
+            let served = cache.column(0, 0).hybrid(&funcs, nreg, 0x8_0000);
             assert_eq!(
                 format!("{served:?}"),
                 format!("{:?}", hybrid_at(&funcs, nreg, 0x8_0000)),
@@ -563,13 +581,14 @@ mod tests {
     /// hybrid verdict with its picks replayed into the scratchpad.
     fn scratch(
         cache: &AllocCache,
-        key: CacheKey,
+        key: (usize, usize, usize),
         funcs: &[Func],
         spill_base: i64,
         params: ScratchParams,
     ) -> Result<HybridAllocation, AllocError> {
         cache
-            .hybrid(key, funcs, spill_base)
+            .column(key.0, key.1)
+            .hybrid(funcs, key.2, spill_base)
             .map(|h| h.with_scratch(funcs, spill_base, &params))
     }
 
@@ -597,8 +616,27 @@ mod tests {
         let _ = scratch(&cache, (0, 1, 8), &funcs, 0xB_0000, sp);
         assert_eq!(cache.cost_computes(), 2);
         // A column that only balanced computes no costs.
-        let _ = cache.balanced((0, 2, 8), &funcs);
+        let _ = cache.column(0, 2).balanced(&funcs, 8);
         assert_eq!(cache.cost_computes(), 2);
+        // Ladder compiles through one context: a walk that settles on
+        // balanced starts its column's balanced side only and computes
+        // no costs; one that degrades to a spilling rung starts the
+        // hybrid side once, and a later `balanced-spill` compile on the
+        // column starts nothing more.
+        let ctx = CompileCtx {
+            cache: &cache,
+            scenario: 1,
+        };
+        let descents = || cache.descents.load(Ordering::Relaxed);
+        let before = descents();
+        let clean = Ladder.compile_cached(&funcs, 32, 0, &ctx).unwrap();
+        assert_eq!(clean.degraded, 0);
+        assert_eq!((descents(), cache.cost_computes()), (before + 1, 2));
+        let degraded = Ladder.compile_cached(&funcs, 8, 0, &ctx).unwrap();
+        assert!(degraded.spills() > 0);
+        assert_eq!((descents(), cache.cost_computes()), (before + 2, 3));
+        BalancedSpill.compile_cached(&funcs, 8, 0, &ctx).unwrap();
+        assert_eq!((descents(), cache.cost_computes()), (before + 2, 3));
     }
 
     #[test]
@@ -629,7 +667,7 @@ mod tests {
             },
         )
         .unwrap();
-        let hybrid = cache.hybrid((1, 0, 8), &funcs, 0x8_0000).unwrap();
+        let hybrid = cache.column(1, 0).hybrid(&funcs, 8, 0x8_0000).unwrap();
         assert_eq!(zero.funcs, hybrid.funcs);
         assert_eq!(zero.spills, hybrid.spills);
     }
@@ -643,7 +681,13 @@ mod tests {
                 .map(|_| {
                     let cache = &cache;
                     let funcs = &funcs;
-                    s.spawn(move || cache.balanced((1, 0, 32), funcs).unwrap().total_registers())
+                    s.spawn(move || {
+                        cache
+                            .column(1, 0)
+                            .balanced(funcs, 32)
+                            .unwrap()
+                            .total_registers()
+                    })
                 })
                 .collect::<Vec<_>>()
                 .into_iter()

@@ -3,14 +3,15 @@
 //!
 //! The shape is deliberately minimal: `total` independent tasks indexed
 //! `0..total`, a shared atomic cursor the workers steal indices from,
-//! and a positional merge. Tasks differ wildly in cost (a cache hit
+//! and a positional merge — the engine's own loop,
+//! [`regbal_core::steal_map`]. Tasks differ wildly in cost (a cache hit
 //! returns instantly, a cold ladder descent burns a whole engine
 //! search), so static striping would idle workers; the cursor keeps
 //! every worker busy until the range is drained. Because the merge is
 //! positional — never arrival-ordered — the output vector is identical
 //! at any worker count whenever `compute` itself is deterministic.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative pool counters, shared by every [`shard_metered`] call
 /// that names the same meter. All fields are monotonic and updated
@@ -46,14 +47,11 @@ impl PoolMeter {
     }
 }
 
-/// Runs `compute(0..total)` across `threads` scoped OS workers stealing
-/// indices from a shared cursor, returning the results in index order.
-///
-/// `threads <= 1` (or a single task) runs the plain serial loop in the
-/// calling thread — same closure, so the paths cannot diverge. Workers
-/// are clamped to `total`; a panic inside `compute` propagates to the
-/// caller (the eval sweep catches per-cell panics *inside* its compute
-/// closure, so anything escaping here is a harness bug).
+/// Runs `compute(0..total)` across `threads` workers
+/// ([`regbal_core::steal_map`]), returning the results in index order.
+/// A panic inside `compute` propagates to the caller (the eval sweep
+/// catches per-cell panics *inside* its compute closure, so anything
+/// escaping here is a harness bug).
 pub fn shard<T: Send>(
     total: usize,
     threads: usize,
@@ -73,41 +71,7 @@ pub fn shard_metered<T: Send>(
     if let Some(meter) = meter {
         meter.note(total);
     }
-    if threads <= 1 || total <= 1 {
-        return (0..total).map(compute).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let computed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(total))
-            .map(|_| {
-                let next = &next;
-                let compute = &compute;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= total {
-                            break;
-                        }
-                        mine.push((idx, compute(idx)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("a pool worker died outside its task"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    for (idx, value) in computed {
-        slots[idx] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every stolen index was computed"))
-        .collect()
+    regbal_core::steal_map(total, threads, compute)
 }
 
 #[cfg(test)]

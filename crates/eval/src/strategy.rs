@@ -23,21 +23,22 @@
 //!   scratchpad ([`regbal_ir::MemSpace::Spad`], ~4 cycles) and only the
 //!   overflow pays full memory latency.
 //! * [`Ladder`] — the graceful-degradation pipeline
-//!   ([`regbal_core::allocate_ladder_with`]): never reports
+//!   ([`regbal_core::SpillTrajectory::ladder`]): never reports
 //!   infeasibility while any fallback rung can still deliver; each
 //!   forced transition is counted in [`CompiledPu::degraded`].
 //!
 //! Each strategy maps itself to allocator calls in one place,
-//! [`Strategy::compile_cached`], reading every verdict from the
-//! sweep's [`AllocCache`]. [`Strategy::compile`] runs that same code
-//! over an empty cache, where every lookup is a dedicated run.
+//! [`Strategy::compile_cached`], making one lookup on its PU's column
+//! of the sweep's [`AllocCache`] ([`AllocCache::column`]): the balanced
+//! verdict, the hybrid verdict, or the ladder's walk.
+//! [`Strategy::compile`] runs that same code over an empty cache, where
+//! every lookup is a dedicated run.
 
 use crate::cache::AllocCache;
 use regbal_core::chaitin::{self, ChaitinConfig};
 use regbal_core::{
-    allocate_ladder_with, Degradation, EngineConfig, HybridAllocation, LadderAllocation,
-    LadderConfig, LadderOutcome, LadderStep, MultiAllocation, RungProviders, RungRetry,
-    ScratchParams, ThreadSummary, DEFAULT_SCRATCH_CAPACITY,
+    Degradation, HybridAllocation, LadderAllocation, LadderConfig, LadderOutcome, LadderStep,
+    MultiAllocation, RungRetry, ScratchParams, ThreadSummary, DEFAULT_SCRATCH_CAPACITY,
 };
 use regbal_ir::{Func, MemSpace};
 use regbal_sim::SanitizerConfig;
@@ -330,7 +331,8 @@ impl Strategy for Balanced {
     ) -> Result<CompiledPu, String> {
         let alloc = ctx
             .cache
-            .balanced((ctx.scenario, pu, nreg), funcs)
+            .column(ctx.scenario, pu)
+            .balanced(funcs, nreg)
             .map_err(|e| e.to_string())?;
         Ok(balanced_pu(&alloc, funcs))
     }
@@ -350,7 +352,8 @@ impl Strategy for BalancedSpill {
     ) -> Result<CompiledPu, String> {
         let hybrid = ctx
             .cache
-            .hybrid((ctx.scenario, pu, nreg), funcs, pu_spill_base(pu))
+            .column(ctx.scenario, pu)
+            .hybrid(funcs, nreg, pu_spill_base(pu))
             .map_err(|e| e.to_string())?;
         Ok(hybrid_pu(&hybrid))
     }
@@ -381,7 +384,8 @@ impl Strategy for BalancedScratch {
     ) -> Result<CompiledPu, String> {
         let hybrid = ctx
             .cache
-            .hybrid((ctx.scenario, pu, nreg), funcs, pu_spill_base(pu))
+            .column(ctx.scenario, pu)
+            .hybrid(funcs, nreg, pu_spill_base(pu))
             .map_err(|e| e.to_string())?;
         Ok(scratch_pu(&hybrid, funcs, pu))
     }
@@ -392,17 +396,15 @@ impl Strategy for BalancedScratch {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ladder;
 
-/// The ladder configuration of one PU: default engine, spill region
-/// packed from the PU's shared base (see [`PU_SPILL_BASE`]), scratch
-/// tier in the PU's scratchpad area — so the ladder's balanced-scratch
-/// rung produces byte-identical code to the `balanced-scratch`
-/// strategy on the same PU, which is what lets the sweep's allocation
-/// cache share verdicts between the two.
+/// The ladder configuration of one PU: spill region packed from the
+/// PU's shared base (see [`PU_SPILL_BASE`]), scratch tier in the PU's
+/// scratchpad area — so the ladder's balanced-scratch rung produces
+/// byte-identical code to the `balanced-scratch` strategy on the same
+/// PU, which is what lets the sweep's allocation cache share verdicts
+/// between the two.
 fn ladder_config(pu: usize) -> LadderConfig {
     let scratch = pu_scratch_params(pu);
     LadderConfig {
-        engine: EngineConfig::default(),
-        spill_space: MemSpace::Sram,
         spill_base: pu_spill_base(pu),
         scratch_base: scratch.base,
         scratch_capacity: scratch.capacity,
@@ -414,16 +416,14 @@ fn ladder_config(pu: usize) -> LadderConfig {
 /// partition when the ladder fell to `fixed-partition`. Public for the
 /// same reason as [`balanced_sanitizer`].
 pub fn ladder_sanitizer(alloc: &LadderAllocation, nthreads: usize) -> SanitizerConfig {
-    match (&alloc.outcome, alloc.balanced_alloc()) {
-        (_, Some(balanced)) => balanced_sanitizer(balanced),
-        (LadderOutcome::Partitioned { k, .. }, None) => SanitizerConfig::with_layout(
+    match &alloc.outcome {
+        LadderOutcome::Balanced(hybrid) => balanced_sanitizer(&hybrid.alloc),
+        LadderOutcome::Partitioned { k, .. } => SanitizerConfig::with_layout(
             (0..nthreads)
                 .map(|t| (t * k) as u32..((t + 1) * k) as u32)
                 .collect(),
             None,
         ),
-        // `balanced_alloc` covers every non-partitioned outcome.
-        (_, None) => SanitizerConfig::default(),
     }
 }
 
@@ -452,14 +452,10 @@ impl Strategy for Ladder {
         pu: usize,
         ctx: &CompileCtx<'_>,
     ) -> Result<CompiledPu, String> {
-        let key = (ctx.scenario, pu, nreg);
-        let providers = RungProviders {
-            balanced: Some(Box::new(move || ctx.cache.balanced(key, funcs))),
-            balanced_spill: Some(Box::new(move || {
-                ctx.cache.hybrid(key, funcs, pu_spill_base(pu))
-            })),
-        };
-        let alloc = allocate_ladder_with(funcs, nreg, &ladder_config(pu), providers)
+        let alloc = ctx
+            .cache
+            .column(ctx.scenario, pu)
+            .ladder(funcs, nreg, &ladder_config(pu))
             .map_err(|e| e.to_string())?;
         ladder_pu(&alloc, funcs)
     }

@@ -18,15 +18,17 @@
 //!   the module already holds, instead of re-searching from scratch.
 //!   Every request allocates through the one strategy dispatch the
 //!   one-shot path uses too ([`crate::oneshot::allocate`]), over this
-//!   column instead of a fresh one: every ladder rung that balances
-//!   reads the column — the balanced rung its balanced side, and both
-//!   spilling rungs its hybrid side (the scratch rung replays its
-//!   picks).
+//!   column instead of a fresh one, with one column lookup: the
+//!   balanced verdict, the hybrid verdict, or the ladder's walk on the
+//!   column's trajectory ([`SweepColumn::ladder`]), whose balanced rung
+//!   reads the balanced side and both spilling rungs the hybrid side
+//!   (the scratch rung replays its picks).
 //!
 //! All map mutation happens on the dispatcher thread (deterministic
 //! hit/miss/eviction accounting); worker threads only race on the
-//! trajectories' columns, whose lock serialises them, so a module's
-//! analyses and spill rounds are computed once and shared.
+//! trajectories' columns, whose lock serialises them (a ladder request
+//! holds it for its whole walk), so a module's analyses and spill
+//! rounds are computed once and shared.
 
 use crate::oneshot::{self, ServeStrategy};
 use crate::store::{DiskRead, DiskStore};

@@ -7,14 +7,15 @@
 //! strategy. To keep that promise structural rather than coincidental,
 //! this module owns the loader, the one strategy dispatch and the
 //! document builders, and the CLI delegates to all three: a served
-//! request allocates through `verdict` over its module's cached
-//! [`SweepColumn`], and [`allocate`] — the one-shot path — runs the
+//! request allocates through `verdict`, one lookup on its module's
+//! cached [`SweepColumn`] (the balanced verdict, the hybrid verdict or
+//! the ladder's walk), and [`allocate`] — the one-shot path — runs the
 //! same function over a fresh column, whose lookups are dedicated runs
 //! under the default configurations.
 
 use regbal_core::{
-    allocate_ladder_with, AllocError, HybridAllocation, LadderAllocation, LadderConfig,
-    MultiAllocation, RungProviders, ThreadSummary, DEFAULT_SPILL_BASE,
+    AllocError, HybridAllocation, LadderAllocation, LadderConfig, MultiAllocation, ThreadSummary,
+    DEFAULT_SPILL_BASE,
 };
 use regbal_eval::{
     balanced_sanitizer, ladder_sanitizer, ladder_trail_json, thread_alloc_json, Json,
@@ -189,14 +190,15 @@ pub fn allocate(
     verdict(&column, funcs, nreg, strategy)
 }
 
-/// Allocates `funcs` under `strategy`, reading the balanced and hybrid
-/// verdicts from `column` (hybrid at [`DEFAULT_SPILL_BASE`]) — the one
-/// place a served strategy maps to allocator calls. The ladder's
-/// balanced rung reads the column's balanced verdict and both spilling
-/// rungs its hybrid one (the scratch rung replays its picks). That is
-/// exact: the engine is deterministic, and the
-/// ladder's spilling rungs pack from the same default base
-/// ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] == [`DEFAULT_SPILL_BASE`]).
+/// Allocates `funcs` under `strategy` with one lookup on `column` — the
+/// one place a served strategy maps to allocator calls: its balanced
+/// verdict, its hybrid verdict at [`DEFAULT_SPILL_BASE`], or the
+/// ladder's walk on its trajectory under the default
+/// [`LadderConfig`]. The walk's balanced rung reads the trajectory's
+/// balanced side and both spilling rungs its hybrid side, at the same
+/// base the `balanced-spill` lookup uses
+/// ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] ==
+/// [`DEFAULT_SPILL_BASE`]).
 pub(crate) fn verdict(
     column: &SweepColumn,
     funcs: &[Func],
@@ -207,23 +209,22 @@ pub(crate) fn verdict(
         code: e.code(),
         message: e.to_string(),
     };
-    let balanced = || column.balanced(funcs, nreg);
-    let hybrid = || column.hybrid(funcs, nreg, DEFAULT_SPILL_BASE);
     match strategy {
-        ServeStrategy::Balanced => balanced().map(Verdict::Balanced).map_err(failure),
-        ServeStrategy::BalancedSpill => hybrid().map(Verdict::Spill).map_err(failure),
-        ServeStrategy::Ladder => {
-            let providers = RungProviders {
-                balanced: Some(Box::new(balanced)),
-                balanced_spill: Some(Box::new(hybrid)),
-            };
-            allocate_ladder_with(funcs, nreg, &LadderConfig::default(), providers)
-                .map(|l| Verdict::Ladder(Box::new(l)))
-                .map_err(|e| AllocFailure {
-                    code: e.error.code(),
-                    message: e.to_string(),
-                })
-        }
+        ServeStrategy::Balanced => column
+            .balanced(funcs, nreg)
+            .map(Verdict::Balanced)
+            .map_err(failure),
+        ServeStrategy::BalancedSpill => column
+            .hybrid(funcs, nreg, DEFAULT_SPILL_BASE)
+            .map(Verdict::Spill)
+            .map_err(failure),
+        ServeStrategy::Ladder => column
+            .ladder(funcs, nreg, &LadderConfig::default())
+            .map(|l| Verdict::Ladder(Box::new(l)))
+            .map_err(|e| AllocFailure {
+                code: e.error.code(),
+                message: e.to_string(),
+            }),
     }
 }
 

@@ -15,9 +15,7 @@
 //! in `tests/fuzz_regressions.txt`, which `tests/fuzz_regressions.rs`
 //! replays on every CI run — a failure found once stays fixed.
 
-use regbal_core::{
-    allocate_ladder_with, EngineConfig, IterationBudget, LadderConfig, LadderStep, RungProviders,
-};
+use regbal_core::{EngineConfig, IterationBudget, LadderConfig, LadderStep, SpillTrajectory};
 use regbal_ir::{Func, MemSpace, Reg, Terminator};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
 use regbal_workloads::stress::{stress_bundle, StressConfig, STRESS_SLOT_BYTES};
@@ -171,15 +169,12 @@ impl FuzzCase {
     /// violation, or a simulated hang.
     pub fn check(&self) -> Result<(), String> {
         let funcs = stress_bundle(self.seed, self.threads, self.class.config());
-        let config = LadderConfig {
-            engine: EngineConfig {
-                max_iterations: IterationBudget::Fixed(ITERATION_CAP),
-                ..EngineConfig::default()
-            },
-            ..LadderConfig::default()
+        let engine = EngineConfig {
+            max_iterations: IterationBudget::Fixed(ITERATION_CAP),
+            ..EngineConfig::default()
         };
         let result = std::panic::catch_unwind(|| {
-            allocate_ladder_with(&funcs, self.nreg, &config, RungProviders::default())
+            SpillTrajectory::new(&funcs, engine).ladder(self.nreg, &LadderConfig::default())
         })
         .map_err(|_| "the allocation pipeline panicked".to_string())?;
         let alloc = match result {

@@ -22,8 +22,8 @@ mod common;
 
 use proptest::prelude::*;
 use regbal_core::{
-    allocate_ladder, allocate_ladder_with, allocate_threads_stats, allocate_threads_with,
-    AllocError, EngineConfig, IterationBudget, LadderConfig, LadderStep, RungProviders,
+    allocate_ladder, allocate_threads_stats, allocate_threads_with, AllocError, EngineConfig,
+    IterationBudget, LadderConfig, LadderStep, SpillTrajectory,
 };
 use regbal_ir::{Func, MemSpace, Reg, Terminator};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
@@ -102,15 +102,12 @@ struct CorpusStats {
 /// ladder exists to provide.
 fn exercise(funcs: &[Func], nreg: usize, stats: &mut CorpusStats) {
     stats.funcs += funcs.len();
-    let config = LadderConfig {
-        engine: EngineConfig {
-            max_iterations: IterationBudget::Fixed(500),
-            ..EngineConfig::default()
-        },
-        ..LadderConfig::default()
+    let engine = EngineConfig {
+        max_iterations: IterationBudget::Fixed(500),
+        ..EngineConfig::default()
     };
     let result = std::panic::catch_unwind(|| {
-        allocate_ladder_with(funcs, nreg, &config, RungProviders::default())
+        SpillTrajectory::new(funcs, engine).ladder(nreg, &LadderConfig::default())
     })
     .expect("the allocation pipeline must never panic");
     let alloc = match result {

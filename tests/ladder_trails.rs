@@ -2,15 +2,15 @@
 //! ladder over a fixed corpus, compared byte for byte with
 //! `tests/golden/ladder_trails.txt`.
 //!
-//! Each line is one `allocate_ladder_with` call: the settled rung, the
-//! cost-aware plan, every degradation and budget retry, the spill picks
-//! (`Debug`), and an FNV-1a digest of the printed physical code — or,
-//! for an exhausted ladder, the trail and the final error. The corpus is
-//! the `hot()`-style fixtures of the unit tests plus seeded stress
-//! bundles, at every `Nreg` from 2 up to the first size the default
-//! engine settles on `balanced`, under the default engine and under a
-//! one-step iteration budget (which starves every balancing rung and
-//! exercises the doubled-budget retries).
+//! Each line is one ladder walk on a fresh trajectory: the settled
+//! rung, the cost-aware plan, every degradation and budget retry, the
+//! spill picks (`Debug`), and an FNV-1a digest of the printed physical
+//! code — or, for an exhausted ladder, the trail and the final error.
+//! The corpus is the `hot()`-style fixtures of the unit tests plus
+//! seeded stress bundles, at every `Nreg` from 2 up to the first size
+//! the default engine settles on `balanced`, under the default engine
+//! and under a one-step iteration budget (which starves every balancing
+//! rung and exercises the doubled-budget retries).
 //!
 //! The existing ladder tests check the *shape* of these trails; this
 //! one pins their exact content, so a refactor of how the rungs are
@@ -18,9 +18,7 @@
 //! intentional change, regenerate the file with
 //! `REGBAL_BLESS=1 cargo test --test ladder_trails` and review the diff.
 
-use regbal_core::{
-    allocate_ladder_with, EngineConfig, IterationBudget, LadderConfig, LadderStep, RungProviders,
-};
+use regbal_core::{EngineConfig, IterationBudget, LadderConfig, LadderStep, SpillTrajectory};
 use regbal_ir::{parse_func, Func};
 use regbal_workloads::stress::{stress_bundle, StressConfig};
 use std::fmt::Write as _;
@@ -94,20 +92,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Renders one ladder call as its golden line, returning the settled
-/// rung alongside (`None` for an exhausted ladder).
+/// Renders one ladder walk under the engine's iteration `budget` as its
+/// golden line, returning the settled rung alongside (`None` for an
+/// exhausted ladder).
 fn render(
     case: &str,
     funcs: &[Func],
     nreg: usize,
+    budget: IterationBudget,
     config: &LadderConfig,
 ) -> (String, Option<LadderStep>) {
-    let budget = match config.engine.max_iterations {
+    let name = match budget {
         IterationBudget::Fixed(cap) => format!("fixed{cap}"),
         other => format!("{other:?}").to_lowercase(),
     };
-    let mut line = format!("{case} cap{} {budget} nreg={nreg}", config.scratch_capacity);
-    match allocate_ladder_with(funcs, nreg, config, RungProviders::default()) {
+    let mut line = format!("{case} cap{} {name} nreg={nreg}", config.scratch_capacity);
+    let engine = EngineConfig {
+        max_iterations: budget,
+        ..EngineConfig::default()
+    };
+    match SpillTrajectory::new(funcs, engine).ladder(nreg, config) {
         Ok(a) => {
             let mut code = String::new();
             for f in a.rewrite().expect("a settled ladder rewrites") {
@@ -141,13 +145,8 @@ fn render(
 /// Every golden line of the corpus, in a fixed order.
 fn trails() -> Vec<String> {
     let default = LadderConfig::default();
-    let starved = LadderConfig {
-        engine: EngineConfig {
-            max_iterations: IterationBudget::Fixed(1),
-            ..EngineConfig::default()
-        },
-        ..LadderConfig::default()
-    };
+    let adaptive = EngineConfig::default().max_iterations;
+    let starved = IterationBudget::Fixed(1);
     // A two-word scratchpad: larger spill sets overflow into memory,
     // so the scratch rung's mixed slot numbering is pinned too.
     let small = LadderConfig {
@@ -163,11 +162,11 @@ fn trails() -> Vec<String> {
     let mut lines = Vec::new();
     for (case, funcs) in corpus() {
         for nreg in 2..=MAX_NREG {
-            let (line, step) = render(&case, &funcs, nreg, &default);
+            let (line, step) = render(&case, &funcs, nreg, adaptive, &default);
             lines.push(line);
-            lines.push(render(&case, &funcs, nreg, &starved).0);
-            lines.push(render(&case, &funcs, nreg, &small).0);
-            lines.push(render(&case, &funcs, nreg, &zero).0);
+            lines.push(render(&case, &funcs, nreg, starved, &default).0);
+            lines.push(render(&case, &funcs, nreg, adaptive, &small).0);
+            lines.push(render(&case, &funcs, nreg, adaptive, &zero).0);
             if step == Some(LadderStep::Balanced) {
                 break;
             }

@@ -66,7 +66,6 @@ proptest! {
         let multi = regbal_core::MultiAllocation {
             threads: vec![t.clone(), t],
             nreg: 256,
-            degradations: Vec::new(),
         };
         let physical = multi.rewrite_funcs(&funcs);
         prop_assert_eq!(run_snapshot(&funcs), run_snapshot(&physical));
@@ -146,7 +145,6 @@ proptest! {
         let multi = regbal_core::MultiAllocation {
             threads: vec![t.clone(), t],
             nreg: 256,
-            degradations: Vec::new(),
         };
         let physical = multi.rewrite_funcs(&funcs);
         prop_assert_eq!(run_snapshot(&funcs), run_snapshot(&physical));

@@ -26,7 +26,7 @@
 //! intentional change, regenerate the file with
 //! `REGBAL_BLESS=1 cargo test --test sim_golden` and review the diff.
 
-use regbal_core::{allocate_ladder_with, LadderConfig, LadderStep, RungProviders};
+use regbal_core::{EngineConfig, LadderConfig, LadderStep, SpillTrajectory};
 use regbal_eval::{device_scenarios, ladder_sanitizer, reference_program};
 use regbal_ir::{parse_func, parse_module, Func, MemSpace};
 use regbal_sim::device::{ChipCore, PKT_BASE};
@@ -324,7 +324,8 @@ fn golden_lines() -> Vec<String> {
             scratch_capacity,
             ..LadderConfig::default()
         };
-        let alloc = allocate_ladder_with(&virt, nreg, &config, RungProviders::default())
+        let alloc = SpillTrajectory::new(&virt, EngineConfig::default())
+            .ladder(nreg, &config)
             .expect("the ladder settles");
         assert!(
             matches!(

@@ -4,15 +4,17 @@
 # walk (see the end of this file).
 set -eux
 
-# Panic-free policy for the library crates: no `.unwrap(` or `panic!(`
-# in non-test code (everything before the first `#[cfg(test)]` block).
-# Failures must flow through the `AllocError` taxonomy instead.
-# `.expect("documented invariant")` remains allowed.
+# Panic-free policy for the library crates and the facade's fuzz
+# contract: no `.unwrap(` or `panic!(` in non-test code (everything
+# before the first `#[cfg(test)]` block). Failures must flow through
+# the `AllocError` taxonomy instead. `.expect("documented invariant")`
+# remains allowed.
 for f in crates/core/src/*.rs crates/igraph/src/*.rs \
          crates/analysis/src/*.rs crates/ir/src/*.rs \
          crates/serve/src/*.rs crates/sim/src/*.rs \
          crates/cli/src/*.rs crates/workloads/src/*.rs \
-         crates/workloads/src/kernels/*.rs; do
+         crates/workloads/src/kernels/*.rs crates/eval/src/*.rs \
+         src/*.rs; do
     awk '/#\[cfg\(test\)\]/{exit} /\.unwrap\(|panic!\(/{print FILENAME": "FNR": "$0; bad=1} END{exit bad}' "$f" || {
         echo "panic-free gate: forbidden .unwrap()/panic! in library code ($f)" >&2
         exit 1

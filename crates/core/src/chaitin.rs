@@ -7,17 +7,30 @@
 //! (remove nodes of degree `< k`), optimistically push potential spills,
 //! color on pop, insert spill code for the failures, repeat.
 //!
+//! [`partition`] is that baseline for a thread group: each thread gets
+//! an equal private bank of the file and [`allocate`] colors it alone.
+//! Every fixed-partition allocation of the workspace goes through it —
+//! the ladder's two Chaitin rungs, the sweep's `fixed-partition`
+//! strategy, Table 3 and Figure 14 — and every result it returns is
+//! checked to stay inside its banks.
+//!
 //! Spill code addresses its slot by materialising the address in a
 //! fresh temporary (`tmp = mov slot; store sram[tmp+0], v`), because the
 //! ISA has no absolute addressing; this mirrors real IXP microcode,
 //! where spill addresses also occupy a register.
 
+use crate::engine::ThreadSummary;
 use crate::error::AllocError;
 use regbal_analysis::ProgramInfo;
 use regbal_igraph::build_gig;
 use regbal_ir::{
     Func, Inst, MemSpace, Operand, PReg, Reg, UnOp, VReg,
 };
+use std::ops::Range;
+
+/// Byte stride between the spill areas of consecutive threads of a
+/// [`partition`].
+pub(crate) const THREAD_STRIDE: i64 = 0x1000;
 
 /// Configuration of the baseline allocator.
 #[derive(Debug, Clone)]
@@ -30,18 +43,6 @@ pub struct ChaitinConfig {
     pub spill_space: MemSpace,
     /// Base byte address of the spill area.
     pub spill_base: i64,
-}
-
-impl ChaitinConfig {
-    /// The paper's stock setup: a fixed bank of 32 registers per thread.
-    pub fn fixed_partition(thread: usize) -> ChaitinConfig {
-        ChaitinConfig {
-            k: 32,
-            phys_base: (thread * 32) as u32,
-            spill_space: MemSpace::Sram,
-            spill_base: 0x1_0000 + (thread as i64) * 0x1000,
-        }
-    }
 }
 
 /// Result of the baseline allocation.
@@ -76,7 +77,13 @@ const MAX_ROUNDS: usize = 24;
 /// let f = regbal_ir::parse_func(
 ///     "func f {\nbb0:\n v0 = mov 1\n v1 = add v0, 2\n store scratch[v1+0], v1\n halt\n}",
 /// )?;
-/// let result = allocate(&f, &ChaitinConfig::fixed_partition(0))?;
+/// let bank = ChaitinConfig {
+///     k: 32,
+///     phys_base: 0,
+///     spill_space: regbal_ir::MemSpace::Sram,
+///     spill_base: 0x1_0000,
+/// };
+/// let result = allocate(&f, &bank)?;
 /// assert_eq!(result.spilled, 0);
 /// assert_eq!(result.func.num_vregs, 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -102,17 +109,8 @@ pub fn allocate(func: &Func, config: &ChaitinConfig) -> Result<ChaitinResult, Al
 
         // Occurrence counts for the spill metric.
         let mut occurrences = vec![0usize; nv];
-        let mut count = |r: Reg| {
-            if let Reg::Virt(v) = r {
-                occurrences[v.index()] += 1;
-            }
-        };
-        for (_, _, inst) in work.iter_insts() {
-            inst.defs().for_each(&mut count);
-            inst.uses().for_each(&mut count);
-        }
-        for (_, b) in work.iter_blocks() {
-            b.term.uses().for_each(&mut count);
+        for v in work.regs().filter_map(Reg::as_virt) {
+            occurrences[v.index()] += 1;
         }
 
         let live: Vec<bool> = (0..nv).map(|v| occurrences[v] > 0).collect();
@@ -157,6 +155,105 @@ pub fn allocate(func: &Func, config: &ChaitinConfig) -> Result<ChaitinResult, Al
         }
     }
     Err(AllocError::SpillDiverged { rounds: MAX_ROUNDS })
+}
+
+/// A thread group allocated over the fixed partition: thread `t` owns
+/// the private bank `[t·k, (t+1)·k)` and nothing is shared.
+#[derive(Debug, Clone)]
+pub struct Partition {
+    /// The thread programs, rewritten to physical registers (spill code
+    /// included), in input order.
+    pub funcs: Vec<Func>,
+    /// Bank size per thread.
+    pub k: usize,
+    /// Live ranges spilled per thread.
+    pub spills: Vec<usize>,
+}
+
+impl Partition {
+    /// Per-thread `(PR, SR, moves, spills)` accounting: each thread's
+    /// private registers are its whole bank, and it shares none.
+    pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
+        self.spills
+            .iter()
+            .map(|&spills| ThreadSummary {
+                pr: self.k,
+                sr: 0,
+                moves: 0,
+                spills,
+            })
+            .collect()
+    }
+
+    /// Each thread's private bank, in thread order.
+    pub fn banks(&self) -> Vec<Range<u32>> {
+        (0..self.funcs.len())
+            .map(|t| (t * self.k) as u32..((t + 1) * self.k) as u32)
+            .collect()
+    }
+
+    /// Distinct registers the rewritten programs name (all physical:
+    /// [`partition`] checks every thread).
+    pub fn registers_used(&self) -> usize {
+        let used: std::collections::BTreeSet<Reg> =
+            self.funcs.iter().flat_map(Func::regs).collect();
+        used.len()
+    }
+}
+
+/// Allocates `funcs` over the stock compiler's fixed partition of an
+/// `nreg`-register file: thread `t` gets the bank `[t·k, (t+1)·k)` with
+/// `k = nreg / max(1, funcs.len())`, and [`allocate`] colors it alone,
+/// spilling to SRAM slots from `spill_base + t·0x1000`. Every rewritten
+/// thread is checked to name only physical registers of its own bank.
+///
+/// # Errors
+///
+/// [`AllocError::Infeasible`] when a bank would be empty, the first
+/// thread's [`allocate`] error, or [`AllocError::InvalidAllocation`]
+/// when a rewritten thread leaves its bank.
+pub fn partition(funcs: &[Func], nreg: usize, spill_base: i64) -> Result<Partition, AllocError> {
+    let nthd = funcs.len().max(1);
+    let k = nreg / nthd;
+    if k == 0 {
+        return Err(AllocError::Infeasible {
+            needed: nthd,
+            available: nreg,
+        });
+    }
+    let mut physical = Vec::with_capacity(funcs.len());
+    let mut spills = Vec::with_capacity(funcs.len());
+    for (t, func) in funcs.iter().enumerate() {
+        let bank = ChaitinConfig {
+            k,
+            phys_base: (t * k) as u32,
+            spill_space: MemSpace::Sram,
+            spill_base: spill_base + (t as i64) * THREAD_STRIDE,
+        };
+        let result = allocate(func, &bank)?;
+        verify_partition(&result.func, t, k)?;
+        spills.push(result.spilled);
+        physical.push(result.func);
+    }
+    Ok(Partition {
+        funcs: physical,
+        k,
+        spills,
+    })
+}
+
+/// Checks that a rewritten thread stays inside its private bank
+/// `[t·k, (t+1)·k)` and holds no residual virtual registers.
+fn verify_partition(func: &Func, t: usize, k: usize) -> Result<(), AllocError> {
+    let (lo, hi) = ((t * k) as u32, ((t + 1) * k) as u32);
+    func.regs().try_for_each(|r| {
+        let reason = match r {
+            Reg::Phys(p) if (lo..hi).contains(&p.0) => return Ok(()),
+            Reg::Phys(p) => format!("thread {t} uses {p} outside its bank [{lo}, {hi})"),
+            Reg::Virt(v) => format!("thread {t} still uses virtual register {v}"),
+        };
+        Err(AllocError::InvalidAllocation { reason })
+    })
 }
 
 /// Chaitin-Briggs simplify/select. Returns a color `< k` per live node
@@ -361,7 +458,13 @@ mod tests {
             "func f {\nbb0:\n v0 = mov 1\n v1 = mov 2\n v2 = add v0, v1\n store scratch[v2+0], v2\n halt\n}",
         )
         .unwrap();
-        let r = allocate(&f, &ChaitinConfig::fixed_partition(0)).unwrap();
+        let cfg = ChaitinConfig {
+            k: 32,
+            phys_base: 0,
+            spill_space: MemSpace::Sram,
+            spill_base: 0x1_0000,
+        };
+        let r = allocate(&f, &cfg).unwrap();
         assert_eq!(r.spilled, 0);
         assert_eq!(r.rounds, 1);
         assert_eq!(r.func.num_vregs, 0);
@@ -469,13 +572,92 @@ bb2:
         r.func.validate().unwrap();
     }
 
+    /// Five co-live values per thread: a bank of fewer registers spills.
+    fn hot() -> Func {
+        parse_func(
+            "func hot {\nbb0:\n v0 = mov 1\n v1 = mov 2\n v2 = mov 3\n v3 = mov 4\n v4 = mov 5\n v5 = add v0, v1\n v5 = add v5, v2\n v5 = add v5, v3\n v5 = add v5, v4\n store scratch[v5+0], v5\n halt\n}",
+        )
+        .unwrap()
+    }
+
     #[test]
     fn fixed_partition_banks() {
-        let c0 = ChaitinConfig::fixed_partition(0);
-        let c2 = ChaitinConfig::fixed_partition(2);
-        assert_eq!(c0.phys_base, 0);
-        assert_eq!(c2.phys_base, 64);
-        assert_eq!(c0.k, 32);
-        assert_ne!(c0.spill_base, c2.spill_base);
+        let p = partition(&[hot(), hot(), hot()], 128, 0x1_0000).unwrap();
+        assert_eq!(p.k, 42, "128 / 3 threads, the remainder unused");
+        assert_eq!(p.banks(), vec![0..42, 42..84, 84..126]);
+        for (f, bank) in p.funcs.iter().zip(p.banks()) {
+            assert!(f
+                .regs()
+                .all(|r| matches!(r, Reg::Phys(q) if bank.contains(&q.0))));
+        }
+        assert_eq!(
+            p.thread_summaries(),
+            vec![
+                ThreadSummary {
+                    pr: 42,
+                    sr: 0,
+                    moves: 0,
+                    spills: 0
+                };
+                3
+            ]
+        );
+        assert_eq!(p.registers_used(), 3 * 5);
+    }
+
+    #[test]
+    fn each_thread_spills_into_its_own_area() {
+        let p = partition(&[hot(), hot()], 6, 0x8000).unwrap();
+        assert_eq!(p.k, 3);
+        assert!(p.spills.iter().all(|&s| s > 0), "{:?}", p.spills);
+        for (t, f) in p.funcs.iter().enumerate() {
+            let area = 0x8000 + t as i64 * THREAD_STRIDE..0x8000 + (t as i64 + 1) * THREAD_STRIDE;
+            let slots: Vec<i64> = f
+                .iter_insts()
+                .filter_map(|(_, _, inst)| match inst {
+                    Inst::Un {
+                        src: Operand::Imm(slot),
+                        ..
+                    } if *slot >= 0x8000 => Some(*slot),
+                    _ => None,
+                })
+                .collect();
+            assert!(!slots.is_empty());
+            assert!(
+                slots.iter().all(|s| area.contains(s)),
+                "thread {t}: {slots:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_bank_is_infeasible() {
+        let err = partition(&[hot(), hot(), hot()], 2, 0).unwrap_err();
+        assert_eq!(
+            err,
+            AllocError::Infeasible {
+                needed: 3,
+                available: 2
+            }
+        );
+    }
+
+    #[test]
+    fn the_bank_check_names_the_first_stray_register() {
+        let inside = partition(&[hot()], 8, 0).unwrap().funcs.remove(0);
+        verify_partition(&inside, 0, 8).unwrap();
+        let first = inside.regs().next().unwrap();
+        let err = verify_partition(&inside, 1, 8).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("thread 1 uses {first} outside its bank [8, 16)")),
+            "{err}"
+        );
+        let err = verify_partition(&hot(), 0, 8).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("thread 0 still uses virtual register v0"),
+            "{err}"
+        );
     }
 }

@@ -577,23 +577,11 @@ pub(crate) fn initial_threads(funcs: &[Func], parallel: bool) -> Vec<ThreadResul
 /// Returns [`AllocError::Infeasible`] when the demand cannot be reduced
 /// to fit: every thread is at its lower bound or stuck.
 pub fn allocate_threads(funcs: &[Func], nreg: usize) -> Result<MultiAllocation, AllocError> {
-    allocate_threads_with(funcs, nreg, EngineConfig::default())
+    allocate_threads_stats(funcs, nreg, EngineConfig::default()).map(|(alloc, _)| alloc)
 }
 
-/// [`allocate_threads`] with an explicit [`EngineConfig`].
-///
-/// # Errors
-///
-/// As [`allocate_threads`].
-pub fn allocate_threads_with(
-    funcs: &[Func],
-    nreg: usize,
-    config: EngineConfig,
-) -> Result<MultiAllocation, AllocError> {
-    allocate_threads_stats(funcs, nreg, config).map(|(alloc, _)| alloc)
-}
-
-/// [`allocate_threads_with`], additionally reporting [`EngineStats`].
+/// [`allocate_threads`] with an explicit [`EngineConfig`], additionally
+/// reporting [`EngineStats`].
 ///
 /// # Errors
 ///
@@ -1069,9 +1057,10 @@ mod tests {
     fn all_configs_produce_identical_allocations() {
         let funcs = vec![odd_cycle(), hungry(), lean(), odd_cycle()];
         for nreg in [8, 10, 12, 16, 24] {
-            let reference = allocate_threads_with(&funcs, nreg, EngineConfig::naive());
+            let reference =
+                allocate_threads_stats(&funcs, nreg, EngineConfig::naive()).map(|(a, _)| a);
             for config in config_matrix() {
-                let got = allocate_threads_with(&funcs, nreg, config);
+                let got = allocate_threads_stats(&funcs, nreg, config).map(|(a, _)| a);
                 match (&reference, &got) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(per_thread(a), per_thread(b), "{config:?} nreg={nreg}");
@@ -1136,7 +1125,7 @@ mod tests {
             max_iterations: IterationBudget::Fixed(stats.iterations - 1),
             ..EngineConfig::default()
         };
-        match allocate_threads_with(&funcs, 12, starved) {
+        match allocate_threads_stats(&funcs, 12, starved).map(|(a, _)| a) {
             Err(AllocError::IterationCapHit { iterations, cap }) => {
                 assert_eq!(cap, stats.iterations - 1);
                 assert_eq!(iterations, cap);
@@ -1186,7 +1175,7 @@ mod tests {
             .max()
             .unwrap();
         assert!(floor > 6);
-        match allocate_threads_with(&funcs, 6, EngineConfig::default()) {
+        match allocate_threads_stats(&funcs, 6, EngineConfig::default()).map(|(a, _)| a) {
             Err(AllocError::Infeasible { needed, available }) => {
                 assert_eq!(available, 6);
                 assert_eq!(needed, floor);
@@ -1199,7 +1188,7 @@ mod tests {
             max_iterations: IterationBudget::Fixed(0),
             ..EngineConfig::default()
         };
-        match allocate_threads_with(&funcs, 6, starved) {
+        match allocate_threads_stats(&funcs, 6, starved).map(|(a, _)| a) {
             Err(AllocError::IterationCapHit { cap: 0, .. }) => {}
             other => panic!("expected IterationCapHit, got {other:?}"),
         }
@@ -1234,7 +1223,8 @@ mod tests {
             crate::SpillTrajectory::new(&funcs, EngineConfig::default()).balanced(&targets);
         assert_eq!(swept.len(), targets.len());
         for (&t, got) in targets.iter().zip(&swept) {
-            let solo = allocate_threads_with(&funcs, t, EngineConfig::default());
+            let solo =
+                allocate_threads_stats(&funcs, t, EngineConfig::default()).map(|(a, _)| a);
             assert_eq!(
                 format!("{got:?}"),
                 format!("{solo:?}"),
@@ -1257,7 +1247,7 @@ mod tests {
             let targets: Vec<usize> = (4..=40).collect();
             let swept = crate::SpillTrajectory::new(&funcs, config).balanced(&targets);
             for (&t, got) in targets.iter().zip(&swept) {
-                let solo = allocate_threads_with(&funcs, t, config);
+                let solo = allocate_threads_stats(&funcs, t, config).map(|(a, _)| a);
                 assert_eq!(
                     format!("{got:?}"),
                     format!("{solo:?}"),

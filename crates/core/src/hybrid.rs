@@ -285,7 +285,7 @@ impl SpillTrajectory {
     }
 
     /// The balancing verdict at each of `targets` — bit-identical to a
-    /// dedicated [`crate::allocate_threads_with`] run under this
+    /// dedicated [`crate::allocate_threads_stats`] run under this
     /// trajectory's config. Sizes not memoized descend together from
     /// round 0's start states.
     pub fn balanced(&mut self, targets: &[usize]) -> Vec<Result<MultiAllocation, AllocError>> {
@@ -653,7 +653,7 @@ fn floor_bound(analyses: &[Analysis], config: EngineConfig) -> usize {
 }
 
 /// One round's balancing verdicts for `targets` — each exactly what
-/// [`crate::allocate_threads_with`] over the round's programs returns.
+/// [`crate::allocate_threads_stats`] over the round's programs returns.
 /// A round whose demand floor exceeds every target resolves from the
 /// analyses alone; any other descends from the kept initial states,
 /// building only the missing ones.
@@ -736,7 +736,7 @@ fn spill_candidate(info: &ProgramInfo, already: &[bool], costs: &SpillCosts) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{allocate_threads, allocate_threads_with, sweep_stats};
+    use crate::engine::{allocate_threads, allocate_threads_stats, sweep_stats};
     use regbal_ir::parse_func;
 
     /// A function with five co-live values across a switch.
@@ -858,7 +858,8 @@ bb0:
         let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
         let balanced = traj.balanced(&[8, 32]);
         for (nreg, verdict) in [8, 32].into_iter().zip(&balanced) {
-            let solo = allocate_threads_with(&funcs, nreg, EngineConfig::default());
+            let solo =
+                allocate_threads_stats(&funcs, nreg, EngineConfig::default()).map(|(a, _)| a);
             assert_eq!(format!("{verdict:?}"), format!("{solo:?}"));
         }
         assert!(balanced[0].is_err());
@@ -1373,7 +1374,7 @@ bb0:
                         if !retries.is_empty() {
                             *kinds.entry("retried").or_insert(0) += 1;
                         }
-                        if matches!(walk, Ok(a) if matches!(a.outcome, LadderOutcome::Partitioned { .. }))
+                        if matches!(walk, Ok(a) if matches!(a.outcome, LadderOutcome::Partitioned(_)))
                         {
                             *kinds.entry("partitioned").or_insert(0) += 1;
                         }

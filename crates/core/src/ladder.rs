@@ -17,10 +17,10 @@
 //!    slots in memory ([`crate::allocate_threads_with_spill`]);
 //! 4. **fixed-partition** — the stock compiler's model: each thread gets
 //!    a private bank of `Nreg / Nthd` registers and a Chaitin allocator
-//!    ([`crate::chaitin`]);
+//!    ([`chaitin::partition`]);
 //! 5. **spill-all** — every original value lives in memory; only
-//!    instruction-local temporaries occupy registers, so Chaitin
-//!    coloring converges immediately.
+//!    instruction-local temporaries occupy registers, so the same
+//!    fixed partition converges immediately.
 //!
 //! The walk is *cost-aware*: before trying anything, the ladder builds
 //! a [`PlannedRung`] plan that prices each rung with a static estimate
@@ -55,11 +55,11 @@
 //! [`Degradation`]s and [`RungRetry`]s that led there) or a
 //! [`LadderError`] carrying the full trail plus the final error.
 
-use crate::chaitin::{self, ChaitinConfig};
+use crate::chaitin::{self, Partition, THREAD_STRIDE};
 use crate::engine::{EngineConfig, IterationBudget, MultiAllocation, ThreadSummary};
 use crate::error::{AllocError, Degradation, LadderStep, RungRetry};
 use crate::hybrid::{HybridAllocation, ScratchParams, SpillPick, SpillTrajectory, SPILL_SPACE};
-use regbal_ir::{Func, Reg, VReg};
+use regbal_ir::{Func, VReg};
 
 /// Default base address of the ladder's spill region (shared with the
 /// plain hybrid allocator's default, so single-chip callers see one
@@ -72,9 +72,6 @@ pub const DEFAULT_SCRATCH_CAPACITY: usize = 16;
 
 /// Byte stride between the spill areas of consecutive ladder rungs.
 const RUNG_STRIDE: i64 = 0x1_0000;
-
-/// Byte stride between per-thread spill areas within one rung.
-const THREAD_STRIDE: i64 = 0x1000;
 
 /// Per-access latency (cycles) the rung plan charges a scratchpad slot.
 const SCRATCH_EST_LATENCY: u64 = 4;
@@ -216,17 +213,10 @@ pub enum LadderOutcome {
     /// the scratchpad tier.
     Balanced(HybridAllocation),
     /// Per-thread Chaitin allocation over fixed `Nreg / Nthd` banks
-    /// (the third and fourth rungs both produce this shape; the
-    /// [`LadderAllocation::step`] distinguishes them).
-    Partitioned {
-        /// The thread programs, already rewritten to physical
-        /// registers (spill code included).
-        funcs: Vec<Func>,
-        /// Bank size per thread.
-        k: usize,
-        /// Live ranges spilled per thread.
-        spills: Vec<usize>,
-    },
+    /// ([`chaitin::partition`]; the fixed-partition and spill-all rungs
+    /// both produce this shape, the [`LadderAllocation::step`]
+    /// distinguishes them).
+    Partitioned(Partition),
 }
 
 /// A successful walk down the ladder: the first rung that produced a
@@ -260,7 +250,7 @@ impl LadderAllocation {
     pub fn balanced_alloc(&self) -> Option<&MultiAllocation> {
         match &self.outcome {
             LadderOutcome::Balanced(h) => Some(&h.alloc),
-            LadderOutcome::Partitioned { .. } => None,
+            LadderOutcome::Partitioned(_) => None,
         }
     }
 
@@ -269,7 +259,7 @@ impl LadderAllocation {
     pub fn scratch_spills(&self) -> Vec<usize> {
         match &self.outcome {
             LadderOutcome::Balanced(h) => h.scratch_spills.clone(),
-            LadderOutcome::Partitioned { funcs, .. } => vec![0; funcs.len()],
+            LadderOutcome::Partitioned(p) => vec![0; p.funcs.len()],
         }
     }
 
@@ -280,7 +270,7 @@ impl LadderAllocation {
     pub fn spill_picks(&self) -> &[SpillPick] {
         match &self.outcome {
             LadderOutcome::Balanced(h) => &h.picks,
-            LadderOutcome::Partitioned { .. } => &[],
+            LadderOutcome::Partitioned(_) => &[],
         }
     }
 
@@ -288,24 +278,7 @@ impl LadderAllocation {
     pub fn registers_used(&self) -> usize {
         match &self.outcome {
             LadderOutcome::Balanced(h) => h.alloc.total_registers(),
-            LadderOutcome::Partitioned { funcs, .. } => {
-                let mut used = std::collections::BTreeSet::new();
-                for f in funcs {
-                    let mut note = |r: Reg| {
-                        if let Reg::Phys(p) = r {
-                            used.insert(p.0);
-                        }
-                    };
-                    for (_, _, inst) in f.iter_insts() {
-                        inst.defs().for_each(&mut note);
-                        inst.uses().for_each(&mut note);
-                    }
-                    for (_, b) in f.iter_blocks() {
-                        b.term.uses().for_each(&mut note);
-                    }
-                }
-                used.len()
-            }
+            LadderOutcome::Partitioned(p) => p.registers_used(),
         }
     }
 
@@ -313,15 +286,7 @@ impl LadderAllocation {
     pub fn thread_summaries(&self) -> Vec<ThreadSummary> {
         match &self.outcome {
             LadderOutcome::Balanced(h) => h.thread_summaries(),
-            LadderOutcome::Partitioned { k, spills, .. } => spills
-                .iter()
-                .map(|&s| ThreadSummary {
-                    pr: *k,
-                    sr: 0,
-                    moves: 0,
-                    spills: s,
-                })
-                .collect(),
+            LadderOutcome::Partitioned(p) => p.thread_summaries(),
         }
     }
 
@@ -335,7 +300,7 @@ impl LadderAllocation {
     pub fn rewrite(&self) -> Result<Vec<Func>, AllocError> {
         match &self.outcome {
             LadderOutcome::Balanced(h) => h.alloc.try_rewrite_funcs(&h.funcs),
-            LadderOutcome::Partitioned { funcs, .. } => Ok(funcs.clone()),
+            LadderOutcome::Partitioned(p) => Ok(p.funcs.clone()),
         }
     }
 }
@@ -505,101 +470,46 @@ impl SpillTrajectory {
                 }
             }
             LadderStep::FixedPartition => {
-                return partitioned_rung(self.funcs(), nreg, config, step, false)
+                return chaitin::partition(self.funcs(), nreg, base + THREAD_STRIDE / 2)
+                    .map(LadderOutcome::Partitioned)
             }
             LadderStep::SpillAll => {
-                return partitioned_rung(self.funcs(), nreg, config, step, true)
+                return spill_all(self.funcs(), nreg, base).map(LadderOutcome::Partitioned)
             }
         };
         Ok(LadderOutcome::Balanced(hybrid))
     }
 }
 
-/// The two Chaitin rungs: fixed `Nreg / Nthd` banks per thread, with
-/// (`spill_all`) or without pre-spilling every original live range.
-fn partitioned_rung(
-    funcs: &[Func],
-    nreg: usize,
-    config: &LadderConfig,
-    step: LadderStep,
-    spill_all: bool,
-) -> Result<LadderOutcome, AllocError> {
-    let nthd = funcs.len().max(1);
-    let k = nreg / nthd;
-    if k == 0 {
-        return Err(AllocError::Infeasible {
-            needed: nthd,
-            available: nreg,
-        });
-    }
-    let rung = config.rung_base(step);
-    let mut physical = Vec::with_capacity(funcs.len());
-    let mut spills = vec![0usize; funcs.len()];
-    for (t, func) in funcs.iter().enumerate() {
-        let area = rung + (t as i64) * THREAD_STRIDE;
-        let mut work = func.clone();
-        if spill_all {
-            // Evict every original value to its own slot; the lower
-            // half of the thread area holds these, the upper half is
-            // left for any residual Chaitin spills.
+/// The spill-all rung: every original value of thread `t` lives in its
+/// own slot of the lower half of the thread's area, `base + t·0x1000`,
+/// and the fixed partition allocates what is left, its residual Chaitin
+/// spills in the upper half.
+fn spill_all(funcs: &[Func], nreg: usize, base: i64) -> Result<Partition, AllocError> {
+    let evicted: Vec<Func> = funcs
+        .iter()
+        .enumerate()
+        .map(|(t, func)| {
+            let area = base + (t as i64) * THREAD_STRIDE;
+            let mut work = func.clone();
             for v in 0..func.num_vregs {
-                spills[t] += 1;
                 chaitin::insert_spill_code(&mut work, VReg(v), area + (v as i64) * 4, SPILL_SPACE);
             }
-        }
-        let chaitin_cfg = ChaitinConfig {
-            k,
-            phys_base: (t * k) as u32,
-            spill_space: SPILL_SPACE,
-            spill_base: area + THREAD_STRIDE / 2,
-        };
-        let result = chaitin::allocate(&work, &chaitin_cfg)?;
-        spills[t] += result.spilled;
-        verify_partition(&result.func, t, k)?;
-        physical.push(result.func);
+            work
+        })
+        .collect();
+    let mut partition = chaitin::partition(&evicted, nreg, base + THREAD_STRIDE / 2)?;
+    for (spills, func) in partition.spills.iter_mut().zip(funcs) {
+        *spills += func.num_vregs as usize;
     }
-    Ok(LadderOutcome::Partitioned {
-        funcs: physical,
-        k,
-        spills,
-    })
-}
-
-/// Checks that a rewritten thread stays inside its private bank
-/// `[t·k, (t+1)·k)` and holds no residual virtual registers.
-fn verify_partition(func: &Func, t: usize, k: usize) -> Result<(), AllocError> {
-    let lo = (t * k) as u32;
-    let hi = ((t + 1) * k) as u32;
-    let mut bad: Option<String> = None;
-    let mut check = |r: Reg| match r {
-        Reg::Phys(p) if p.0 < lo || p.0 >= hi => {
-            bad.get_or_insert_with(|| {
-                format!("thread {t} uses {p} outside its bank [{lo}, {hi})")
-            });
-        }
-        Reg::Virt(v) => {
-            bad.get_or_insert_with(|| format!("thread {t} still uses virtual register {v}"));
-        }
-        _ => {}
-    };
-    for (_, _, inst) in func.iter_insts() {
-        inst.defs().for_each(&mut check);
-        inst.uses().for_each(&mut check);
-    }
-    for (_, b) in func.iter_blocks() {
-        b.term.uses().for_each(&mut check);
-    }
-    match bad {
-        Some(reason) => Err(AllocError::InvalidAllocation { reason }),
-        None => Ok(()),
-    }
+    Ok(partition)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use regbal_analysis::ProgramInfo;
-    use regbal_ir::parse_func;
+    use regbal_ir::{parse_func, Reg};
 
     fn easy() -> Func {
         parse_func(
@@ -739,10 +649,15 @@ bb0:
         // A zero budget is the deliberate "skip the balanced rungs"
         // idiom: doubling zero is still zero, so no retry is recorded.
         assert!(a.retries.is_empty());
-        let k = nreg / funcs.len();
-        for (t, f) in a.rewrite().unwrap().iter().enumerate() {
+        let LadderOutcome::Partitioned(p) = &a.outcome else {
+            panic!("partitioned outcome expected");
+        };
+        assert_eq!(p.k, nreg / funcs.len());
+        for (f, bank) in a.rewrite().unwrap().iter().zip(p.banks()) {
             f.validate().unwrap();
-            verify_partition(f, t, k).unwrap();
+            assert!(f
+                .regs()
+                .all(|r| matches!(r, Reg::Phys(q) if bank.contains(&q.0))));
         }
     }
 
@@ -855,18 +770,20 @@ bb0:
     #[test]
     fn spill_all_rung_evicts_everything_and_verifies() {
         let funcs = vec![hot(), hot()];
-        let outcome =
-            partitioned_rung(&funcs, 16, &LadderConfig::default(), LadderStep::SpillAll, true)
-                .unwrap();
-        let LadderOutcome::Partitioned { funcs: phys, k, spills } = outcome else {
-            panic!("partitioned outcome expected");
-        };
-        assert_eq!(k, 8);
+        let p = spill_all(
+            &funcs,
+            16,
+            LadderConfig::default().rung_base(LadderStep::SpillAll),
+        )
+        .unwrap();
+        assert_eq!(p.k, 8);
         // Every original value was evicted.
-        assert!(spills.iter().all(|&s| s >= hot().num_vregs as usize));
-        for (t, f) in phys.iter().enumerate() {
+        assert!(p.spills.iter().all(|&s| s >= hot().num_vregs as usize));
+        for (f, bank) in p.funcs.iter().zip(p.banks()) {
             f.validate().unwrap();
-            verify_partition(f, t, k).unwrap();
+            assert!(f
+                .regs()
+                .all(|r| matches!(r, Reg::Phys(q) if bank.contains(&q.0))));
         }
     }
 

@@ -18,7 +18,7 @@
 //!    live-range-splitting `mov` instructions;
 //! 3. handles the symmetric special case ([`allocate_sra`], paper §8);
 //! 4. provides a classic Chaitin-style spilling allocator as the
-//!    baseline the paper compares against ([`chaitin`]);
+//!    baseline the paper compares against ([`chaitin::partition`]);
 //! 5. rewrites programs to physical registers ([`MultiAllocation::rewrite_funcs`])
 //!    and statically verifies every safety invariant ([`verify`]).
 //!
@@ -60,7 +60,7 @@ pub mod verify;
 pub use alloc::{NodeId, ThreadAlloc};
 pub use bounds::{estimate_bounds, Bounds};
 pub use engine::{
-    allocate_threads, allocate_threads_stats, allocate_threads_with, force_min_bounds,
+    allocate_threads, allocate_threads_stats, force_min_bounds,
     steal_map, zero_cost_frontier, EngineConfig, EngineStats, IterationBudget, MultiAllocation,
     ThreadResult, ThreadSummary, ADAPTIVE_CAP_FACTOR, DEFAULT_ITERATION_CAP, MIN_ITERATION_CAP,
 };

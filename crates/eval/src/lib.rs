@@ -33,8 +33,9 @@
 //!
 //! let report = run_eval(&EvalConfig::smoke());
 //! let text = report.to_json_string();
-//! let doc = regbal_eval::json::parse(&text).unwrap();
-//! println!("{}", validate_json(&doc).unwrap());
+//! let doc = regbal_eval::json::parse(&text)?;
+//! println!("{}", validate_json(&doc)?);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

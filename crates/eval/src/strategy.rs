@@ -4,10 +4,11 @@
 //! and a register-file size, and produces physical-register code plus
 //! per-thread allocation statistics:
 //!
-//! * [`FixedPartition`] — the paper's stock-compiler baseline: the file
-//!   is split into `Nreg / Nthd` equal private banks (32 each on the
-//!   IXP1200's 128) and each thread is allocated independently with the
-//!   Chaitin spiller.
+//! * [`FixedPartition`] — the paper's stock-compiler baseline
+//!   ([`regbal_core::chaitin::partition`]): the file is split into
+//!   `Nreg / Nthd` equal private banks (32 each on the IXP1200's 128)
+//!   and each thread is allocated independently with the Chaitin
+//!   spiller.
 //! * [`Balanced`] — the paper's contribution (Figs. 8/10 via
 //!   [`regbal_core::allocate_threads`]): private/shared balancing with
 //!   live-range splitting, no spilling; reports infeasibility when even
@@ -35,12 +36,12 @@
 //! every lookup is a dedicated run.
 
 use crate::cache::AllocCache;
-use regbal_core::chaitin::{self, ChaitinConfig};
+use regbal_core::chaitin::{self, Partition};
 use regbal_core::{
     Degradation, HybridAllocation, LadderAllocation, LadderConfig, LadderOutcome, LadderStep,
     MultiAllocation, RungRetry, ScratchParams, ThreadSummary, DEFAULT_SCRATCH_CAPACITY,
 };
-use regbal_ir::{Func, MemSpace};
+use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
 
 /// Spill area of the fixed-partition baseline (per compiled thread,
@@ -247,48 +248,24 @@ impl Strategy for FixedPartition {
         pu: usize,
         _ctx: &CompileCtx<'_>,
     ) -> Result<CompiledPu, String> {
-        let k = nreg / funcs.len();
-        if k == 0 {
-            return Err(format!(
-                "{nreg} registers cannot be partitioned across {} threads",
-                funcs.len()
-            ));
-        }
-        let mut out = Vec::with_capacity(funcs.len());
-        let mut threads = Vec::with_capacity(funcs.len());
-        for (t, f) in funcs.iter().enumerate() {
-            let cfg = ChaitinConfig {
-                k,
-                phys_base: (t * k) as u32,
-                spill_space: MemSpace::Sram,
-                spill_base: FIXED_SPILL_BASE
-                    + ((pu * funcs.len() + t) as i64) * 0x1000,
-            };
-            let result = chaitin::allocate(f, &cfg)
-                .map_err(|e| format!("thread {t} `{}`: {e}", f.name))?;
-            threads.push(ThreadSummary {
-                pr: k,
-                sr: 0,
-                moves: 0,
-                spills: result.spilled,
-            });
-            out.push(result.func);
-        }
+        let spill_base = FIXED_SPILL_BASE + ((pu * funcs.len()) as i64) * 0x1000;
+        let partition = chaitin::partition(funcs, nreg, spill_base).map_err(|e| e.to_string())?;
         Ok(CompiledPu {
-            funcs: out,
-            threads,
-            registers_used: k * funcs.len(),
-            sanitizer: SanitizerConfig::with_layout(
-                (0..funcs.len())
-                    .map(|t| (t * k) as u32..((t + 1) * k) as u32)
-                    .collect(),
-                None,
-            ),
+            sanitizer: partition_sanitizer(&partition),
+            threads: partition.thread_summaries(),
+            registers_used: partition.k * partition.funcs.len(),
+            funcs: partition.funcs,
             degraded: 0,
             ladder: None,
             scratch_spills: 0,
         })
     }
+}
+
+/// The sanitizer configuration of a fixed partition: each thread's
+/// equal private bank, nothing shared.
+fn partition_sanitizer(partition: &Partition) -> SanitizerConfig {
+    SanitizerConfig::with_layout(partition.banks(), None)
 }
 
 /// Packages a balanced-engine allocation as a [`CompiledPu`].
@@ -413,27 +390,22 @@ fn ladder_config(pu: usize) -> LadderConfig {
 
 /// The sanitizer configuration of a settled ladder allocation: the
 /// balanced layout when any balancing rung delivered, the equal-bank
-/// partition when the ladder fell to `fixed-partition`. Public for the
+/// partition when the ladder fell to a Chaitin rung. Public for the
 /// same reason as [`balanced_sanitizer`].
-pub fn ladder_sanitizer(alloc: &LadderAllocation, nthreads: usize) -> SanitizerConfig {
+pub fn ladder_sanitizer(alloc: &LadderAllocation) -> SanitizerConfig {
     match &alloc.outcome {
         LadderOutcome::Balanced(hybrid) => balanced_sanitizer(&hybrid.alloc),
-        LadderOutcome::Partitioned { k, .. } => SanitizerConfig::with_layout(
-            (0..nthreads)
-                .map(|t| (t * k) as u32..((t + 1) * k) as u32)
-                .collect(),
-            None,
-        ),
+        LadderOutcome::Partitioned(partition) => partition_sanitizer(partition),
     }
 }
 
 /// Packages a settled ladder allocation as a [`CompiledPu`].
-fn ladder_pu(alloc: &LadderAllocation, funcs: &[Func]) -> Result<CompiledPu, String> {
+fn ladder_pu(alloc: &LadderAllocation) -> Result<CompiledPu, String> {
     Ok(CompiledPu {
         funcs: alloc.rewrite().map_err(|e| e.to_string())?,
         registers_used: alloc.registers_used(),
         threads: alloc.thread_summaries(),
-        sanitizer: ladder_sanitizer(alloc, funcs.len()),
+        sanitizer: ladder_sanitizer(alloc),
         degraded: alloc.degraded_count(),
         ladder: Some(PuLadderTrail::from(alloc)),
         scratch_spills: alloc.scratch_spills().iter().sum(),
@@ -457,7 +429,7 @@ impl Strategy for Ladder {
             .column(ctx.scenario, pu)
             .ladder(funcs, nreg, &ladder_config(pu))
             .map_err(|e| e.to_string())?;
-        ladder_pu(&alloc, funcs)
+        ladder_pu(&alloc)
     }
 }
 

@@ -163,23 +163,23 @@ impl Func {
         new_id
     }
 
+    /// Every register the function names, one item per occurrence, in
+    /// block order: each instruction's definitions then its uses, then
+    /// the block terminator's uses.
+    pub fn regs(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.blocks.iter().flat_map(|block| {
+            block
+                .insts
+                .iter()
+                .flat_map(|inst| inst.defs().chain(inst.uses()))
+                .chain(block.term.uses())
+        })
+    }
+
     /// Highest virtual register index used, if any virtual register
     /// appears in the function.
     pub fn max_vreg(&self) -> Option<u32> {
-        let mut max = None;
-        let mut see = |r: Reg| {
-            if let Reg::Virt(v) = r {
-                max = Some(max.map_or(v.0, |m: u32| m.max(v.0)));
-            }
-        };
-        for block in &self.blocks {
-            for inst in &block.insts {
-                inst.defs().for_each(&mut see);
-                inst.uses().for_each(&mut see);
-            }
-            block.term.uses().for_each(&mut see);
-        }
-        max
+        self.regs().filter_map(Reg::as_virt).map(|v| v.0).max()
     }
 
     /// Checks internal consistency.
@@ -305,6 +305,16 @@ mod tests {
         assert_eq!(f.num_ctx_insts(), 1);
         assert_eq!(f.max_vreg(), Some(0));
         assert!(f.reachable().iter().all(|&r| r));
+    }
+
+    #[test]
+    fn regs_visit_defs_uses_and_terminators_in_block_order() {
+        let f = crate::parse_func(
+            "func f {\nbb0:\n v0 = mov 1\n v1 = add v0, 2\n bne v1, v0, bb1, bb1\nbb1:\n store scratch[v1+0], v0\n halt\n}",
+        )
+        .unwrap();
+        let seen: Vec<Reg> = f.regs().collect();
+        assert_eq!(seen, vec![v(0), v(1), v(0), v(1), v(0), v(0), v(1)]);
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl Verdict {
                 balanced_sanitizer(&h.alloc),
             )),
             Verdict::Ladder(l) => {
-                Ok((l.rewrite()?, ladder_sanitizer(l, funcs.len())))
+                Ok((l.rewrite()?, ladder_sanitizer(l)))
             }
         }
     }

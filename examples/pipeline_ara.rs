@@ -7,8 +7,8 @@
 //!
 //! Run with `cargo run --release --example pipeline_ara`.
 
-use regbal_core::chaitin::{self, ChaitinConfig};
 use regbal_core::allocate_threads;
+use regbal_core::chaitin::partition;
 use regbal_ir::Func;
 use regbal_sim::{SimConfig, Simulator, StopWhen};
 use regbal_workloads::{Kernel, Workload};
@@ -26,19 +26,7 @@ fn main() {
     let funcs: Vec<Func> = workloads.iter().map(|w| w.func.clone()).collect();
 
     // Baseline: every thread gets a fixed NREG/4 bank and spills.
-    let spill: Vec<Func> = funcs
-        .iter()
-        .enumerate()
-        .map(|(t, f)| {
-            let cfg = ChaitinConfig {
-                k: NREG / 4,
-                phys_base: (t * (NREG / 4)) as u32,
-                spill_space: regbal_ir::MemSpace::Sram,
-                spill_base: 0x7_0000 + (t as i64) * 0x1000,
-            };
-            chaitin::allocate(f, &cfg).expect("baseline allocates").func
-        })
-        .collect();
+    let spill = partition(&funcs, NREG, 0x7_0000).expect("baseline allocates").funcs;
 
     // Ours: balance the whole file across the four threads.
     let alloc = allocate_threads(&funcs, NREG).expect("balancing fits");

@@ -1,22 +1,30 @@
 //! Seeded stress-fuzz cases over the allocation ladder.
 //!
+//! [`check_ladder`] is the ladder contract: the pipeline never panics,
+//! a total failure is structured (the full trail down to spill-all),
+//! budget retries are bookkept consistently, the trail of a success
+//! ends at its settled rung, every success rewrites to validated
+//! physical code confined to the file, degraded code is
+//! semantics-preserving (memory snapshots equal the virtual-register
+//! reference) and sanitizer-clean, and every simulated run terminates
+//! within a fixed cycle budget. The committed degradation corpus
+//! (`tests/degradation.rs`) and the fuzz walk both enforce it.
+//!
 //! One [`FuzzCase`] names an adversarial program bundle (a
 //! [`regbal_workloads::stress`] class, a seed, a thread count) and a
-//! register file, and [`FuzzCase::check`] pushes it through the same
-//! contract the committed degradation corpus enforces: the pipeline
-//! never panics, every success rewrites to validated physical code
-//! confined to the file, degraded code is semantics-preserving
-//! (memory snapshots equal the virtual-register reference) and
-//! sanitizer-clean, and every simulated run terminates within a fixed
-//! cycle budget.
+//! register file, and [`FuzzCase::check`] pushes it through
+//! [`check_ladder`].
 //!
 //! The `regbal fuzz` subcommand walks [`FuzzCase::from_index`] under a
 //! time budget; any failing case is archived as its [`FuzzCase::line`]
 //! in `tests/fuzz_regressions.txt`, which `tests/fuzz_regressions.rs`
 //! replays on every CI run — a failure found once stays fixed.
 
-use regbal_core::{EngineConfig, IterationBudget, LadderConfig, LadderStep, SpillTrajectory};
-use regbal_ir::{Func, MemSpace, Reg, Terminator};
+use regbal_core::{
+    EngineConfig, IterationBudget, LadderAllocation, LadderConfig, LadderError, LadderStep,
+    SpillTrajectory,
+};
+use regbal_ir::{Func, MemSpace, Reg};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
 use regbal_workloads::stress::{stress_bundle, StressConfig, STRESS_SLOT_BYTES};
 
@@ -159,74 +167,15 @@ impl FuzzCase {
         })
     }
 
-    /// Generates the bundle and checks the full ladder contract.
+    /// Generates the bundle and checks the full ladder contract
+    /// ([`check_ladder`]).
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first violated property:
-    /// a panic anywhere in the pipeline, an unstructured failure, an
-    /// unconfined or invalid rewrite, a semantics change, a sanitizer
-    /// violation, or a simulated hang.
+    /// As [`check_ladder`].
     pub fn check(&self) -> Result<(), String> {
         let funcs = stress_bundle(self.seed, self.threads, self.class.config());
-        let engine = EngineConfig {
-            max_iterations: IterationBudget::Fixed(ITERATION_CAP),
-            ..EngineConfig::default()
-        };
-        let result = std::panic::catch_unwind(|| {
-            SpillTrajectory::new(&funcs, engine).ladder(self.nreg, &LadderConfig::default())
-        })
-        .map_err(|_| "the allocation pipeline panicked".to_string())?;
-        let alloc = match result {
-            Ok(alloc) => alloc,
-            Err(err) => {
-                // Even total failure must be structured: a full trail
-                // across every planned rung with the terminal error
-                // attached.
-                if err.degradations.len() != 4 {
-                    return Err(format!("truncated degradation trail: {err}"));
-                }
-                if err.degradations[0].from != LadderStep::Balanced
-                    || err.degradations[3].to != LadderStep::SpillAll
-                {
-                    return Err(format!("misordered degradation trail: {err}"));
-                }
-                return Ok(());
-            }
-        };
-        if alloc.degraded_count() > 0 {
-            if alloc.degradations[0].from != LadderStep::Balanced {
-                return Err("the degradation trail does not start at `balanced`".into());
-            }
-            let last = alloc
-                .degradations
-                .last()
-                .expect("degraded_count > 0 implies a trail");
-            if last.to != alloc.step {
-                return Err(format!(
-                    "the trail ends at `{}` but the ladder settled on `{}`",
-                    last.to.name(),
-                    alloc.step.name()
-                ));
-            }
-        }
-        let physical = alloc
-            .rewrite()
-            .map_err(|e| format!("a settled ladder result failed to rewrite: {e}"))?;
-        for f in &physical {
-            f.validate()
-                .map_err(|e| format!("`{}`: invalid rewrite: {e}", f.name))?;
-            confined(f, self.nreg)?;
-        }
-        let (reference, _) = run_snapshot(&funcs, false)?;
-        let (compiled, violations) = run_snapshot(&physical, true)?;
-        if reference != compiled {
-            return Err("the rewrite changed observable memory".into());
-        }
-        if violations != 0 {
-            return Err(format!("{violations} clobber-class sanitizer violation(s)"));
-        }
-        Ok(())
+        check_ladder(&funcs, self.nreg).map(|_| ())
     }
 
     /// Deterministically shrinks a failing case before it is archived:
@@ -268,36 +217,109 @@ impl FuzzCase {
     }
 }
 
+/// Walks the fallback ladder for `funcs` at `nreg` registers, under the
+/// deliberately tight iteration budget, and checks the ladder contract
+/// on what it returns (see the module documentation).
+///
+/// Returns the ladder's own result once it passed: the settled
+/// allocation, or the structured total failure.
+///
+/// # Errors
+///
+/// A human-readable description of the first violated property:
+/// a panic anywhere in the pipeline, an unstructured failure, an
+/// inconsistent retry or trail, an unconfined or invalid rewrite, a
+/// semantics change, a sanitizer violation, or a simulated hang.
+pub fn check_ladder(
+    funcs: &[Func],
+    nreg: usize,
+) -> Result<Result<LadderAllocation, LadderError>, String> {
+    let engine = EngineConfig {
+        max_iterations: IterationBudget::Fixed(ITERATION_CAP),
+        ..EngineConfig::default()
+    };
+    let result = std::panic::catch_unwind(|| {
+        SpillTrajectory::new(funcs, engine).ladder(nreg, &LadderConfig::default())
+    })
+    .map_err(|_| "the allocation pipeline panicked".to_string())?;
+    let alloc = match result {
+        Ok(alloc) => alloc,
+        Err(err) => {
+            // Even total failure must be structured: a full trail
+            // across every planned rung with the terminal error
+            // attached.
+            if err.degradations.len() != 4 {
+                return Err(format!("truncated degradation trail: {err}"));
+            }
+            if err.degradations[0].from != LadderStep::Balanced
+                || err.degradations[3].to != LadderStep::SpillAll
+            {
+                return Err(format!("misordered degradation trail: {err}"));
+            }
+            return Ok(Err(err));
+        }
+    };
+    // Every retry doubles a non-zero cap, and a recovered retry means
+    // the ladder never degraded past that rung.
+    for r in &alloc.retries {
+        if r.cap == 0 || r.retry_cap != r.cap * 2 {
+            return Err(format!("a retry must double a non-zero budget: {r:?}"));
+        }
+        if r.recovered && alloc.step > r.step {
+            return Err(format!(
+                "recovered rung {r:?} yet settled on `{}`",
+                alloc.step.name()
+            ));
+        }
+    }
+    if let Some(last) = alloc.degradations.last() {
+        if alloc.degradations[0].from != LadderStep::Balanced {
+            return Err("the degradation trail does not start at `balanced`".into());
+        }
+        if last.to != alloc.step {
+            return Err(format!(
+                "the trail ends at `{}` but the ladder settled on `{}`",
+                last.to.name(),
+                alloc.step.name()
+            ));
+        }
+    }
+    let physical = alloc
+        .rewrite()
+        .map_err(|e| format!("a settled ladder result failed to rewrite: {e}"))?;
+    if physical.len() != funcs.len() {
+        return Err(format!(
+            "{} threads rewrote to {} programs",
+            funcs.len(),
+            physical.len()
+        ));
+    }
+    for f in &physical {
+        f.validate()
+            .map_err(|e| format!("`{}`: invalid rewrite: {e}", f.name))?;
+        confined(f, nreg)?;
+    }
+    let (reference, _) = run_snapshot(funcs, false)?;
+    let (compiled, violations) = run_snapshot(&physical, true)?;
+    if reference != compiled {
+        return Err("the rewrite changed observable memory".into());
+    }
+    if violations != 0 {
+        return Err(format!("{violations} clobber-class sanitizer violation(s)"));
+    }
+    Ok(Ok(alloc))
+}
+
 /// Every register in `f` must be physical and inside the file.
 fn confined(f: &Func, nreg: usize) -> Result<(), String> {
-    if f.max_vreg().is_some() {
-        return Err(format!("`{}` still has virtual registers", f.name));
-    }
-    let check = |r: Reg| -> Result<(), String> {
-        if let Reg::Phys(p) = r {
-            if p.0 as usize >= nreg {
-                return Err(format!(
-                    "`{}` uses r{} outside a {nreg}-register file",
-                    f.name, p.0
-                ));
-            }
-        }
-        Ok(())
-    };
-    for (_, _, inst) in f.iter_insts() {
-        for r in inst.defs().chain(inst.uses()) {
-            check(r)?;
-        }
-    }
-    for b in &f.blocks {
-        if let Terminator::Branch { lhs, rhs, .. } = &b.term {
-            check(*lhs)?;
-            if let regbal_ir::Operand::Reg(r) = rhs {
-                check(*r)?;
-            }
-        }
-    }
-    Ok(())
+    f.regs().try_for_each(|r| match r {
+        Reg::Virt(_) => Err(format!("`{}` still has virtual registers", f.name)),
+        Reg::Phys(p) if p.0 as usize >= nreg => Err(format!(
+            "`{}` uses r{} outside a {nreg}-register file",
+            f.name, p.0
+        )),
+        Reg::Phys(_) => Ok(()),
+    })
 }
 
 /// Runs `funcs` as threads to completion and snapshots each thread's

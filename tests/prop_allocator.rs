@@ -5,9 +5,9 @@ mod common;
 
 use common::gen::{random_program, GenConfig};
 use proptest::prelude::*;
-use regbal_core::chaitin::{self, ChaitinConfig};
+use regbal_core::chaitin::partition;
 use regbal_core::{
-    allocate_sra, allocate_threads_with, estimate_bounds, force_min_bounds, EngineConfig,
+    allocate_sra, allocate_threads_stats, estimate_bounds, force_min_bounds, EngineConfig,
     MultiAllocation,
 };
 use regbal_analysis::ProgramInfo;
@@ -76,19 +76,7 @@ proptest! {
     fn chaitin_with_spills_preserves_semantics(seed in any::<u64>()) {
         let config = GenConfig { blocks: 4, pool: 7, block_len: 6, outer_loop: false };
         let funcs = variants(seed, config, 2);
-        let physical: Vec<Func> = funcs
-            .iter()
-            .enumerate()
-            .map(|(t, f)| {
-                let cfg = ChaitinConfig {
-                    k: 5,
-                    phys_base: (t * 5) as u32,
-                    spill_space: MemSpace::Sram,
-                    spill_base: 0x1_0000 + (t as i64) * 0x1000,
-                };
-                chaitin::allocate(f, &cfg).expect("k=5 converges").func
-            })
-            .collect();
+        let physical = partition(&funcs, 10, 0x1_0000).expect("k=5 converges").funcs;
         prop_assert_eq!(run_snapshot(&funcs), run_snapshot(&physical));
     }
 
@@ -216,9 +204,10 @@ proptest! {
             EngineConfig::default(),
         ];
         for nreg in budgets {
-            let naive = allocate_threads_with(&funcs, nreg, EngineConfig::naive());
+            let naive =
+                allocate_threads_stats(&funcs, nreg, EngineConfig::naive()).map(|(a, _)| a);
             for cfg in fast_configs {
-                let fast = allocate_threads_with(&funcs, nreg, cfg);
+                let fast = allocate_threads_stats(&funcs, nreg, cfg).map(|(a, _)| a);
                 match (&naive, &fast) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(
@@ -257,8 +246,10 @@ proptest! {
         let upper = bounds.iter().map(|b| b.max_pr).sum::<usize>()
             + bounds.iter().map(|b| b.max_r - b.max_pr).max().unwrap_or(0);
         for nreg in [upper.saturating_sub(3), upper.saturating_sub(1)] {
-            let naive = allocate_threads_with(&funcs, nreg.max(1), EngineConfig::naive());
-            let fast = allocate_threads_with(&funcs, nreg.max(1), EngineConfig::default());
+            let naive = allocate_threads_stats(&funcs, nreg.max(1), EngineConfig::naive())
+                .map(|(a, _)| a);
+            let fast = allocate_threads_stats(&funcs, nreg.max(1), EngineConfig::default())
+                .map(|(a, _)| a);
             match (&naive, &fast) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(fingerprint(a), fingerprint(b)),
                 (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),

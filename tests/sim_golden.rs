@@ -336,7 +336,7 @@ fn golden_lines() -> Vec<String> {
             alloc.step
         );
         let funcs = alloc.rewrite().expect("a settled ladder rewrites");
-        let sanitizer = ladder_sanitizer(&alloc, funcs.len());
+        let sanitizer = ladder_sanitizer(&alloc);
         kernel_lines(
             &mut lines,
             &format!("{case}@{nreg}:{:?}", alloc.step),

@@ -28,6 +28,10 @@ cargo test -q
 # removing an item the benchmark calls fails here.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc must be warning-free, so a renamed item cannot leave an
+# intra-doc link dangling. `--lib` keeps the facade's `regbal` library
+# and the CLI's `regbal` binary from colliding on one output file.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 # The adversarial degradation corpus: 200+ seeded hostile programs must
 # never panic the pipeline — every allocation either succeeds (possibly

@@ -76,9 +76,11 @@ USAGE:
   regbal alloc [OPTS] <files...>              allocate threads, print physical code
       --nreg <N>       register file size (default 128)
       --spill          fall back to spilling when sharing cannot fit
-      --ladder         never fail: walk the degradation ladder
-                       balanced -> balanced-spill -> fixed-partition ->
-                       spill-all, reporting every forced transition
+      --ladder         never fail: walk the degradation ladder's five
+                       rungs (balanced, balanced-scratch, balanced-spill,
+                       fixed-partition, spill-all) cheapest first by a
+                       static spill-traffic estimate, reporting every
+                       forced transition
       --min            squeeze each thread to its (MinPR, MinR) bound
       --stats          print engine statistics (iterations, candidate
                        cache hits, per-phase wall time); with --json,

@@ -4,7 +4,7 @@
 //! instruction reading **two registers** must take one operand from
 //! each bank. The paper deliberately abstracts this away (its model has
 //! one uniform file; bank-aware allocation is the subject of George &
-//! Blume's PLDI 2003 compiler, the paper's reference [19]). This module
+//! Blume's PLDI 2003 compiler, the paper's reference \[19\]). This module
 //! provides the companion *diagnostic*: given allocated physical code,
 //! decide whether a consistent A/B assignment of the registers exists —
 //! i.e. whether the operand-pair graph is bipartite — and produce one,

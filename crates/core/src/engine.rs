@@ -1220,7 +1220,8 @@ mod tests {
         let funcs = vec![odd_cycle(), hungry(), lean()];
         let targets: Vec<usize> = vec![128, 6, 32, 8, 32, 5, 0, 200, 10];
         let swept =
-            crate::SpillTrajectory::new(&funcs, EngineConfig::default()).balanced(&targets);
+            crate::SpillTrajectory::new(&funcs, EngineConfig::default(), crate::DEFAULT_SPILL_BASE)
+                .balanced(&targets);
         assert_eq!(swept.len(), targets.len());
         for (&t, got) in targets.iter().zip(&swept) {
             let solo =
@@ -1245,7 +1246,8 @@ mod tests {
                 ..EngineConfig::default()
             };
             let targets: Vec<usize> = (4..=40).collect();
-            let swept = crate::SpillTrajectory::new(&funcs, config).balanced(&targets);
+            let swept = crate::SpillTrajectory::new(&funcs, config, crate::DEFAULT_SPILL_BASE)
+                .balanced(&targets);
             for (&t, got) in targets.iter().zip(&swept) {
                 let solo = allocate_threads_stats(&funcs, t, config).map(|(a, _)| a);
                 assert_eq!(

@@ -15,8 +15,8 @@
 //! the earliest — hence cheapest — evictions into a small fast shared
 //! store before the overflow falls back to ~20-cycle memory (the RegDem
 //! idea applied to a multithreaded NPU). It is a post-pass over a plain
-//! result ([`HybridAllocation::with_scratch`]): no decision of the loop
-//! can see where a slot lives, so the loop always spills to memory.
+//! result ([`SpillTrajectory::scratch`]): no decision of the loop can
+//! see where a slot lives, so the loop always spills to memory.
 
 use crate::alloc::ThreadAlloc;
 use crate::bounds::Bounds;
@@ -32,15 +32,33 @@ use regbal_ir::{Func, MemSpace, VReg};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Default scratchpad capacity of the balanced-scratch rung, in 32-bit
+/// words shared by the whole thread group.
+pub const DEFAULT_SCRATCH_CAPACITY: usize = 16;
+
 /// The scratchpad spill tier: a small fast shared store the cheapest
 /// spills are packed into before the overflow falls back to memory.
+/// Callers allocating several thread groups over one scratchpad must
+/// give each a disjoint area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScratchParams {
-    /// Base byte address of this thread group's scratchpad spill area.
+    /// Base byte address of this thread group's scratchpad spill area
+    /// ([`MemSpace::Spad`]).
     pub base: i64,
     /// Capacity in 32-bit words shared by the whole group; slots are
     /// handed out in eviction order, so the cheapest spills land here.
+    /// Zero drops the fallback ladder's balanced-scratch rung.
     pub capacity: usize,
+}
+
+impl Default for ScratchParams {
+    /// [`DEFAULT_SCRATCH_CAPACITY`] words from address 0.
+    fn default() -> Self {
+        ScratchParams {
+            base: 0,
+            capacity: DEFAULT_SCRATCH_CAPACITY,
+        }
+    }
 }
 
 /// One spill decision of the hybrid loop, in eviction order.
@@ -67,7 +85,7 @@ pub struct HybridAllocation {
     /// Number of live ranges spilled per thread.
     pub spills: Vec<usize>,
     /// How many of each thread's spills live in the scratchpad tier
-    /// (all zero unless made by [`HybridAllocation::with_scratch`]).
+    /// (all zero unless made by [`SpillTrajectory::scratch`]).
     pub scratch_spills: Vec<usize>,
     /// Every spill decision in eviction order, with its cost.
     pub picks: Vec<SpillPick>,
@@ -100,28 +118,6 @@ impl HybridAllocation {
             .map(|(t, &spills)| ThreadSummary { spills, ..t })
             .collect()
     }
-
-    /// The same allocation with the scratchpad tier: the picks are
-    /// replayed in eviction order over `funcs` — the unmodified
-    /// programs this result was allocated from, with spill slots above
-    /// `spill_base` — packing the first `scratch.capacity` of them into
-    /// scratchpad words from `scratch.base` and numbering the overflow's
-    /// memory slots exactly as the plain loop numbers its own.
-    ///
-    /// The allocation is reused unchanged. That is exact: every load
-    /// and store is a context switch whatever its memory space, and
-    /// spill code has the same shape and registers for any slot, so the
-    /// loop would have picked the same victims and reached the same
-    /// balancing verdict with the scratch slots in place.
-    pub fn with_scratch(
-        &self,
-        funcs: &[Func],
-        spill_base: i64,
-        scratch: &ScratchParams,
-    ) -> HybridAllocation {
-        SpillState::replay(funcs, spill_base, Some(*scratch), &self.picks)
-            .allocation(self.alloc.clone())
-    }
 }
 
 /// Maximum spill rounds before giving up.
@@ -131,20 +127,19 @@ const MAX_SPILL_ROUNDS: usize = 64;
 /// ladder's Chaitin rungs' alike.
 pub(crate) const SPILL_SPACE: MemSpace = MemSpace::Sram;
 
-/// Base address of the hybrid spill area (per-thread areas are spaced
-/// a page apart). Public so callers that must reproduce
-/// [`allocate_threads_with_spill`] byte-for-byte through a
-/// [`SpillTrajectory`] — or share one spill trajectory between the
-/// hybrid and the ladder's balanced-spill rung, which packs from the
-/// equal [`crate::DEFAULT_LADDER_SPILL_BASE`] — can name the default.
+/// Base address of the spill area of the one-shot entry points,
+/// [`allocate_threads_with_spill`] and [`crate::allocate_ladder`]
+/// (per-thread areas are spaced a page apart). Public so callers that
+/// must reproduce them byte-for-byte through a [`SpillTrajectory`] can
+/// name it.
 pub const DEFAULT_SPILL_BASE: i64 = 0x7_8000;
 
-/// Allocates like [`allocate_threads`], but when the demand cannot be
-/// reduced to `nreg` by sharing and splitting alone, spills live ranges
-/// (cheapest first, from the thread with the highest residual demand)
-/// until it fits. Spill slots live above [`DEFAULT_SPILL_BASE`] and the
-/// engine runs with its default configuration; a [`SpillTrajectory`]
-/// takes both explicitly.
+/// Allocates like [`crate::allocate_threads`], but when the demand
+/// cannot be reduced to `nreg` by sharing and splitting alone, spills
+/// live ranges (cheapest first, from the thread with the highest
+/// residual demand) until it fits. Spill slots live above
+/// [`DEFAULT_SPILL_BASE`] and the engine runs with its default
+/// configuration; a [`SpillTrajectory`] takes both explicitly.
 ///
 /// # Errors
 ///
@@ -154,8 +149,8 @@ pub fn allocate_threads_with_spill(
     funcs: &[Func],
     nreg: usize,
 ) -> Result<HybridAllocation, AllocError> {
-    SpillTrajectory::new(funcs, EngineConfig::default())
-        .hybrid(&[nreg], DEFAULT_SPILL_BASE)
+    SpillTrajectory::new(funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
+        .hybrid(&[nreg])
         .pop()
         .expect("one verdict per target")
 }
@@ -219,6 +214,9 @@ impl<V: Clone> Memo<V> {
 /// register-file size, asked in any order and any number of times.
 /// Each answer is exactly what a dedicated one-target run returns.
 ///
+/// It is built with everything that fixes its answers — the programs,
+/// the engine configuration and the spill base — and asked only sizes.
+///
 /// The greedy descent reads `nreg` only to decide where to stop, and
 /// which range spills in round `r` depends only on the spill-augmented
 /// programs, never on `nreg`. So every size walks the same sequence of
@@ -247,12 +245,14 @@ impl<V: Clone> Memo<V> {
 pub struct SpillTrajectory {
     funcs: Vec<Func>,
     config: EngineConfig,
+    /// Where the memory spill slots live: thread `t`'s from
+    /// `spill_base + t·0x1000`.
+    spill_base: i64,
     /// Round 0's analyses and start states; empty until first needed.
     first: Vec<Analysis>,
     /// Recent balanced verdicts: round 0's.
     balanced: Memo<Result<MultiAllocation, AllocError>>,
-    /// Recent hybrid verdicts, with slots above the deepest round's
-    /// spill base.
+    /// Recent hybrid verdicts.
     hybrid: Memo<Result<HybridAllocation, AllocError>>,
     /// Each thread's spill costs; empty until the first hybrid query.
     costs: Vec<SpillCosts>,
@@ -268,12 +268,14 @@ pub struct SpillTrajectory {
 }
 
 impl SpillTrajectory {
-    /// A trajectory over `funcs` under `config`. Nothing is computed
-    /// until the first query.
-    pub fn new(funcs: &[Func], config: EngineConfig) -> SpillTrajectory {
+    /// A trajectory over `funcs` under `config`, with thread `t`'s
+    /// memory spill slots from `spill_base + t·0x1000`. Nothing is
+    /// computed until the first query.
+    pub fn new(funcs: &[Func], config: EngineConfig, spill_base: i64) -> SpillTrajectory {
         SpillTrajectory {
             funcs: funcs.to_vec(),
             config,
+            spill_base,
             first: Vec::new(),
             balanced: Memo(BTreeMap::new()),
             hybrid: Memo(BTreeMap::new()),
@@ -299,22 +301,44 @@ impl SpillTrajectory {
         self.balanced.answer(targets, missing, fresh)
     }
 
-    /// The hybrid verdict at each of `targets`, with spill slots above
-    /// `spill_base` — bit-identical to a fresh trajectory asked that
-    /// size alone, which is what [`allocate_threads_with_spill`] runs
-    /// at the default base and config. Sizes not memoized walk the
-    /// rounds together; a round past the deepest is built by one more
-    /// spill. A `spill_base` other than the previous query's replays
-    /// the picks at the new base.
-    pub fn hybrid(
-        &mut self,
-        targets: &[usize],
-        spill_base: i64,
-    ) -> Vec<Result<HybridAllocation, AllocError>> {
-        self.start_hybrid(spill_base);
+    /// The hybrid verdict at each of `targets` — bit-identical to a
+    /// fresh trajectory asked that size alone, which is what
+    /// [`allocate_threads_with_spill`] runs at the default base and
+    /// config. Sizes not memoized walk the rounds together; a round
+    /// past the deepest is built by one more spill.
+    pub fn hybrid(&mut self, targets: &[usize]) -> Vec<Result<HybridAllocation, AllocError>> {
+        self.start_hybrid();
         let missing = self.hybrid.missing(targets);
         let fresh = self.walk_rounds(&missing);
         self.hybrid.answer(targets, missing, fresh)
+    }
+
+    /// The hybrid verdict at each of `targets` with the scratchpad
+    /// tier: the picks are replayed in eviction order over the input
+    /// programs, packing the first `scratch.capacity` of them into
+    /// scratchpad words from `scratch.base` and numbering the overflow's
+    /// memory slots exactly as the plain loop numbers its own.
+    ///
+    /// The plain verdict's allocation is reused unchanged. That is
+    /// exact: every load and store is a context switch whatever its
+    /// memory space, and spill code has the same shape and registers
+    /// for any slot, so the loop would have picked the same victims and
+    /// reached the same balancing verdict with the scratch slots in
+    /// place.
+    pub fn scratch(
+        &mut self,
+        targets: &[usize],
+        scratch: &ScratchParams,
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        self.hybrid(targets)
+            .into_iter()
+            .map(|verdict| {
+                verdict.map(|plain| {
+                    SpillState::replay(&self.funcs, self.spill_base, Some(*scratch), &plain.picks)
+                        .allocation(plain.alloc)
+                })
+            })
+            .collect()
     }
 
     /// The input programs.
@@ -325,6 +349,11 @@ impl SpillTrajectory {
     /// The engine configuration every descent runs under.
     pub(crate) fn config(&self) -> EngineConfig {
         self.config
+    }
+
+    /// The base of the memory spill area.
+    pub(crate) fn spill_base(&self) -> i64 {
+        self.spill_base
     }
 
     /// Each thread's `RegPmax` in round 0 — the unmodified programs —
@@ -388,25 +417,16 @@ impl SpillTrajectory {
         &mut self.first
     }
 
-    /// Round 0 of the spill loop, on the first hybrid query; a later
-    /// query at another spill base moves the deepest round's slots and
-    /// forgets the hybrid verdicts at the old one.
-    fn start_hybrid(&mut self, spill_base: i64) {
-        match &mut self.deep {
-            Some(deep) if deep.state.spill_base != spill_base => {
-                deep.state = SpillState::replay(&self.funcs, spill_base, None, &deep.state.picks);
-                self.hybrid.0.clear();
-            }
-            Some(_) => {}
-            None => {
-                let analyses = self.first().clone();
-                self.bounds = vec![floor_bound(&analyses, self.config)];
-                self.costs = self.funcs.iter().map(SpillCosts::compute).collect();
-                self.deep = Some(Round {
-                    state: SpillState::new(&self.funcs, spill_base, None),
-                    analyses,
-                });
-            }
+    /// Round 0 of the spill loop, on the first hybrid query.
+    fn start_hybrid(&mut self) {
+        if self.deep.is_none() {
+            let analyses = self.first().clone();
+            self.bounds = vec![floor_bound(&analyses, self.config)];
+            self.costs = self.funcs.iter().map(SpillCosts::compute).collect();
+            self.deep = Some(Round {
+                state: SpillState::new(&self.funcs, self.spill_base, None),
+                analyses,
+            });
         }
     }
 
@@ -456,7 +476,7 @@ impl SpillTrajectory {
         let deep = self.deep.as_ref().expect("hybrid started");
         let state = SpillState::replay(
             &self.funcs,
-            deep.state.spill_base,
+            self.spill_base,
             None,
             &deep.state.picks[..round],
         );
@@ -511,8 +531,8 @@ impl SpillTrajectory {
 
 /// The spill-augmented programs and the record of every eviction so
 /// far. The one place that knows the slot policy: the loop spills with
-/// no scratchpad, [`HybridAllocation::with_scratch`] replays its picks
-/// with one.
+/// no scratchpad, [`SpillTrajectory::scratch`] replays its picks with
+/// one.
 #[derive(Debug)]
 struct SpillState {
     work: Vec<Func>,
@@ -793,8 +813,8 @@ bb0:
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        SpillTrajectory::new(funcs, EngineConfig::default())
-            .hybrid(&[nreg], spill_base)
+        SpillTrajectory::new(funcs, EngineConfig::default(), spill_base)
+            .hybrid(&[nreg])
             .pop()
             .unwrap()
     }
@@ -811,13 +831,6 @@ bb0:
         // The default entry point keeps its historical area.
         let d = allocate_threads_with_spill(&funcs, 8).unwrap();
         assert_eq!(d.spills, a.spills);
-        // One trajectory asked at several bases moves its slots with
-        // each query, and answers each base like a fresh run.
-        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
-        for (base, want) in [(0x1_0000, &a), (0x2_0000, &b), (0x1_0000, &a)] {
-            let got = traj.hybrid(&[8], base).pop().unwrap().unwrap();
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "base {base:#x}");
-        }
     }
 
     /// A client asking ever new sizes grows no memo past
@@ -826,15 +839,15 @@ bb0:
     #[test]
     fn memos_stay_bounded_under_ever_new_sizes() {
         let funcs = vec![hot(), hot()];
-        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
+        let fresh = || SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE);
+        let mut traj = fresh();
         let sizes: Vec<usize> = (1..=3 * MEMO_SIZES).collect();
         for &n in sizes.iter().chain(&sizes) {
             traj.balanced(&[n]);
-            traj.hybrid(&[n], DEFAULT_SPILL_BASE);
+            traj.hybrid(&[n]);
             assert!(traj.balanced.0.len() <= MEMO_SIZES, "nreg={n}");
             assert!(traj.hybrid.0.len() <= MEMO_SIZES, "nreg={n}");
         }
-        let fresh = || SpillTrajectory::new(&funcs, EngineConfig::default());
         for n in [1, 8, 2 * MEMO_SIZES, 3 * MEMO_SIZES] {
             assert_eq!(
                 format!("{:?}", traj.balanced(&[n])),
@@ -842,8 +855,8 @@ bb0:
                 "nreg={n}"
             );
             assert_eq!(
-                format!("{:?}", traj.hybrid(&[n], DEFAULT_SPILL_BASE)),
-                format!("{:?}", fresh().hybrid(&[n], DEFAULT_SPILL_BASE)),
+                format!("{:?}", traj.hybrid(&[n])),
+                format!("{:?}", fresh().hybrid(&[n])),
                 "nreg={n}"
             );
         }
@@ -855,7 +868,7 @@ bb0:
     #[test]
     fn seeded_round_zero_matches_the_unseeded_loop() {
         let funcs = vec![hot(), hot()];
-        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default());
+        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE);
         let balanced = traj.balanced(&[8, 32]);
         for (nreg, verdict) in [8, 32].into_iter().zip(&balanced) {
             let solo =
@@ -863,7 +876,7 @@ bb0:
             assert_eq!(format!("{verdict:?}"), format!("{solo:?}"));
         }
         assert!(balanced[0].is_err());
-        let mut seeded = traj.hybrid(&[8, 32], DEFAULT_SPILL_BASE).into_iter();
+        let mut seeded = traj.hybrid(&[8, 32]).into_iter();
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
         let spilled = seeded.next().unwrap().unwrap();
         assert_eq!(spilled.funcs, plain.funcs);
@@ -882,8 +895,7 @@ bb0:
     fn spill_sweep_matches_independent_runs() {
         let funcs = vec![hot(), hot()];
         let targets = [32usize, 8, 1, 12, 8, 2];
-        let swept = SpillTrajectory::new(&funcs, EngineConfig::default())
-            .hybrid(&targets, DEFAULT_SPILL_BASE);
+        let swept = trajectory(&funcs, &targets, EngineConfig::default(), false).hybrid(&targets);
         for (&t, got) in targets.iter().zip(&swept) {
             let solo = allocate_threads_with_spill(&funcs, t);
             match (got, &solo) {
@@ -901,7 +913,7 @@ bb0:
             }
         }
         // Answering round 0 from a balanced sweep is behaviour-preserving.
-        let seeded = balanced_first(&funcs, &targets, EngineConfig::default());
+        let seeded = trajectory(&funcs, &targets, EngineConfig::default(), true).hybrid(&targets);
         for ((&t, a), b) in targets.iter().zip(&swept).zip(&seeded) {
             assert_eq!(
                 format!("{a:?}"),
@@ -947,13 +959,23 @@ bb0:
         }
     }
 
+    /// The hybrid verdict at `nreg` registers with a `capacity`-word
+    /// scratchpad, at the default spill base and config.
+    fn scratched(funcs: &[Func], nreg: usize, capacity: usize) -> HybridAllocation {
+        SpillTrajectory::new(funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
+            .scratch(&[nreg], &scratch(capacity))
+            .pop()
+            .unwrap()
+            .unwrap()
+    }
+
     /// Zero-capacity scratchpad must degrade bit-identically to the
     /// plain spill loop: same code, same slots, same allocation.
     #[test]
     fn zero_capacity_scratch_matches_plain_spill_bit_for_bit() {
         let funcs = vec![hot(), hot()];
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
-        let zero = plain.with_scratch(&funcs, DEFAULT_SPILL_BASE, &scratch(0));
+        let zero = scratched(&funcs, 8, 0);
         assert_eq!(plain.funcs, zero.funcs);
         assert_eq!(plain.spills, zero.spills);
         assert_eq!(zero.scratch_spills, vec![0, 0]);
@@ -971,7 +993,7 @@ bb0:
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
         let n: usize = plain.spills.iter().sum();
         assert!(n > 0);
-        let full = plain.with_scratch(&funcs, DEFAULT_SPILL_BASE, &scratch(n));
+        let full = scratched(&funcs, 8, n);
         assert_eq!(full.spills, plain.spills, "same spill decisions");
         assert_eq!(full.scratch_spills.iter().sum::<usize>(), n);
         assert!(full.picks.iter().all(|p| p.to_scratch));
@@ -1023,7 +1045,7 @@ bb0:
         let n: usize = plain.spills.iter().sum();
         assert!(n >= 2, "need an overflow to observe");
         let cap = 1;
-        let part = plain.with_scratch(&funcs, DEFAULT_SPILL_BASE, &scratch(cap));
+        let part = scratched(&funcs, 8, cap);
         assert_eq!(part.spills, plain.spills, "same spill decisions");
         assert_eq!(part.scratch_spills.iter().sum::<usize>(), cap);
         // The scratch-resident picks are exactly the first `cap`
@@ -1069,16 +1091,19 @@ bb0:
         .unwrap()
     }
 
-    /// The hybrid verdicts at `targets` of a trajectory whose round 0
-    /// balanced queries at the same sizes resolved first.
-    fn balanced_first(
+    /// A trajectory at the default spill base whose round 0 balanced
+    /// queries at `targets` resolved first when `seeded`.
+    fn trajectory(
         funcs: &[Func],
         targets: &[usize],
         config: EngineConfig,
-    ) -> Vec<Result<HybridAllocation, AllocError>> {
-        let mut traj = SpillTrajectory::new(funcs, config);
-        traj.balanced(targets);
-        traj.hybrid(targets, DEFAULT_SPILL_BASE)
+        seeded: bool,
+    ) -> SpillTrajectory {
+        let mut traj = SpillTrajectory::new(funcs, config, DEFAULT_SPILL_BASE);
+        if seeded {
+            traj.balanced(targets);
+        }
+        traj
     }
 
     /// The spill loop without kept state, with the scratchpad slot
@@ -1153,13 +1178,12 @@ bb0:
                 ..EngineConfig::default()
             };
             for seeded in [false, true] {
-                let plain = if seeded {
-                    balanced_first(&funcs, &targets, config)
-                } else {
-                    SpillTrajectory::new(&funcs, config).hybrid(&targets, DEFAULT_SPILL_BASE)
-                };
+                let mut traj = trajectory(&funcs, &targets, config, seeded);
                 for params in [None, Some(scratch(0)), Some(scratch(2))] {
-                    let got = replayed(&plain, &funcs, params.as_ref());
+                    let got = match &params {
+                        None => traj.hybrid(&targets),
+                        Some(params) => traj.scratch(&targets, params),
+                    };
                     let want = recomputing_spill_sweep(&funcs, &targets, config, params.as_ref());
                     assert_eq!(
                         format!("{got:?}"),
@@ -1182,26 +1206,10 @@ bb0:
         );
     }
 
-    /// `plain`'s verdicts with `scratch`, when given, applied by the
-    /// replay post-pass.
-    fn replayed(
-        plain: &[Result<HybridAllocation, AllocError>],
-        funcs: &[Func],
-        scratch: Option<&ScratchParams>,
-    ) -> Vec<Result<HybridAllocation, AllocError>> {
-        plain
-            .iter()
-            .map(|verdict| match (verdict, scratch) {
-                (Ok(h), Some(sp)) => Ok(h.with_scratch(funcs, DEFAULT_SPILL_BASE, sp)),
-                (other, _) => other.clone(),
-            })
-            .collect()
-    }
-
     /// The replay oracle over one corpus: for every thread group, with
     /// a fresh trajectory and one whose round 0 balanced queries
-    /// resolved first, the plain sweep followed by
-    /// [`HybridAllocation::with_scratch`] must be `Debug`-identical to
+    /// resolved first, the plain sweep replayed by
+    /// [`SpillTrajectory::scratch`] must be `Debug`-identical to
     /// the reference loop spilling into the scratchpad as it goes, at
     /// every capacity and every target in `targets`. Returns how many
     /// verdicts of each kind were compared.
@@ -1213,14 +1221,10 @@ bb0:
         let mut kinds = std::collections::BTreeMap::new();
         for (name, funcs) in groups {
             for seeded in [false, true] {
-                let plain = if seeded {
-                    balanced_first(funcs, targets, config)
-                } else {
-                    SpillTrajectory::new(funcs, config).hybrid(targets, DEFAULT_SPILL_BASE)
-                };
+                let mut traj = trajectory(funcs, targets, config, seeded);
                 for capacity in [0, 1, 3, 16] {
                     let params = scratch(capacity);
-                    let got = replayed(&plain, funcs, Some(&params));
+                    let got = traj.scratch(targets, &params);
                     let want = recomputing_spill_sweep(funcs, targets, config, Some(&params));
                     for ((&nreg, g), w) in targets.iter().zip(&got).zip(&want) {
                         assert_eq!(
@@ -1340,7 +1344,7 @@ bb0:
         budgets: &[IterationBudget],
         ladder_every: usize,
     ) -> std::collections::BTreeMap<&'static str, usize> {
-        use crate::ladder::{LadderConfig, LadderOutcome};
+        use crate::ladder::LadderOutcome;
         let mut kinds = std::collections::BTreeMap::new();
         for (g, (name, funcs)) in groups.iter().enumerate() {
             for &budget in budgets {
@@ -1350,10 +1354,9 @@ bb0:
                 };
                 let mut fresh = std::collections::BTreeMap::new();
                 for &n in sizes {
-                    let balanced = SpillTrajectory::new(funcs, config).balanced(&[n]).pop();
-                    let hybrid = SpillTrajectory::new(funcs, config)
-                        .hybrid(&[n], DEFAULT_SPILL_BASE)
-                        .pop();
+                    let fresh_traj = || SpillTrajectory::new(funcs, config, DEFAULT_SPILL_BASE);
+                    let balanced = fresh_traj().balanced(&[n]).pop();
+                    let hybrid = fresh_traj().hybrid(&[n]).pop();
                     for kind in [
                         verdict_kind(&balanced.clone().unwrap()),
                         verdict_kind(&hybrid.clone().unwrap().map(|h| h.alloc)),
@@ -1363,9 +1366,8 @@ bb0:
                     if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty()) {
                         *kinds.entry("spilled").or_insert(0) += 1;
                     }
-                    let walk = (n % ladder_every == 0).then(|| {
-                        SpillTrajectory::new(funcs, config).ladder(n, &LadderConfig::default())
-                    });
+                    let walk = (n % ladder_every == 0)
+                        .then(|| fresh_traj().ladder(n, &ScratchParams::default()));
                     if let Some(walk) = &walk {
                         let retries = match walk {
                             Ok(a) => &a.retries,
@@ -1389,7 +1391,7 @@ bb0:
                     );
                 }
                 for (k, order) in orders(sizes, g as u64).into_iter().enumerate() {
-                    let mut traj = SpillTrajectory::new(funcs, config);
+                    let mut traj = SpillTrajectory::new(funcs, config, DEFAULT_SPILL_BASE);
                     for &n in &order {
                         let what = format!("{name} {budget:?} order {k} nreg={n}");
                         let ask_balanced = |traj: &mut SpillTrajectory| {
@@ -1400,7 +1402,7 @@ bb0:
                             ask_balanced(&mut traj);
                         }
                         let depth = traj.bounds.len().saturating_sub(1);
-                        let hybrid = traj.hybrid(&[n], DEFAULT_SPILL_BASE).pop();
+                        let hybrid = traj.hybrid(&[n]).pop();
                         if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty() && h.picks.len() < depth)
                         {
                             *kinds.entry("rebuilt").or_insert(0) += 1;
@@ -1410,7 +1412,7 @@ bb0:
                             ask_balanced(&mut traj);
                         }
                         if let Some(want) = fresh[&n].2 {
-                            let walk = traj.ladder(n, &LadderConfig::default());
+                            let walk = traj.ladder(n, &ScratchParams::default());
                             assert_eq!(debug_digest(&walk), want, "{what} ladder");
                         }
                     }

@@ -12,7 +12,7 @@
 //! 2. **balanced-scratch** — balancing plus spilling, with the cheapest
 //!    evictions packed into a small fast shared scratchpad and the
 //!    overflow sent to memory (the balanced-spill verdict replayed
-//!    through [`HybridAllocation::with_scratch`]);
+//!    through [`SpillTrajectory::scratch`]);
 //! 3. **balanced-spill** — balancing plus last-resort spilling, all
 //!    slots in memory ([`crate::allocate_threads_with_spill`]);
 //! 4. **fixed-partition** — the stock compiler's model: each thread gets
@@ -58,17 +58,10 @@
 use crate::chaitin::{self, Partition, THREAD_STRIDE};
 use crate::engine::{EngineConfig, IterationBudget, MultiAllocation, ThreadSummary};
 use crate::error::{AllocError, Degradation, LadderStep, RungRetry};
-use crate::hybrid::{HybridAllocation, ScratchParams, SpillPick, SpillTrajectory, SPILL_SPACE};
+use crate::hybrid::{
+    HybridAllocation, ScratchParams, SpillPick, SpillTrajectory, DEFAULT_SPILL_BASE, SPILL_SPACE,
+};
 use regbal_ir::{Func, VReg};
-
-/// Default base address of the ladder's spill region (shared with the
-/// plain hybrid allocator's default, so single-chip callers see one
-/// spill area).
-pub const DEFAULT_LADDER_SPILL_BASE: i64 = 0x7_8000;
-
-/// Default scratchpad capacity of the balanced-scratch rung, in 32-bit
-/// words shared by the whole thread group.
-pub const DEFAULT_SCRATCH_CAPACITY: usize = 16;
 
 /// Byte stride between the spill areas of consecutive ladder rungs.
 const RUNG_STRIDE: i64 = 0x1_0000;
@@ -79,60 +72,23 @@ const SCRATCH_EST_LATENCY: u64 = 4;
 /// Per-access latency (cycles) the rung plan charges a memory slot.
 const MEM_EST_LATENCY: u64 = 20;
 
-/// Where the fallback ladder puts its spill slots. The engine knobs,
-/// iteration budget included, are the walked trajectory's own
-/// ([`SpillTrajectory::new`]).
-#[derive(Debug, Clone)]
-pub struct LadderConfig {
-    /// Base address of the ladder's spill region. Each rung uses a
-    /// disjoint `0x1_0000`-byte area above this base, with per-thread
-    /// sub-areas `0x1000` bytes apart. Callers allocating several
-    /// thread groups over one memory (e.g. per-PU) must give each
-    /// group a disjoint base.
-    pub spill_base: i64,
-    /// Base byte address of this group's scratchpad spill area
-    /// ([`regbal_ir::MemSpace::Spad`]). Callers allocating several
-    /// groups over one scratchpad must give each a disjoint base.
-    pub scratch_base: i64,
-    /// Scratchpad words available to the balanced-scratch rung. Zero
-    /// drops the rung from the plan, reproducing the four-rung ladder.
-    pub scratch_capacity: usize,
-}
-
-impl Default for LadderConfig {
-    fn default() -> Self {
-        LadderConfig {
-            spill_base: DEFAULT_LADDER_SPILL_BASE,
-            scratch_base: 0,
-            scratch_capacity: DEFAULT_SCRATCH_CAPACITY,
-        }
-    }
-}
-
-impl LadderConfig {
-    /// The spill area base of one rung. The balanced rung never spills,
-    /// so the spilling rungs pack from the base: a full ladder occupies
-    /// exactly `3 * RUNG_STRIDE` bytes above `spill_base`. The two
-    /// balanced-spill rungs share one area — only one rung's output
-    /// ever executes, and the scratch rung's memory overflow uses the
-    /// same slot numbering as the plain spill rung (that is what makes
-    /// a zero-capacity scratchpad bit-identical to balanced-spill).
-    fn rung_base(&self, step: LadderStep) -> i64 {
-        let rung = match step {
-            LadderStep::Balanced | LadderStep::BalancedScratch | LadderStep::BalancedSpill => 0,
-            LadderStep::FixedPartition => 1,
-            LadderStep::SpillAll => 2,
-        };
-        self.spill_base + rung * RUNG_STRIDE
-    }
-
-    /// The scratchpad tier the balanced-scratch rung spills into.
-    fn scratch_params(&self) -> ScratchParams {
-        ScratchParams {
-            base: self.scratch_base,
-            capacity: self.scratch_capacity,
-        }
-    }
+/// The spill area base of one rung on a trajectory whose spill base is
+/// `spill_base`. The balanced rung never spills, so the spilling rungs
+/// pack from the base: a full ladder occupies exactly `3 * RUNG_STRIDE`
+/// bytes above it, and callers allocating several thread groups over
+/// one memory (e.g. per-PU) must give each trajectory a disjoint base.
+/// The two balanced-spill rungs share the trajectory's own area — only
+/// one rung's output ever executes, and the scratch rung's memory
+/// overflow uses the same slot numbering as the plain spill rung (that
+/// is what makes a zero-capacity scratchpad bit-identical to
+/// balanced-spill).
+fn rung_base(spill_base: i64, step: LadderStep) -> i64 {
+    let rung = match step {
+        LadderStep::Balanced | LadderStep::BalancedScratch | LadderStep::BalancedSpill => 0,
+        LadderStep::FixedPartition => 1,
+        LadderStep::SpillAll => 2,
+    };
+    spill_base + rung * RUNG_STRIDE
 }
 
 /// One rung of the cost-aware plan: the order the ladder will try it
@@ -148,22 +104,23 @@ pub struct PlannedRung {
 }
 
 /// Prices every statically feasible rung of `funcs`, whose threads'
-/// `RegPmax` are `pressures`, and orders them cheapest first; ties keep
-/// the canonical top-to-bottom ladder order. The balanced rung is never
-/// skipped (its estimate is zero — it adds no spill code), and the plan
-/// always ends with at least one guaranteed-to-terminate Chaitin rung,
-/// so the walk cannot run dry.
+/// `RegPmax` are `pressures`, with `scratch_capacity` scratchpad words,
+/// and orders them cheapest first; ties keep the canonical
+/// top-to-bottom ladder order. The balanced rung is never skipped (its
+/// estimate is zero — it adds no spill code), and the plan always ends
+/// with at least one guaranteed-to-terminate Chaitin rung, so the walk
+/// cannot run dry.
 fn plan_rungs(
     pressures: &[usize],
     funcs: &[Func],
     nreg: usize,
-    config: &LadderConfig,
+    scratch_capacity: usize,
 ) -> Vec<PlannedRung> {
     let total: u64 = pressures.iter().map(|&p| p as u64).sum();
     let excess = total.saturating_sub(nreg as u64);
     let nthd = funcs.len().max(1);
     let k = (nreg / nthd) as u64;
-    let cap = config.scratch_capacity as u64;
+    let cap = scratch_capacity as u64;
     let scratch_est = excess.min(cap).saturating_mul(SCRATCH_EST_LATENCY)
         + excess.saturating_sub(cap).saturating_mul(MEM_EST_LATENCY);
     let spill_est = excess.saturating_mul(MEM_EST_LATENCY);
@@ -181,7 +138,7 @@ fn plan_rungs(
         step: LadderStep::Balanced,
         estimate: 0,
     }];
-    if config.scratch_capacity > 0 {
+    if scratch_capacity > 0 {
         plan.push(PlannedRung {
             step: LadderStep::BalancedScratch,
             estimate: scratch_est,
@@ -331,25 +288,28 @@ impl std::error::Error for LadderError {}
 
 /// Allocates `funcs` over `nreg` registers, degrading gracefully
 /// through the fallback ladder: a walk on a fresh trajectory under the
-/// default engine configuration, with the default [`LadderConfig`].
+/// default engine configuration with spill slots above
+/// [`DEFAULT_SPILL_BASE`], and the default [`ScratchParams`].
 ///
 /// # Errors
 ///
 /// Returns [`LadderError`] only when every rung fails (e.g. a register
 /// file too small to hold even spill-address temporaries).
 pub fn allocate_ladder(funcs: &[Func], nreg: usize) -> Result<LadderAllocation, LadderError> {
-    SpillTrajectory::new(funcs, EngineConfig::default()).ladder(nreg, &LadderConfig::default())
+    SpillTrajectory::new(funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
+        .ladder(nreg, &ScratchParams::default())
 }
 
 impl SpillTrajectory {
-    /// Walks the fallback ladder at `nreg` registers with spill slots
-    /// placed by `config`, reading every balancing rung from this
-    /// trajectory: the plan is priced from round 0's analyses, the
-    /// balanced rung is [`SpillTrajectory::balanced`], and both
-    /// spilling rungs are [`SpillTrajectory::hybrid`] at the ladder's
-    /// spilling rung base (balanced-scratch replays its picks). A walk
-    /// on a used trajectory returns exactly what one on a fresh
-    /// trajectory does; it just skips the verdicts already memoized.
+    /// Walks the fallback ladder at `nreg` registers with the
+    /// balanced-scratch rung's scratchpad tier `scratch`, reading every
+    /// balancing rung from this trajectory: the plan is priced from
+    /// round 0's analyses, the balanced rung is
+    /// [`SpillTrajectory::balanced`], balanced-scratch is
+    /// [`SpillTrajectory::scratch`] and balanced-spill is
+    /// [`SpillTrajectory::hybrid`]. A walk on a used trajectory returns
+    /// exactly what one on a fresh trajectory does; it just skips the
+    /// verdicts already memoized.
     ///
     /// A rung starved by the iteration budget is retried on a fresh
     /// trajectory with the doubled budget, one per distinct doubled
@@ -361,9 +321,14 @@ impl SpillTrajectory {
     pub fn ladder(
         &mut self,
         nreg: usize,
-        config: &LadderConfig,
+        scratch: &ScratchParams,
     ) -> Result<LadderAllocation, LadderError> {
-        let plan = plan_rungs(&self.first_pressures(), self.funcs(), nreg, config);
+        let plan = plan_rungs(
+            &self.first_pressures(),
+            self.funcs(),
+            nreg,
+            scratch.capacity,
+        );
         let mut retried: Vec<(usize, SpillTrajectory)> = Vec::new();
         let mut degradations: Vec<Degradation> = Vec::new();
         let mut retries: Vec<RungRetry> = Vec::new();
@@ -375,7 +340,7 @@ impl SpillTrajectory {
             // with a doubled (still bounded) budget. A cap of zero is the
             // ladder's own "skip the balanced rungs" idiom and is honored
             // as-is.
-            let result = match self.rung(nreg, config, step) {
+            let result = match self.rung(nreg, scratch, step) {
                 Err(AllocError::IterationCapHit { cap, .. })
                     if cap > 0
                         && matches!(
@@ -393,11 +358,13 @@ impl SpillTrajectory {
                                 max_iterations: IterationBudget::Fixed(retry_cap),
                                 ..self.config()
                             };
-                            retried.push((retry_cap, SpillTrajectory::new(self.funcs(), engine)));
+                            let trajectory =
+                                SpillTrajectory::new(self.funcs(), engine, self.spill_base());
+                            retried.push((retry_cap, trajectory));
                             retried.len() - 1
                         }
                     };
-                    let result = retried[pos].1.rung(nreg, config, step);
+                    let result = retried[pos].1.rung(nreg, scratch, step);
                     retries.push(RungRetry {
                         step,
                         cap,
@@ -446,10 +413,10 @@ impl SpillTrajectory {
     fn rung(
         &mut self,
         nreg: usize,
-        config: &LadderConfig,
+        scratch: &ScratchParams,
         step: LadderStep,
     ) -> Result<LadderOutcome, AllocError> {
-        let base = config.rung_base(step);
+        let base = rung_base(self.spill_base(), step);
         let hybrid = match step {
             LadderStep::Balanced => {
                 let alloc = self
@@ -458,17 +425,14 @@ impl SpillTrajectory {
                     .expect("one verdict per target")?;
                 HybridAllocation::unspilled(self.funcs(), alloc)
             }
-            LadderStep::BalancedScratch | LadderStep::BalancedSpill => {
-                let plain = self
-                    .hybrid(&[nreg], base)
-                    .pop()
-                    .expect("one verdict per target")?;
-                if step == LadderStep::BalancedScratch {
-                    plain.with_scratch(self.funcs(), base, &config.scratch_params())
-                } else {
-                    plain
-                }
-            }
+            LadderStep::BalancedScratch => self
+                .scratch(&[nreg], scratch)
+                .pop()
+                .expect("one verdict per target")?,
+            LadderStep::BalancedSpill => self
+                .hybrid(&[nreg])
+                .pop()
+                .expect("one verdict per target")?,
             LadderStep::FixedPartition => {
                 return chaitin::partition(self.funcs(), nreg, base + THREAD_STRIDE / 2)
                     .map(LadderOutcome::Partitioned)
@@ -583,12 +547,12 @@ bb0:
     #[test]
     fn zero_capacity_config_reproduces_the_four_rung_ladder() {
         let funcs = vec![hot(), hot()];
-        let config = LadderConfig {
-            scratch_capacity: 0,
-            ..LadderConfig::default()
+        let scratch = ScratchParams {
+            capacity: 0,
+            ..ScratchParams::default()
         };
-        let a = SpillTrajectory::new(&funcs, EngineConfig::default())
-            .ladder(8, &config)
+        let a = SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
+            .ladder(8, &scratch)
             .unwrap();
         assert_eq!(a.step, LadderStep::BalancedSpill);
         assert_eq!(a.degradations[0].to, LadderStep::BalancedSpill);
@@ -618,7 +582,7 @@ bb0:
             .map(|f| ProgramInfo::compute(f).pressure.regp_max as u64)
             .sum::<u64>()
             - 8;
-        assert!(excess > 0 && excess <= DEFAULT_SCRATCH_CAPACITY as u64);
+        assert!(excess > 0 && excess <= crate::DEFAULT_SCRATCH_CAPACITY as u64);
         let est = |step: LadderStep| a.plan.iter().find(|r| r.step == step).unwrap().estimate;
         assert_eq!(est(LadderStep::BalancedScratch), excess * 4);
         assert_eq!(est(LadderStep::BalancedSpill), excess * 20);
@@ -637,8 +601,8 @@ bb0:
         // doesn't iterate the greedy engine and still delivers.
         let zero_work = allocate_ladder(&funcs, 64).unwrap();
         let nreg = zero_work.registers_used() - 1;
-        let a = SpillTrajectory::new(&funcs, engine)
-            .ladder(nreg, &LadderConfig::default())
+        let a = SpillTrajectory::new(&funcs, engine, DEFAULT_SPILL_BASE)
+            .ladder(nreg, &ScratchParams::default())
             .unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
         assert_eq!(a.degraded_count(), 3);
@@ -699,8 +663,8 @@ bb0:
             max_iterations: IterationBudget::Fixed(cap),
             ..EngineConfig::default()
         };
-        let a = SpillTrajectory::new(&funcs, engine)
-            .ladder(nreg, &LadderConfig::default())
+        let a = SpillTrajectory::new(&funcs, engine, DEFAULT_SPILL_BASE)
+            .ladder(nreg, &ScratchParams::default())
             .unwrap();
         assert_eq!(a.step, LadderStep::Balanced);
         assert_eq!(a.degraded_count(), 0);
@@ -729,8 +693,8 @@ bb0:
             max_iterations: IterationBudget::Fixed(1),
             ..EngineConfig::default()
         };
-        let a = SpillTrajectory::new(&funcs, engine)
-            .ladder(nreg, &LadderConfig::default())
+        let a = SpillTrajectory::new(&funcs, engine, DEFAULT_SPILL_BASE)
+            .ladder(nreg, &ScratchParams::default())
             .unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
         assert_eq!(
@@ -758,10 +722,10 @@ bb0:
         // lands on balanced-scratch either way.
         let plain = allocate_ladder(&funcs, 8).unwrap();
         assert_eq!(plain.step, LadderStep::BalancedScratch);
-        let mut used = SpillTrajectory::new(&funcs, EngineConfig::default());
+        let mut used = SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE);
         used.balanced(&[8]);
-        used.hybrid(&[8], DEFAULT_LADDER_SPILL_BASE);
-        let seeded = used.ladder(8, &LadderConfig::default()).unwrap();
+        used.hybrid(&[8]);
+        let seeded = used.ladder(8, &ScratchParams::default()).unwrap();
         assert_eq!(seeded.step, plain.step);
         assert_eq!(seeded.degraded_count(), plain.degraded_count());
         assert_eq!(seeded.rewrite().unwrap(), plain.rewrite().unwrap());
@@ -773,7 +737,7 @@ bb0:
         let p = spill_all(
             &funcs,
             16,
-            LadderConfig::default().rung_base(LadderStep::SpillAll),
+            rung_base(DEFAULT_SPILL_BASE, LadderStep::SpillAll),
         )
         .unwrap();
         assert_eq!(p.k, 8);
@@ -810,25 +774,25 @@ bb0:
 
     #[test]
     fn spilling_rung_areas_are_disjoint_and_packed() {
-        let c = LadderConfig::default();
+        let base = DEFAULT_SPILL_BASE;
         let bases: Vec<i64> = [
             LadderStep::BalancedSpill,
             LadderStep::FixedPartition,
             LadderStep::SpillAll,
         ]
         .iter()
-        .map(|&s| c.rung_base(s))
+        .map(|&s| rung_base(base, s))
         .collect();
         for w in bases.windows(2) {
             assert_eq!(w[1] - w[0], RUNG_STRIDE);
         }
-        assert_eq!(bases[0], c.spill_base, "first spilling rung packs at the base");
+        assert_eq!(bases[0], base, "first spilling rung packs at the base");
         // The scratch rung's memory overflow shares the plain spill
         // rung's area (only one rung's output ever executes), keeping
         // the ladder's footprint at three strides.
         assert_eq!(
-            c.rung_base(LadderStep::BalancedScratch),
-            c.rung_base(LadderStep::BalancedSpill)
+            rung_base(base, LadderStep::BalancedScratch),
+            rung_base(base, LadderStep::BalancedSpill)
         );
     }
 }

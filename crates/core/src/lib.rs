@@ -68,11 +68,10 @@ pub use error::{AllocError, Degradation, LadderStep, RungRetry};
 pub use half::HalfPoint;
 pub use hybrid::{
     allocate_threads_with_spill, HybridAllocation, ScratchParams, SpillPick, SpillTrajectory,
-    DEFAULT_SPILL_BASE,
+    DEFAULT_SCRATCH_CAPACITY, DEFAULT_SPILL_BASE,
 };
 pub use ladder::{
-    allocate_ladder, LadderAllocation, LadderConfig, LadderError, LadderOutcome, PlannedRung,
-    DEFAULT_LADDER_SPILL_BASE, DEFAULT_SCRATCH_CAPACITY,
+    allocate_ladder, LadderAllocation, LadderError, LadderOutcome, PlannedRung,
 };
 pub use livemap::LiveMap;
 pub use rewrite::{rewrite_thread, try_rewrite_thread, Layout};

@@ -5,21 +5,21 @@
 //! and the ladder's first rung all run the *same* deterministic engine
 //! search on the *same* inputs — and the `balanced-scratch` strategy and
 //! the ladder's spilling rungs are all read from the hybrid's one spill
-//! trajectory ([`regbal_core::HybridAllocation::with_scratch`] replays
-//! its picks into the scratchpad). On top of that, the engine's greedy
+//! trajectory ([`regbal_core::SpillTrajectory::scratch`] replays its
+//! picks into the scratchpad). On top of that, the engine's greedy
 //! descent never consults the register-file size while choosing steps,
 //! and the hybrid's spill picks never read it either, so one lazy
 //! [`regbal_core::SpillTrajectory`] answers the balanced and the hybrid
-//! verdict — and the fallback ladder's walk, its third query — at
-//! *every* `Nreg`.
+//! verdict — and the scratch replay and the fallback ladder's walk
+//! built on them — at *every* `Nreg`.
 //!
 //! This cache therefore stores one [`SweepColumn`] per
-//! `(scenario index, pu)` ([`AllocCache::column`]): within a scenario
-//! the PU's function set is fixed and the engine config is the default
-//! everywhere, so the key pins every input of the search, and a lookup
-//! at any `Nreg` is answered from the column's one trajectory. The
-//! allocation server keeps one column per resident module for the same
-//! reason.
+//! `(scenario index, pu)` ([`AllocCache::column`]), built with the PU's
+//! thread set and spill base: within a scenario both are fixed and the
+//! engine config is the default everywhere, so the key pins every input
+//! of the search, and a lookup at any `Nreg` is answered from the
+//! column's one trajectory. The allocation server keeps one column per
+//! resident module for the same reason.
 //!
 //! Sharing is behaviour-preserving by construction: the engine is
 //! deterministic and the trajectory returns bit-identical verdicts to
@@ -34,8 +34,8 @@
 //! very code the cached sweep runs.
 
 use regbal_core::{
-    AllocError, EngineConfig, HybridAllocation, LadderAllocation, LadderConfig, LadderError,
-    LadderStep, MultiAllocation, SpillTrajectory,
+    AllocError, EngineConfig, HybridAllocation, LadderAllocation, LadderError, LadderStep,
+    MultiAllocation, ScratchParams, SpillTrajectory,
 };
 use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
@@ -44,22 +44,21 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// One fixed thread set's lazy [`SpillTrajectory`] behind a lock. Each
-/// lookup resolves only the size it asks, from the trajectory, which
-/// memoizes recent verdicts per side. Callers racing on one column
-/// block on its lock, so a verdict the trajectory still holds is
-/// computed once.
+/// One fixed thread set's lazy [`SpillTrajectory`] at one spill base,
+/// behind a lock. Each lookup resolves only the size it asks, from the
+/// trajectory, which memoizes recent verdicts per side. Callers racing
+/// on one column block on its lock, so a verdict the trajectory still
+/// holds is computed once.
 ///
-/// A balanced or hybrid lookup holds the lock for its own verdict. A
-/// ladder lookup holds it for the whole walk: the rung plan, both
-/// balancing verdicts, the scratch replay, and — only after both
+/// A balanced, hybrid or scratch lookup holds the lock for its own
+/// verdict. A ladder lookup holds it for the whole walk: the rung plan,
+/// both balancing verdicts, the scratch replay, and — only after both
 /// spilling rungs have failed, since the plan always orders the Chaitin
 /// rungs after balanced-spill — the Chaitin rungs.
-///
-/// A column does not own its functions: every call must pass the same
-/// thread set, since the first call fixes the stored trajectory.
 #[derive(Debug)]
 pub struct SweepColumn {
+    funcs: Vec<Func>,
+    spill_base: i64,
     descents: Arc<AtomicU64>,
     state: Mutex<ColumnState>,
 }
@@ -73,28 +72,33 @@ struct ColumnState {
 }
 
 impl SweepColumn {
-    /// An empty column, counting into `descents` each side of its
-    /// trajectory — balanced and hybrid — the first time it is asked.
-    pub fn new(descents: Arc<AtomicU64>) -> SweepColumn {
+    /// An empty column over `funcs`, with thread `t`'s memory spill
+    /// slots from `spill_base + t·0x1000`, counting into `descents` each
+    /// side of its trajectory — balanced and hybrid — the first time it
+    /// is asked.
+    pub fn new(funcs: &[Func], spill_base: i64, descents: Arc<AtomicU64>) -> SweepColumn {
         SweepColumn {
+            funcs: funcs.to_vec(),
+            spill_base,
             descents,
             state: Mutex::default(),
         }
     }
 
-    /// `query` run on the column's trajectory over `funcs`, under the
-    /// column's lock. The query returns its answer with the sides it
-    /// asked — `[balanced, hybrid]` — and each side is counted on its
-    /// first ask. A panic in an allocation poisons the lock and may
+    /// The thread programs the column allocates.
+    pub fn funcs(&self) -> &[Func] {
+        &self.funcs
+    }
+
+    /// `query` run on the column's trajectory, under the column's lock.
+    /// The query returns its answer with the sides it asked —
+    /// `[balanced, hybrid]` — and each side is counted on its first
+    /// ask. A panic in an allocation poisons the lock and may
     /// leave the trajectory half-updated, so the recovered state drops
     /// it (each verdict is then computed afresh, identically); the
     /// started flags stay, and the column is still counted once per
     /// side.
-    fn query<T>(
-        &self,
-        funcs: &[Func],
-        query: impl FnOnce(&mut SpillTrajectory) -> (T, [bool; 2]),
-    ) -> T {
+    fn query<T>(&self, query: impl FnOnce(&mut SpillTrajectory) -> (T, [bool; 2])) -> T {
         let mut state = self.state.lock().unwrap_or_else(|poisoned| {
             let mut state = poisoned.into_inner();
             state.trajectory = None;
@@ -102,9 +106,9 @@ impl SweepColumn {
             state
         });
         let state = &mut *state;
-        let trajectory = state
-            .trajectory
-            .get_or_insert_with(|| SpillTrajectory::new(funcs, EngineConfig::default()));
+        let trajectory = state.trajectory.get_or_insert_with(|| {
+            SpillTrajectory::new(&self.funcs, EngineConfig::default(), self.spill_base)
+        });
         let (answer, [balanced, hybrid]) = query(trajectory);
         for (asked, started) in [
             (balanced, &mut state.balanced_started),
@@ -117,60 +121,69 @@ impl SweepColumn {
         answer
     }
 
-    /// The balanced-engine verdict for `funcs` at `nreg` registers —
-    /// bit-identical to a dedicated [`regbal_core::allocate_threads`]
-    /// run.
+    /// The balanced-engine verdict at `nreg` registers — bit-identical
+    /// to a dedicated [`regbal_core::allocate_threads`] run.
     ///
     /// # Errors
     ///
     /// The engine's own verdict — [`AllocError::Infeasible`] and
     /// friends are cached and replayed like successes.
-    pub fn balanced(&self, funcs: &[Func], nreg: usize) -> Result<MultiAllocation, AllocError> {
-        self.query(funcs, |trajectory| {
+    pub fn balanced(&self, nreg: usize) -> Result<MultiAllocation, AllocError> {
+        self.query(|trajectory| {
             let verdict = trajectory.balanced(&[nreg]).pop();
             (verdict.expect("one verdict per target"), [true, false])
         })
     }
 
-    /// The hybrid (balancing + last-resort spilling) verdict for
-    /// `funcs` at `nreg` registers with spill slots above `spill_base` —
-    /// bit-identical to a dedicated [`SpillTrajectory::hybrid`] run.
-    /// Its round 0 is the trajectory's balanced side, so a column that
-    /// answered a balanced verdict at a size still held in its memo
-    /// never descends for it twice.
+    /// The hybrid (balancing + last-resort spilling) verdict at `nreg`
+    /// registers — bit-identical to a fresh trajectory's
+    /// [`SpillTrajectory::hybrid`]. Its round 0 is the trajectory's
+    /// balanced side, so a column that answered a balanced verdict at a
+    /// size still held in its memo never descends for it twice.
     ///
     /// # Errors
     ///
     /// The hybrid allocator's own verdict.
-    pub fn hybrid(
-        &self,
-        funcs: &[Func],
-        nreg: usize,
-        spill_base: i64,
-    ) -> Result<HybridAllocation, AllocError> {
-        self.query(funcs, |trajectory| {
-            let verdict = trajectory.hybrid(&[nreg], spill_base).pop();
+    pub fn hybrid(&self, nreg: usize) -> Result<HybridAllocation, AllocError> {
+        self.query(|trajectory| {
+            let verdict = trajectory.hybrid(&[nreg]).pop();
             (verdict.expect("one verdict per target"), [false, true])
         })
     }
 
-    /// The fallback ladder's walk for `funcs` at `nreg` registers under
-    /// `config` ([`SpillTrajectory::ladder`]) — bit-identical to
-    /// [`regbal_core::allocate_ladder`] on a fresh trajectory with the
-    /// same config. The walk always asks the balanced side, and the
-    /// hybrid side only when its trail reaches a spilling rung.
+    /// [`SweepColumn::hybrid`]'s verdict with its picks replayed into
+    /// the scratchpad tier `scratch` ([`SpillTrajectory::scratch`]).
+    ///
+    /// # Errors
+    ///
+    /// The hybrid allocator's own verdict.
+    pub fn scratch(
+        &self,
+        nreg: usize,
+        scratch: &ScratchParams,
+    ) -> Result<HybridAllocation, AllocError> {
+        self.query(|trajectory| {
+            let verdict = trajectory.scratch(&[nreg], scratch).pop();
+            (verdict.expect("one verdict per target"), [false, true])
+        })
+    }
+
+    /// The fallback ladder's walk at `nreg` registers with the
+    /// scratchpad tier `scratch` ([`SpillTrajectory::ladder`]) —
+    /// bit-identical to a walk on a fresh trajectory. It always asks
+    /// the balanced side, and the hybrid side only when its trail
+    /// reaches a spilling rung.
     ///
     /// # Errors
     ///
     /// The ladder's own [`LadderError`] when every rung fails.
     pub fn ladder(
         &self,
-        funcs: &[Func],
         nreg: usize,
-        config: &LadderConfig,
+        scratch: &ScratchParams,
     ) -> Result<LadderAllocation, LadderError> {
-        self.query(funcs, |trajectory| {
-            let walk = trajectory.ladder(nreg, config);
+        self.query(|trajectory| {
+            let walk = trajectory.ladder(nreg, scratch);
             let trail = match &walk {
                 Ok(alloc) => &alloc.degradations,
                 Err(error) => &error.degradations,
@@ -210,16 +223,23 @@ impl AllocCache {
     }
 
     /// The column of PU `pu` in the suite's scenario `scenario`,
-    /// created empty on first sight. Every strategy reads its verdicts
-    /// from it: `balanced` the balanced side, `balanced-spill` and
+    /// created empty over `funcs` at `spill_base` on first sight (the
+    /// key pins both). Every strategy reads its verdicts from it:
+    /// `balanced` the balanced side, `balanced-spill` and
     /// `balanced-scratch` the hybrid side (the latter through
-    /// [`HybridAllocation::with_scratch`]), and the ladder its walk.
-    pub fn column(&self, scenario: usize, pu: usize) -> Arc<SweepColumn> {
+    /// [`SweepColumn::scratch`]), and the ladder its walk.
+    pub fn column(
+        &self,
+        scenario: usize,
+        pu: usize,
+        funcs: &[Func],
+        spill_base: i64,
+    ) -> Arc<SweepColumn> {
         self.columns
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .entry((scenario, pu))
-            .or_insert_with(|| Arc::new(SweepColumn::new(self.descents.clone())))
+            .or_insert_with(|| Arc::new(SweepColumn::new(funcs, spill_base, self.descents.clone())))
             .clone()
     }
 
@@ -388,7 +408,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 mod tests {
     use super::*;
     use crate::strategy::{BalancedSpill, CompileCtx, Ladder, Strategy};
-    use regbal_core::{allocate_threads, ScratchParams};
+    use regbal_core::allocate_threads;
     use regbal_ir::parse_func;
 
     /// A dedicated one-target hybrid run with slots above `spill_base`.
@@ -397,8 +417,8 @@ mod tests {
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        SpillTrajectory::new(funcs, EngineConfig::default())
-            .hybrid(&[nreg], spill_base)
+        SpillTrajectory::new(funcs, EngineConfig::default(), spill_base)
+            .hybrid(&[nreg])
             .pop()
             .unwrap()
     }
@@ -415,26 +435,32 @@ mod tests {
         let funcs = vec![hot(), hot()];
         let cache = AllocCache::new(vec![8, 32]);
         let direct = allocate_threads(&funcs, 32).unwrap();
-        let cached = cache.column(0, 0).balanced(&funcs, 32).unwrap();
+        let cached = cache.column(0, 0, &funcs, 0x8_0000).balanced(32).unwrap();
         assert_eq!(direct.total_registers(), cached.total_registers());
         // Errors replay identically too.
-        let e1 = cache.column(0, 0).balanced(&funcs, 8).unwrap_err();
-        let e2 = cache.column(0, 0).balanced(&funcs, 8).unwrap_err();
+        let e1 = cache
+            .column(0, 0, &funcs, 0x8_0000)
+            .balanced(8)
+            .unwrap_err();
+        let e2 = cache
+            .column(0, 0, &funcs, 0x8_0000)
+            .balanced(8)
+            .unwrap_err();
         assert_eq!(e1, e2);
         // The hybrid path rescues the infeasible size, seeded by the
         // cached balanced failure.
-        let h = cache.column(0, 0).hybrid(&funcs, 8, 0x8_0000).unwrap();
+        let h = cache.column(0, 0, &funcs, 0x8_0000).hybrid(8).unwrap();
         assert!(h.spills.iter().sum::<usize>() > 0);
         let plain = hybrid_at(&funcs, 8, 0x8_0000).unwrap();
         assert_eq!(h.funcs, plain.funcs);
         assert_eq!(h.spills, plain.spills);
         // Sizes outside the sweep are answered from the same column.
-        let off = cache.column(0, 0).balanced(&funcs, 16);
+        let off = cache.column(0, 0, &funcs, 0x8_0000).balanced(16);
         assert_eq!(
             format!("{off:?}"),
             format!("{:?}", allocate_threads(&funcs, 16))
         );
-        let off_h = cache.column(0, 0).hybrid(&funcs, 3, 0x8_0000);
+        let off_h = cache.column(0, 0, &funcs, 0x8_0000).hybrid(3);
         assert_eq!(
             format!("{off_h:?}"),
             format!("{:?}", hybrid_at(&funcs, 3, 0x8_0000))
@@ -452,22 +478,22 @@ mod tests {
 
         // Nreg axis: the same column answers each size with its own
         // verdict (8 is infeasible for four threads, 32 fits).
-        assert!(cache.column(0, 0).balanced(&four, 8).is_err());
-        assert!(cache.column(0, 0).balanced(&four, 32).is_ok());
+        assert!(cache.column(0, 0, &four, 0x8_0000).balanced(8).is_err());
+        assert!(cache.column(0, 0, &four, 0x8_0000).balanced(32).is_ok());
 
         // Nthd axis: the same (scenario, pu) key must never be reused
         // across different function sets — distinct groups get distinct
         // keys, and their verdicts differ.
-        let a = cache.column(0, 1).balanced(&two, 32).unwrap();
-        let b = cache.column(1, 1).balanced(&four, 32).unwrap();
+        let a = cache.column(0, 1, &two, 0x8_0000).balanced(32).unwrap();
+        let b = cache.column(1, 1, &four, 0x8_0000).balanced(32).unwrap();
         assert_eq!(a.threads.len(), 2);
         assert_eq!(b.threads.len(), 4);
 
         // Strategy axis: balanced and hybrid verdicts of one key live
         // in separate tables; at a size where balancing fails, the
         // hybrid entry still answers with spills.
-        let e = cache.column(2, 0).balanced(&four, 8).unwrap_err();
-        let h = cache.column(2, 0).hybrid(&four, 8, 0x8_0000).unwrap();
+        let e = cache.column(2, 0, &four, 0x8_0000).balanced(8).unwrap_err();
+        let h = cache.column(2, 0, &four, 0x8_0000).hybrid(8).unwrap();
         assert_eq!(e.code(), "infeasible");
         assert!(h.spills.iter().sum::<usize>() > 0);
     }
@@ -481,22 +507,22 @@ mod tests {
         let sweep = vec![8, 16, 24, 32];
         let cache = AllocCache::new(sweep.clone());
         let funcs = vec![hot(), hot()];
-        let first = cache.column(0, 0).balanced(&funcs, 32).unwrap();
+        let first = cache.column(0, 0, &funcs, 0x8_0000).balanced(32).unwrap();
         assert_eq!(cache.descents.load(Ordering::Relaxed), 1);
         for nreg in sweep.iter().copied().chain([12, 5, 40]) {
-            let replayed = cache.column(0, 0).balanced(&funcs, nreg);
+            let replayed = cache.column(0, 0, &funcs, 0x8_0000).balanced(nreg);
             assert_eq!(
                 format!("{replayed:?}"),
                 format!("{:?}", allocate_threads(&funcs, nreg)),
                 "size {nreg} must replay the trajectory verdict"
             );
         }
-        let again = cache.column(0, 0).balanced(&funcs, 32).unwrap();
+        let again = cache.column(0, 0, &funcs, 0x8_0000).balanced(32).unwrap();
         assert_eq!(first.total_registers(), again.total_registers());
         // The hybrid side reuses the balanced one as its round 0, and
         // off-sweep sizes start nothing new.
         for nreg in [8, 3, 12, 1, 40] {
-            let served = cache.column(0, 0).hybrid(&funcs, nreg, 0x8_0000);
+            let served = cache.column(0, 0, &funcs, 0x8_0000).hybrid(nreg);
             assert_eq!(
                 format!("{served:?}"),
                 format!("{:?}", hybrid_at(&funcs, nreg, 0x8_0000)),
@@ -587,9 +613,8 @@ mod tests {
         params: ScratchParams,
     ) -> Result<HybridAllocation, AllocError> {
         cache
-            .column(key.0, key.1)
-            .hybrid(funcs, key.2, spill_base)
-            .map(|h| h.with_scratch(funcs, spill_base, &params))
+            .column(key.0, key.1, funcs, spill_base)
+            .scratch(key.2, &params)
     }
 
     /// One spill-cost computation per (scenario, PU) column — when its
@@ -616,7 +641,7 @@ mod tests {
         let _ = scratch(&cache, (0, 1, 8), &funcs, 0xB_0000, sp);
         assert_eq!(cache.cost_computes(), 2);
         // A column that only balanced computes no costs.
-        let _ = cache.column(0, 2).balanced(&funcs, 8);
+        let _ = cache.column(0, 2, &funcs, 0x8_0000).balanced(8);
         assert_eq!(cache.cost_computes(), 2);
         // Ladder compiles through one context: a walk that settles on
         // balanced starts its column's balanced side only and computes
@@ -648,9 +673,11 @@ mod tests {
             capacity: 4,
         };
         let cached = scratch(&cache, (0, 0, 8), &funcs, 0x8_0000, sp).unwrap();
-        let direct = hybrid_at(&funcs, 8, 0x8_0000)
+        let direct = SpillTrajectory::new(&funcs, EngineConfig::default(), 0x8_0000)
+            .scratch(&[8], &sp)
+            .pop()
             .unwrap()
-            .with_scratch(&funcs, 0x8_0000, &sp);
+            .unwrap();
         assert_eq!(cached.funcs, direct.funcs);
         assert_eq!(cached.scratch_spills, direct.scratch_spills);
         assert!(cached.scratch_spills.iter().sum::<usize>() > 0);
@@ -667,7 +694,7 @@ mod tests {
             },
         )
         .unwrap();
-        let hybrid = cache.column(1, 0).hybrid(&funcs, 8, 0x8_0000).unwrap();
+        let hybrid = cache.column(1, 0, &funcs, 0x8_0000).hybrid(8).unwrap();
         assert_eq!(zero.funcs, hybrid.funcs);
         assert_eq!(zero.spills, hybrid.spills);
     }
@@ -683,8 +710,8 @@ mod tests {
                     let funcs = &funcs;
                     s.spawn(move || {
                         cache
-                            .column(1, 0)
-                            .balanced(funcs, 32)
+                            .column(1, 0, funcs, 0x8_0000)
+                            .balanced(32)
                             .unwrap()
                             .total_registers()
                     })

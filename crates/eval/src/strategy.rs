@@ -19,7 +19,7 @@
 //!   most demanding thread only when sharing alone cannot fit.
 //! * [`BalancedScratch`] — the hybrid with the scratchpad spill tier
 //!   (the `balanced-spill` verdict replayed through
-//!   [`regbal_core::HybridAllocation::with_scratch`]): the cheapest
+//!   [`regbal_core::SpillTrajectory::scratch`]): the cheapest
 //!   spills are packed into a small per-PU area of the fast shared
 //!   scratchpad ([`regbal_ir::MemSpace::Spad`], ~4 cycles) and only the
 //!   overflow pays full memory latency.
@@ -30,31 +30,34 @@
 //!
 //! Each strategy maps itself to allocator calls in one place,
 //! [`Strategy::compile_cached`], making one lookup on its PU's column
-//! of the sweep's [`AllocCache`] ([`AllocCache::column`]): the balanced
-//! verdict, the hybrid verdict, or the ladder's walk.
+//! of the sweep's [`AllocCache`] ([`AllocCache::column`], built over
+//! the PU's threads at the PU's spill base): the balanced verdict, the
+//! hybrid verdict, its scratch replay, or the ladder's walk.
 //! [`Strategy::compile`] runs that same code over an empty cache, where
 //! every lookup is a dedicated run.
 
-use crate::cache::AllocCache;
+use crate::cache::{AllocCache, SweepColumn};
 use regbal_core::chaitin::{self, Partition};
 use regbal_core::{
-    Degradation, HybridAllocation, LadderAllocation, LadderConfig, LadderOutcome, LadderStep,
-    MultiAllocation, RungRetry, ScratchParams, ThreadSummary, DEFAULT_SCRATCH_CAPACITY,
+    Degradation, HybridAllocation, LadderAllocation, LadderOutcome, LadderStep, MultiAllocation,
+    RungRetry, ScratchParams, ThreadSummary, DEFAULT_SCRATCH_CAPACITY,
 };
 use regbal_ir::Func;
 use regbal_sim::SanitizerConfig;
+use std::sync::Arc;
 
 /// Spill area of the fixed-partition baseline (per compiled thread,
 /// `0x1000` bytes apart; below the per-PU balancing areas and above the
 /// workload tables).
 const FIXED_SPILL_BASE: i64 = 0x6_0000;
 
-/// Base of the per-PU spill region shared by the balancing strategies.
-/// The hybrid (`balanced-spill`) spills directly at a PU's base, and
-/// the ladder packs its spilling rungs from that same base — so the
-/// ladder's balanced-spill rung produces byte-identical code to the
-/// `balanced-spill` strategy on the same PU, which is what lets the
-/// sweep's allocation cache share verdicts between the two.
+/// Base of the per-PU spill region shared by the balancing strategies:
+/// a PU's column is built at its base, so the hybrid
+/// (`balanced-spill`) spills directly there, and the ladder packs its
+/// spilling rungs from there too. The ladder's balanced-spill rung
+/// therefore produces byte-identical code to the `balanced-spill`
+/// strategy on the same PU, and the sweep's allocation cache shares
+/// one hybrid verdict between the two.
 const PU_SPILL_BASE: i64 = 0x8_0000;
 
 /// Bytes of spill region reserved per PU. A full ladder packs its
@@ -62,8 +65,8 @@ const PU_SPILL_BASE: i64 = 0x8_0000;
 /// PUs end at `0xE_0000`, below the 1 MiB SRAM ceiling.
 const PU_SPILL_STRIDE: i64 = 0x3_0000;
 
-/// The spill region base of one PU (shared by `balanced-spill` and the
-/// ladder; see [`PU_SPILL_BASE`]).
+/// The spill region base of one PU (shared by `balanced-spill`,
+/// `balanced-scratch` and the ladder; see [`PU_SPILL_BASE`]).
 fn pu_spill_base(pu: usize) -> i64 {
     PU_SPILL_BASE + (pu as i64) * PU_SPILL_STRIDE
 }
@@ -75,8 +78,8 @@ fn pu_spill_base(pu: usize) -> i64 {
 const PU_SPAD_STRIDE: i64 = 0x100;
 
 /// The scratchpad spill area of one PU (shared by `balanced-scratch`
-/// and the ladder's balanced-scratch rung, for the same verdict-sharing
-/// reason as [`pu_spill_base`]).
+/// and the ladder's balanced-scratch rung, so the rung compiles exactly
+/// what the strategy compiles on the same PU).
 fn pu_spad_base(pu: usize) -> i64 {
     (pu as i64) * PU_SPAD_STRIDE
 }
@@ -87,6 +90,12 @@ fn pu_scratch_params(pu: usize) -> ScratchParams {
         base: pu_spad_base(pu),
         capacity: DEFAULT_SCRATCH_CAPACITY,
     }
+}
+
+/// The column of PU `pu` of the sweep in `ctx`: the PU's threads at
+/// the PU's spill base.
+fn pu_column(ctx: &CompileCtx<'_>, funcs: &[Func], pu: usize) -> Arc<SweepColumn> {
+    ctx.cache.column(ctx.scenario, pu, funcs, pu_spill_base(pu))
 }
 
 /// The ladder trail of one PU's compilation: which rung settled, the
@@ -306,10 +315,8 @@ impl Strategy for Balanced {
         pu: usize,
         ctx: &CompileCtx<'_>,
     ) -> Result<CompiledPu, String> {
-        let alloc = ctx
-            .cache
-            .column(ctx.scenario, pu)
-            .balanced(funcs, nreg)
+        let alloc = pu_column(ctx, funcs, pu)
+            .balanced(nreg)
             .map_err(|e| e.to_string())?;
         Ok(balanced_pu(&alloc, funcs))
     }
@@ -327,10 +334,8 @@ impl Strategy for BalancedSpill {
         pu: usize,
         ctx: &CompileCtx<'_>,
     ) -> Result<CompiledPu, String> {
-        let hybrid = ctx
-            .cache
-            .column(ctx.scenario, pu)
-            .hybrid(funcs, nreg, pu_spill_base(pu))
+        let hybrid = pu_column(ctx, funcs, pu)
+            .hybrid(nreg)
             .map_err(|e| e.to_string())?;
         Ok(hybrid_pu(&hybrid))
     }
@@ -340,12 +345,6 @@ impl Strategy for BalancedSpill {
 /// in the PU's fast scratchpad area, the overflow in memory.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BalancedScratch;
-
-/// Packages a plain hybrid allocation of one PU with its picks
-/// replayed into the PU's scratchpad area.
-fn scratch_pu(hybrid: &HybridAllocation, funcs: &[Func], pu: usize) -> CompiledPu {
-    hybrid_pu(&hybrid.with_scratch(funcs, pu_spill_base(pu), &pu_scratch_params(pu)))
-}
 
 impl Strategy for BalancedScratch {
     fn name(&self) -> &'static str {
@@ -359,12 +358,10 @@ impl Strategy for BalancedScratch {
         pu: usize,
         ctx: &CompileCtx<'_>,
     ) -> Result<CompiledPu, String> {
-        let hybrid = ctx
-            .cache
-            .column(ctx.scenario, pu)
-            .hybrid(funcs, nreg, pu_spill_base(pu))
+        let hybrid = pu_column(ctx, funcs, pu)
+            .scratch(nreg, &pu_scratch_params(pu))
             .map_err(|e| e.to_string())?;
-        Ok(scratch_pu(&hybrid, funcs, pu))
+        Ok(hybrid_pu(&hybrid))
     }
 }
 
@@ -372,21 +369,6 @@ impl Strategy for BalancedScratch {
 /// feasible spilling rung (cost-aware), down to spill-all.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ladder;
-
-/// The ladder configuration of one PU: spill region packed from the
-/// PU's shared base (see [`PU_SPILL_BASE`]), scratch tier in the PU's
-/// scratchpad area — so the ladder's balanced-scratch rung produces
-/// byte-identical code to the `balanced-scratch` strategy on the same
-/// PU, which is what lets the sweep's allocation cache share verdicts
-/// between the two.
-fn ladder_config(pu: usize) -> LadderConfig {
-    let scratch = pu_scratch_params(pu);
-    LadderConfig {
-        spill_base: pu_spill_base(pu),
-        scratch_base: scratch.base,
-        scratch_capacity: scratch.capacity,
-    }
-}
 
 /// The sanitizer configuration of a settled ladder allocation: the
 /// balanced layout when any balancing rung delivered, the equal-bank
@@ -424,10 +406,8 @@ impl Strategy for Ladder {
         pu: usize,
         ctx: &CompileCtx<'_>,
     ) -> Result<CompiledPu, String> {
-        let alloc = ctx
-            .cache
-            .column(ctx.scenario, pu)
-            .ladder(funcs, nreg, &ladder_config(pu))
+        let alloc = pu_column(ctx, funcs, pu)
+            .ladder(nreg, &pu_scratch_params(pu))
             .map_err(|e| e.to_string())?;
         ladder_pu(&alloc)
     }
@@ -577,6 +557,43 @@ mod tests {
         // Scratchpad areas differ per PU, like the memory spill areas.
         let other = BalancedScratch.compile(&funcs, 32, 1).unwrap();
         assert_ne!(scratch.funcs, other.funcs);
+    }
+
+    /// The ladder's balancing rungs read the same column, at the same
+    /// spill base and scratchpad area, as the single-rung strategies: at
+    /// Nreg 32, wherever a scenario's ladder settles on balanced-scratch
+    /// (or balanced), it compiles exactly what `balanced-scratch` (or
+    /// `balanced`) compiles on that PU.
+    #[test]
+    fn the_ladder_compiles_what_the_strategy_of_its_rung_compiles() {
+        use crate::scenario::scenarios;
+        for scenario in scenarios() {
+            let mut scratch_pus = 0;
+            for (pu, workloads) in scenario.workloads(4).iter().enumerate() {
+                let funcs: Vec<Func> = workloads.iter().map(|w| w.func.clone()).collect();
+                let ladder = Ladder.compile(&funcs, 32, pu).unwrap();
+                let step = ladder.ladder.as_ref().unwrap().step;
+                let rung = match step {
+                    LadderStep::Balanced => Balanced.compile(&funcs, 32, pu),
+                    LadderStep::BalancedScratch => {
+                        scratch_pus += 1;
+                        BalancedScratch.compile(&funcs, 32, pu)
+                    }
+                    other => panic!("{} PU{pu}: settled on {other:?}", scenario.name),
+                }
+                .unwrap();
+                let what = format!("{} PU{pu} {step:?}", scenario.name);
+                assert_eq!(ladder.funcs, rung.funcs, "{what}");
+                assert_eq!(ladder.threads, rung.threads, "{what}");
+                assert_eq!(ladder.registers_used, rung.registers_used, "{what}");
+                assert_eq!(ladder.scratch_spills, rung.scratch_spills, "{what}");
+            }
+            assert!(
+                scratch_pus > 0,
+                "{}: no PU settles on balanced-scratch",
+                scenario.name
+            );
+        }
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! * **responses** — keyed `(content hash, Nthd, Nreg, strategy)`,
 //!   holding finished outcomes (the `regbal-alloc/1` document, or a
 //!   cached failure). A hit answers without touching the allocator.
-//! * **trajectories** — keyed `(content hash, Nthd)`, holding the
-//!   loaded thread programs plus their [`SweepColumn`]: one lazy
-//!   [`regbal_core::SpillTrajectory`] (balanced, and hybrid at the
-//!   one-shot default spill base) — the same column type the eval
-//!   sweep caches per `(scenario, PU)`. The greedy descent never
-//!   consults the register-file size while choosing steps, and the
-//!   spill picks never read it, so one trajectory answers **every**
+//! * **trajectories** — keyed `(content hash, Nthd)`, holding one
+//!   [`SweepColumn`] per admitted module, built at admission over the
+//!   loaded thread programs at the one-shot default spill base: one
+//!   lazy [`regbal_core::SpillTrajectory`] behind a lock — the same
+//!   column type the eval sweep caches per `(scenario, PU)`, and the
+//!   source of the served documents' thread names. The greedy descent
+//!   never consults the register-file size while choosing steps, and
+//!   the spill picks never read it, so one trajectory answers **every**
 //!   `Nreg`: a request at a new budget for a known module descends
 //!   only as far as that budget needs, from the analyses and rounds
 //!   the module already holds, instead of re-searching from scratch.
@@ -32,8 +33,8 @@
 
 use crate::oneshot::{self, ServeStrategy};
 use crate::store::{DiskRead, DiskStore};
+use regbal_core::DEFAULT_SPILL_BASE;
 use regbal_eval::{Json, Lru, SweepColumn};
-use regbal_ir::Func;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,30 +66,25 @@ pub enum Outcome {
     },
 }
 
-/// One module's loaded programs plus its lazy spill trajectory. Shared
-/// by `Arc` with the worker pool.
-#[derive(Debug)]
-pub struct Trajectory {
-    /// The replicated thread programs (roots × `nthd`).
-    pub funcs: Vec<Func>,
-    column: SweepColumn,
-}
-
-impl Trajectory {
-    /// Computes the outcome for one request against this trajectory:
-    /// allocate under `strategy` from the column, build the
-    /// CLI-identical document. Runs on a worker thread; only the
-    /// column is shared state.
-    pub fn outcome(&self, nreg: usize, strategy: ServeStrategy) -> Outcome {
-        match oneshot::verdict(&self.column, &self.funcs, nreg, strategy) {
-            Ok(verdict) => {
-                Outcome::Doc(Arc::new(oneshot::verdict_doc(&self.funcs, nreg, &verdict)))
-            }
-            Err(failure) => Outcome::Fail {
-                code: failure.code.into(),
-                message: failure.message,
-            },
-        }
+/// Computes the outcome for one request against a resident module's
+/// column: allocate under `strategy` from the column, build the
+/// CLI-identical document over the column's threads. Runs on a worker
+/// thread; only the column is shared state.
+pub(crate) fn column_outcome(
+    column: &SweepColumn,
+    nreg: usize,
+    strategy: ServeStrategy,
+) -> Outcome {
+    match oneshot::verdict(column, nreg, strategy) {
+        Ok(verdict) => Outcome::Doc(Arc::new(oneshot::verdict_doc(
+            column.funcs(),
+            nreg,
+            &verdict,
+        ))),
+        Err(failure) => Outcome::Fail {
+            code: failure.code.into(),
+            message: failure.message,
+        },
     }
 }
 
@@ -165,7 +161,7 @@ fn retry_write(retries: &mut u64, mut write: impl FnMut() -> bool) -> bool {
 /// Owned by the dispatcher; outlives connections.
 pub struct ServeCache {
     responses: Lru<ResponseKey, Outcome>,
-    trajectories: Lru<(u64, usize), Arc<Trajectory>>,
+    trajectories: Lru<(u64, usize), Arc<SweepColumn>>,
     store: Option<DiskStore>,
     /// The counters (dispatcher-updated, except `descents`).
     pub counters: Counters,
@@ -243,7 +239,7 @@ impl ServeCache {
     /// module text under `hash`, the trajectory is rebuilt from it (the
     /// allocator is deterministic, so a rebuilt trajectory serves the
     /// same bytes the original did).
-    pub fn trajectory(&mut self, hash: u64, nthd: usize) -> Option<Arc<Trajectory>> {
+    pub fn trajectory(&mut self, hash: u64, nthd: usize) -> Option<Arc<SweepColumn>> {
         let t = self.trajectories.get(&(hash, nthd)).cloned();
         if t.is_some() {
             self.counters.descent_reuses += 1;
@@ -275,7 +271,8 @@ impl ServeCache {
     }
 
     /// Loads `text` as a module, replicates it `nthd` times and admits
-    /// the trajectory. Load failures come back as a ready [`Outcome`]
+    /// its column at [`DEFAULT_SPILL_BASE`], the one-shot path's spill
+    /// base. Load failures come back as a ready [`Outcome`]
     /// (and are *not* admitted — `Err` is cached at the response tier
     /// by the caller instead).
     ///
@@ -287,7 +284,7 @@ impl ServeCache {
         hash: u64,
         nthd: usize,
         text: &str,
-    ) -> Result<Arc<Trajectory>, Outcome> {
+    ) -> Result<Arc<SweepColumn>, Outcome> {
         let roots = oneshot::load_module(text).map_err(|e| match e {
             oneshot::LoadError::Parse(p) => Outcome::Parse {
                 message: p.to_string(),
@@ -298,11 +295,11 @@ impl ServeCache {
                 at: (0, 0),
             },
         })?;
-        let funcs = oneshot::replicate(&roots, nthd);
-        let traj = Arc::new(Trajectory {
-            column: SweepColumn::new(self.counters.descents.clone()),
-            funcs,
-        });
+        let column = Arc::new(SweepColumn::new(
+            &oneshot::replicate(&roots, nthd),
+            DEFAULT_SPILL_BASE,
+            self.counters.descents.clone(),
+        ));
         if let Some(store) = &self.store {
             if retry_write(&mut self.counters.disk_retries, || {
                 store.store_module(hash, text)
@@ -314,12 +311,12 @@ impl ServeCache {
         }
         if self
             .trajectories
-            .insert((hash, nthd), traj.clone())
+            .insert((hash, nthd), column.clone())
             .is_some()
         {
             self.counters.trajectory_evictions += 1;
         }
-        Ok(traj)
+        Ok(column)
     }
 
     /// Records one admitted top-level request.
@@ -414,9 +411,9 @@ mod tests {
                 ServeStrategy::BalancedSpill,
                 ServeStrategy::Ladder,
             ] {
-                let outcome = traj.outcome(nreg, strategy);
-                let direct = oneshot::allocate(&traj.funcs, nreg, strategy)
-                    .map(|v| oneshot::verdict_doc(&traj.funcs, nreg, &v));
+                let outcome = column_outcome(&traj, nreg, strategy);
+                let direct = oneshot::allocate(traj.funcs(), nreg, strategy)
+                    .map(|v| oneshot::verdict_doc(traj.funcs(), nreg, &v));
                 match (outcome, direct) {
                     (Outcome::Doc(doc), Ok(want)) => {
                         assert_eq!(doc.get("nreg").and_then(Json::as_u64), Some(nreg as u64));
@@ -449,9 +446,9 @@ mod tests {
                 ServeStrategy::BalancedSpill,
                 ServeStrategy::Ladder,
             ] {
-                let served = traj.outcome(nreg, strategy);
-                let direct = oneshot::allocate(&traj.funcs, nreg, strategy)
-                    .map(|v| oneshot::verdict_doc(&traj.funcs, nreg, &v));
+                let served = column_outcome(&traj, nreg, strategy);
+                let direct = oneshot::allocate(traj.funcs(), nreg, strategy)
+                    .map(|v| oneshot::verdict_doc(traj.funcs(), nreg, &v));
                 match (served, direct) {
                     (Outcome::Doc(a), Ok(b)) => {
                         assert_eq!(a.pretty(), b.pretty(), "{strategy:?}@{nreg} diverged");
@@ -475,9 +472,9 @@ mod tests {
         let budgets: Vec<usize> = (1..=100).chain((1..=100).rev()).collect();
         for nreg in budgets {
             for strategy in [ServeStrategy::Balanced, ServeStrategy::BalancedSpill] {
-                let served = traj.outcome(nreg, strategy);
-                let direct = oneshot::allocate(&traj.funcs, nreg, strategy)
-                    .map(|v| oneshot::verdict_doc(&traj.funcs, nreg, &v));
+                let served = column_outcome(&traj, nreg, strategy);
+                let direct = oneshot::allocate(traj.funcs(), nreg, strategy)
+                    .map(|v| oneshot::verdict_doc(traj.funcs(), nreg, &v));
                 match (served, direct) {
                     (Outcome::Doc(a), Ok(b)) => {
                         assert_eq!(a.pretty(), b.pretty(), "{strategy:?}@{nreg}");
@@ -505,8 +502,8 @@ mod tests {
     fn the_ladder_scratch_rung_is_seeded_from_the_hybrid_descent() {
         let mut cache = ServeCache::new(16, 16);
         let traj = cache.admit_trajectory(content_hash(HOT), 2, HOT).unwrap();
-        let served = traj.outcome(8, ServeStrategy::Ladder);
-        let direct = oneshot::allocate(&traj.funcs, 8, ServeStrategy::Ladder).unwrap();
+        let served = column_outcome(&traj, 8, ServeStrategy::Ladder);
+        let direct = oneshot::allocate(traj.funcs(), 8, ServeStrategy::Ladder).unwrap();
         let oneshot::Verdict::Ladder(ladder) = &direct else {
             panic!("a ladder request yields a ladder verdict");
         };
@@ -516,7 +513,7 @@ mod tests {
         };
         assert_eq!(
             doc.pretty(),
-            oneshot::verdict_doc(&traj.funcs, 8, &direct).pretty()
+            oneshot::verdict_doc(traj.funcs(), 8, &direct).pretty()
         );
         assert_eq!(
             cache.counters.descents.load(Ordering::Relaxed),

@@ -20,10 +20,11 @@
 //!
 //! The plan is intentionally *not* a model of real failure statistics;
 //! it is a reproducible adversary. The invariant it exists to enforce
-//! end-to-end (see the chaos replay harness in [`crate::replay`]): under
-//! any seeded plan, every admitted request is answered — a document or
-//! a structured in-band error — and the server never deadlocks or exits
-//! non-zero for a client-side fault.
+//! end-to-end (see the chaos replay harness in
+//! [`crate::replay`](mod@crate::replay)): under any seeded plan, every
+//! admitted request is answered — a document or a structured in-band
+//! error — and the server never deadlocks or exits non-zero for a
+//! client-side fault.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

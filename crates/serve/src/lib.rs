@@ -46,7 +46,7 @@
 //!   and the policy that sets what a transport failure ends.
 //! * [`trace`] — materialising generated traces into request lines and
 //!   the `regbal-trace/1` file format.
-//! * [`replay`] — the pipelined trace-replay session, the chaos
+//! * [`replay`](mod@replay) — the pipelined trace-replay session, the chaos
 //!   harness, and the sanitizer pass.
 
 #![forbid(unsafe_code)]
@@ -62,7 +62,7 @@ pub mod server;
 pub mod store;
 pub mod trace;
 
-pub use cache::{Outcome, ResponseKey, ServeCache, Trajectory};
+pub use cache::{Outcome, ResponseKey, ServeCache};
 pub use faults::{FaultPlan, FaultSite};
 pub use metrics::{ConnCounters, MetricsSnapshot, ServeMetrics};
 pub use oneshot::{

@@ -11,10 +11,12 @@
 //! cached [`SweepColumn`] (the balanced verdict, the hybrid verdict or
 //! the ladder's walk), and [`allocate`] — the one-shot path — runs the
 //! same function over a fresh column, whose lookups are dedicated runs
-//! under the default configurations.
+//! under the default configurations. Both kinds of column are built at
+//! [`DEFAULT_SPILL_BASE`], so every spilling strategy reads one hybrid
+//! verdict per size.
 
 use regbal_core::{
-    AllocError, HybridAllocation, LadderAllocation, LadderConfig, MultiAllocation, ThreadSummary,
+    AllocError, HybridAllocation, LadderAllocation, MultiAllocation, ScratchParams, ThreadSummary,
     DEFAULT_SPILL_BASE,
 };
 use regbal_eval::{
@@ -174,9 +176,10 @@ pub enum Verdict {
 }
 
 /// Allocates `funcs` the way the one-shot CLI does: the server's
-/// strategy dispatch over a fresh column, so every verdict is a
-/// dedicated run under the default configurations (and thus the
-/// default spill bases, so spill code is byte-identical too).
+/// strategy dispatch over a fresh column at [`DEFAULT_SPILL_BASE`], so
+/// every verdict is a dedicated run under the default configurations
+/// (and thus the default spill base, so spill code is byte-identical
+/// too).
 ///
 /// # Errors
 ///
@@ -186,22 +189,19 @@ pub fn allocate(
     nreg: usize,
     strategy: ServeStrategy,
 ) -> Result<Verdict, AllocFailure> {
-    let column = SweepColumn::new(Arc::default());
-    verdict(&column, funcs, nreg, strategy)
+    let column = SweepColumn::new(funcs, DEFAULT_SPILL_BASE, Arc::default());
+    verdict(&column, nreg, strategy)
 }
 
-/// Allocates `funcs` under `strategy` with one lookup on `column` — the
-/// one place a served strategy maps to allocator calls: its balanced
-/// verdict, its hybrid verdict at [`DEFAULT_SPILL_BASE`], or the
-/// ladder's walk on its trajectory under the default
-/// [`LadderConfig`]. The walk's balanced rung reads the trajectory's
-/// balanced side and both spilling rungs its hybrid side, at the same
-/// base the `balanced-spill` lookup uses
-/// ([`regbal_core::DEFAULT_LADDER_SPILL_BASE`] ==
-/// [`DEFAULT_SPILL_BASE`]).
+/// Allocates the column's threads under `strategy` with one lookup on
+/// `column` — the one place a served strategy maps to allocator calls:
+/// its balanced verdict, its hybrid verdict, or the ladder's walk on
+/// its trajectory with the default [`ScratchParams`]. The walk's
+/// balanced rung reads the trajectory's balanced side and both
+/// spilling rungs its hybrid side, which the `balanced-spill` lookup
+/// reads too.
 pub(crate) fn verdict(
     column: &SweepColumn,
-    funcs: &[Func],
     nreg: usize,
     strategy: ServeStrategy,
 ) -> Result<Verdict, AllocFailure> {
@@ -211,15 +211,12 @@ pub(crate) fn verdict(
     };
     match strategy {
         ServeStrategy::Balanced => column
-            .balanced(funcs, nreg)
+            .balanced(nreg)
             .map(Verdict::Balanced)
             .map_err(failure),
-        ServeStrategy::BalancedSpill => column
-            .hybrid(funcs, nreg, DEFAULT_SPILL_BASE)
-            .map(Verdict::Spill)
-            .map_err(failure),
+        ServeStrategy::BalancedSpill => column.hybrid(nreg).map(Verdict::Spill).map_err(failure),
         ServeStrategy::Ladder => column
-            .ladder(funcs, nreg, &LadderConfig::default())
+            .ladder(nreg, &ScratchParams::default())
             .map(|l| Verdict::Ladder(Box::new(l)))
             .map_err(|e| AllocFailure {
                 code: e.error.code(),

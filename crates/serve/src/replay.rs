@@ -11,7 +11,7 @@
 //! sanitizer armed.
 //!
 //! [`chaos_replay`] is the adversarial sibling: it drives the same
-//! trace against a server armed with a seeded [`FaultPlan`] — disk
+//! trace against a server armed with a seeded [`crate::FaultPlan`] — disk
 //! faults inside the server, mid-line client disconnects injected by
 //! the replay client itself — across as many sessions as the faults
 //! force, and enforces the fault plane's end-to-end invariant: every

@@ -44,12 +44,12 @@
 //! still queued past its deadline is answered with an in-band
 //! `timeout` error instead of being computed.
 
-use crate::cache::{Outcome, ServeCache, Trajectory};
+use crate::cache::{column_outcome, Outcome, ServeCache};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::metrics::ServeMetrics;
 use crate::proto::{self, AllocRequest, ProtoError, Request, Source};
 use crate::store::DiskStore;
-use regbal_eval::{pool, Json};
+use regbal_eval::{pool, Json, SweepColumn};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -81,9 +81,6 @@ pub struct ServeConfig {
     /// connection beyond the cap is answered with one in-band
     /// `overloaded` error line and closed.
     pub max_conns: usize,
-    /// TCP reader poll interval, milliseconds: how often an idle
-    /// connection checks for drain (bounds shutdown latency).
-    pub read_timeout_ms: u64,
     /// Byte cap on the on-disk cache (0 = unbounded). Once exceeded,
     /// least-recently-accessed entries are deleted after each store.
     pub cache_dir_cap: u64,
@@ -111,7 +108,6 @@ impl Default for ServeConfig {
             trajectory_cap: 256,
             cache_dir: None,
             max_conns: 0,
-            read_timeout_ms: 25,
             cache_dir_cap: 0,
             deadline_ms: 0,
             shutdown_token: None,
@@ -154,6 +150,10 @@ impl ServeConfig {
     }
 }
 
+/// TCP reader poll interval, milliseconds: how often an idle connection
+/// checks for drain (bounds shutdown latency).
+const READ_TIMEOUT_MS: u64 = 25;
+
 /// What ended a serving loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEnd {
@@ -186,7 +186,7 @@ enum Resolution {
 }
 
 struct ComputeItem {
-    trajectory: Arc<Trajectory>,
+    column: Arc<SweepColumn>,
     nreg: usize,
     strategy: crate::oneshot::ServeStrategy,
 }
@@ -310,7 +310,7 @@ fn resolve_wave(
                         Resolution::Dup(flat)
                     } else {
                         wave_keys.insert(key, units.len());
-                        let trajectory = match (&req.source, cache.trajectory(req.hash, req.nthd))
+                        let column = match (&req.source, cache.trajectory(req.hash, req.nthd))
                         {
                             (_, Some(t)) => Some(t),
                             (Source::Text(text), None) => {
@@ -328,10 +328,10 @@ fn resolve_wave(
                             }
                             (Source::HashOnly, None) => None,
                         };
-                        match trajectory {
-                            Some(trajectory) => {
+                        match column {
+                            Some(column) => {
                                 compute.push(ComputeItem {
-                                    trajectory,
+                                    column,
                                     nreg: req.nreg,
                                     strategy: req.strategy,
                                 });
@@ -362,7 +362,7 @@ fn resolve_wave(
     let meter = metrics.map(|m| &m.pool);
     let outcomes = pool::shard_metered(compute.len(), config.workers, meter, |i| {
         let item = &compute[i];
-        item.trajectory.outcome(item.nreg, item.strategy)
+        column_outcome(&item.column, item.nreg, item.strategy)
     });
 
     // Serial epilogue in admission order: publish fresh outcomes to
@@ -917,9 +917,7 @@ fn accept_loop<'scope>(
             }
         };
         if stream
-            .set_read_timeout(Some(std::time::Duration::from_millis(
-                config.read_timeout_ms.max(1),
-            )))
+            .set_read_timeout(Some(std::time::Duration::from_millis(READ_TIMEOUT_MS)))
             .is_err()
         {
             metrics.note_dropped();
@@ -1818,13 +1816,12 @@ mod tests {
 
     #[test]
     fn a_line_split_across_read_timeouts_is_not_lost() {
-        let (addr, server) = spawn_server(ServeConfig {
-            read_timeout_ms: 5,
-            ..ServeConfig::default()
-        });
-        // 9-byte writes 30 ms apart: every line spans several idle ticks.
+        let (addr, server) = spawn_server(ServeConfig::default());
+        // 9-byte writes three read timeouts apart: every line spans
+        // several idle ticks.
         let script = b"{\"id\": 1, \"kind\": \"stats\"}\n{\"id\": 2, \"kind\": \"shutdown\"}\n";
-        let back = tcp_bytes(addr, script, 9, std::time::Duration::from_millis(30));
+        let gap = std::time::Duration::from_millis(3 * READ_TIMEOUT_MS);
+        let back = tcp_bytes(addr, script, 9, gap);
         let lines: Vec<Json> = String::from_utf8_lossy(&back)
             .lines()
             .map(|l| regbal_eval::json::parse(l).unwrap())

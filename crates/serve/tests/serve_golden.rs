@@ -12,10 +12,16 @@
 //!   requests sit between the sizes a module's descent is usually asked
 //!   for, and many of them spill or fail.
 //!
+//! Each trace ends with a `stats` request, so the session's
+//! deterministic counters are pinned too: response hits, misses and
+//! evictions, resident trajectories, trajectory sides started
+//! (`descents`), `descent_reuses` and `distinct_functions`.
+//!
 //! A line's digest covers the whole response: the allocation document,
 //! an error's code and message, and the `cached` flag. A refactor of
-//! how the server reaches its verdicts therefore cannot change one
-//! served byte without failing here. After an intentional change,
+//! how the server reaches its verdicts, or of how it keeps a module's
+//! trajectory, therefore cannot change one served byte or one counter
+//! without failing here. After an intentional change,
 //! regenerate the file with
 //! `REGBAL_BLESS=1 cargo test -p regbal-serve --test serve_golden` and
 //! review the diff.
@@ -36,7 +42,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The request lines of a generated trace, `passes` times over.
+/// The request that ends every session: the server's counters.
+const STATS: &str = r#"{"id":"stats","kind":"stats"}"#;
+
+/// The request lines of a generated trace, `passes` times over, then
+/// [`STATS`].
 fn trace_lines(config: &TraceConfig, passes: usize) -> Vec<String> {
     let trace = TraceFile::generate(config);
     let requests = materialize(&trace.requests, trace.packets);
@@ -45,7 +55,10 @@ fn trace_lines(config: &TraceConfig, passes: usize) -> Vec<String> {
         .enumerate()
         .map(|(i, req)| request_line(i as u64, req, false))
         .collect();
-    (0..passes).flat_map(|_| once.iter().cloned()).collect()
+    (0..passes)
+        .flat_map(|_| once.iter().cloned())
+        .chain([STATS.to_string()])
+        .collect()
 }
 
 /// The named traces of the golden file.

@@ -79,7 +79,7 @@ pub struct SanitizerConfig {
     /// there (e.g. `"v3#0,v7#1"`). Missing entries print as `?`.
     pub fragments: HashMap<(usize, u32), String>,
     /// At most this many reports are kept; the excess is counted in
-    /// [`Sanitizer::dropped`]. Duplicate reports (same class, register
+    /// [`crate::RunReport::sanitizer_dropped`]. Duplicate reports (same class, register
     /// and site) are merged before the cap applies.
     pub max_reports: usize,
 }

@@ -40,7 +40,7 @@ pub enum Kernel {
     L2l3fwdRx,
     /// Layer-2/3 forwarding, send side (Intel example code).
     L2l3fwdTx,
-    /// WRAPS packet scheduler, receive side (paper ref. [18]) —
+    /// WRAPS packet scheduler, receive side (paper ref. \[18\]) —
     /// register-hungry, performance-critical in scenario 3.
     WrapsRx,
     /// WRAPS packet scheduler, send side.

@@ -31,7 +31,7 @@
 //! | `reed` | CommBench | table-driven parity, CSB-dense |
 //! | `url` | NetBench | payload pattern match, branch-heavy |
 //! | `l2l3fwd-rx/tx` | Intel example code | forwarding with next-hop table and rings |
-//! | `wraps-rx/tx` | paper ref. [18] | credit scheduler; internal-hungry, critical |
+//! | `wraps-rx/tx` | paper ref. \[18\] | credit scheduler; internal-hungry, critical |
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@ use rand::{RngExt, SeedableRng};
 use regbal_ir::MemSpace;
 use regbal_sim::Memory;
 
-/// Fills `count` synthetic packets of [`PKT_STRIDE`] bytes each at
+/// Fills `count` synthetic packets of `PKT_STRIDE` (64) bytes each at
 /// `base` in SDRAM.
 ///
 /// Each packet looks vaguely like an Ethernet+IPv4 frame: 12 bytes of

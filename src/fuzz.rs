@@ -21,8 +21,8 @@
 //! replays on every CI run — a failure found once stays fixed.
 
 use regbal_core::{
-    EngineConfig, IterationBudget, LadderAllocation, LadderConfig, LadderError, LadderStep,
-    SpillTrajectory,
+    EngineConfig, IterationBudget, LadderAllocation, LadderError, LadderStep, ScratchParams,
+    SpillTrajectory, DEFAULT_SPILL_BASE,
 };
 use regbal_ir::{Func, MemSpace, Reg};
 use regbal_sim::{SanitizerConfig, SimConfig, Simulator, StopWhen};
@@ -180,8 +180,8 @@ impl FuzzCase {
 
     /// Deterministically shrinks a failing case before it is archived:
     /// at each step the candidates are, in order, one fewer thread,
-    /// the next-smaller register file of [`NREG_SWEEP`], and the
-    /// next-simpler stress class; the first candidate whose
+    /// the next-smaller register file of the walk's `NREG_SWEEP`, and
+    /// the next-simpler stress class; the first candidate whose
     /// [`FuzzCase::check`] still fails is accepted, and the walk
     /// repeats until no candidate reproduces the failure. A case that
     /// already passes is returned unchanged (there is nothing to
@@ -239,7 +239,8 @@ pub fn check_ladder(
         ..EngineConfig::default()
     };
     let result = std::panic::catch_unwind(|| {
-        SpillTrajectory::new(funcs, engine).ladder(nreg, &LadderConfig::default())
+        SpillTrajectory::new(funcs, engine, DEFAULT_SPILL_BASE)
+            .ladder(nreg, &ScratchParams::default())
     })
     .map_err(|_| "the allocation pipeline panicked".to_string())?;
     let alloc = match result {

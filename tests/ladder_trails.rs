@@ -18,7 +18,9 @@
 //! intentional change, regenerate the file with
 //! `REGBAL_BLESS=1 cargo test --test ladder_trails` and review the diff.
 
-use regbal_core::{EngineConfig, IterationBudget, LadderConfig, LadderStep, SpillTrajectory};
+use regbal_core::{
+    EngineConfig, IterationBudget, LadderStep, ScratchParams, SpillTrajectory, DEFAULT_SPILL_BASE,
+};
 use regbal_ir::{parse_func, Func};
 use regbal_workloads::stress::{stress_bundle, StressConfig};
 use std::fmt::Write as _;
@@ -100,18 +102,18 @@ fn render(
     funcs: &[Func],
     nreg: usize,
     budget: IterationBudget,
-    config: &LadderConfig,
+    scratch: &ScratchParams,
 ) -> (String, Option<LadderStep>) {
     let name = match budget {
         IterationBudget::Fixed(cap) => format!("fixed{cap}"),
         other => format!("{other:?}").to_lowercase(),
     };
-    let mut line = format!("{case} cap{} {name} nreg={nreg}", config.scratch_capacity);
+    let mut line = format!("{case} cap{} {name} nreg={nreg}", scratch.capacity);
     let engine = EngineConfig {
         max_iterations: budget,
         ..EngineConfig::default()
     };
-    match SpillTrajectory::new(funcs, engine).ladder(nreg, config) {
+    match SpillTrajectory::new(funcs, engine, DEFAULT_SPILL_BASE).ladder(nreg, scratch) {
         Ok(a) => {
             let mut code = String::new();
             for f in a.rewrite().expect("a settled ladder rewrites") {
@@ -144,20 +146,20 @@ fn render(
 
 /// Every golden line of the corpus, in a fixed order.
 fn trails() -> Vec<String> {
-    let default = LadderConfig::default();
+    let default = ScratchParams::default();
     let adaptive = EngineConfig::default().max_iterations;
     let starved = IterationBudget::Fixed(1);
     // A two-word scratchpad: larger spill sets overflow into memory,
     // so the scratch rung's mixed slot numbering is pinned too.
-    let small = LadderConfig {
-        scratch_capacity: 2,
-        ..LadderConfig::default()
+    let small = ScratchParams {
+        capacity: 2,
+        ..ScratchParams::default()
     };
     // No scratchpad: the four-rung ladder, where balanced-spill is the
     // first spilling rung.
-    let zero = LadderConfig {
-        scratch_capacity: 0,
-        ..LadderConfig::default()
+    let zero = ScratchParams {
+        capacity: 0,
+        ..ScratchParams::default()
     };
     let mut lines = Vec::new();
     for (case, funcs) in corpus() {

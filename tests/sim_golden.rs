@@ -26,7 +26,7 @@
 //! intentional change, regenerate the file with
 //! `REGBAL_BLESS=1 cargo test --test sim_golden` and review the diff.
 
-use regbal_core::{EngineConfig, LadderConfig, LadderStep, SpillTrajectory};
+use regbal_core::{EngineConfig, LadderStep, ScratchParams, SpillTrajectory, DEFAULT_SPILL_BASE};
 use regbal_eval::{device_scenarios, ladder_sanitizer, reference_program};
 use regbal_ir::{parse_func, parse_module, Func, MemSpace};
 use regbal_sim::device::{ChipCore, PKT_BASE};
@@ -320,12 +320,12 @@ fn golden_lines() -> Vec<String> {
     for (case, kernels, nreg, scratch_capacity) in MIXES {
         let workloads = mix_workloads(&kernels);
         let virt: Vec<Func> = workloads.iter().map(|w| w.func.clone()).collect();
-        let config = LadderConfig {
-            scratch_capacity,
-            ..LadderConfig::default()
+        let scratch = ScratchParams {
+            capacity: scratch_capacity,
+            ..ScratchParams::default()
         };
-        let alloc = SpillTrajectory::new(&virt, EngineConfig::default())
-            .ladder(nreg, &config)
+        let alloc = SpillTrajectory::new(&virt, EngineConfig::default(), DEFAULT_SPILL_BASE)
+            .ladder(nreg, &scratch)
             .expect("the ladder settles");
         assert!(
             matches!(

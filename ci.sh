@@ -176,3 +176,9 @@ if [ "${1:-}" = "nightly" ]; then
     ./target/release/regbal fuzz --minimize tests/fuzz_regressions.txt
     cargo test --release -p regbal-core -- --ignored
 fi
+
+# Size report, printed and not gated: the non-test Rust lines, counted
+# up to the first `#[cfg(test)]` of each `.rs` file under crates/ and
+# src/, `tests/` directories excluded.
+find crates src -name '*.rs' -not -path '*/tests/*' | sort \
+    | xargs awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t{n++} END{print "non-test Rust lines: " n}'

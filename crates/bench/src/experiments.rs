@@ -560,6 +560,16 @@ mod tests {
     #[test]
     fn table2_shapes() {
         let rows = table2();
+        assert_eq!(rows.len(), 11, "the paper's 11 benchmarks");
+        for (r, &k) in rows.iter().zip(&Kernel::ALL) {
+            let min = estimate_bounds(&ProgramInfo::compute(&Workload::new(k, 0, 32).func)).bounds;
+            assert_eq!(
+                (r.pr, r.r),
+                (min.min_pr, min.min_r),
+                "{}: (MinPR, MinR) of the bound estimate not reached",
+                r.name
+            );
+        }
         assert!(rows.iter().any(|r| r.moves > 0), "splitting really happens");
         for r in &rows {
             assert!(

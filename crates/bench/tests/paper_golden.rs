@@ -4,8 +4,8 @@
 //!
 //! The file holds one section per oracle:
 //!
-//! * the exact stdout of the `table1`, `table2`, `figure14` and
-//!   `table3` binaries;
+//! * the exact stdout of the `table1`, `table2`, `figure14`, `table3`
+//!   and `ablation` binaries;
 //! * the FNV-1a digest of the documents written by
 //!   `regbal eval --smoke`, `regbal eval --smoke --sanitize` and
 //!   `regbal device --sanitize --out` (run in-process through
@@ -64,6 +64,7 @@ fn sections() -> Vec<(&'static str, String)> {
         ("table2", stdout_of(env!("CARGO_BIN_EXE_table2"))),
         ("figure14", stdout_of(env!("CARGO_BIN_EXE_figure14"))),
         ("table3", stdout_of(env!("CARGO_BIN_EXE_table3"))),
+        ("ablation", stdout_of(env!("CARGO_BIN_EXE_ablation"))),
         (
             "eval --smoke",
             document_digest(&dir, "smoke", &["eval", "--smoke"]),

@@ -38,6 +38,10 @@
 //! tests and benchmarks. [`allocate_threads_stats`] additionally reports
 //! an [`EngineStats`] with iteration/candidate counters and phase
 //! timings.
+//!
+//! Each allocation is one descent to one register-file size. The spill
+//! trajectory ([`crate::SpillTrajectory`]) runs the same descent, one
+//! size per query, from start states it keeps across queries.
 
 use crate::alloc::ThreadAlloc;
 use crate::bounds::{estimate_bounds, Bounds};
@@ -252,25 +256,6 @@ pub(crate) fn demand_floor(mins: &[(usize, usize)]) -> usize {
         .map(|&(min_pr, min_r)| sum_min_pr - min_pr + min_r)
         .max()
         .unwrap_or(0)
-}
-
-/// The verdict for a target of `available` registers below the demand
-/// `floor`, as a single-target run gives it on its first pass: the cap
-/// check precedes the floor check, so a zero budget reports
-/// [`AllocError::IterationCapHit`] instead. (The adaptive budget never
-/// resolves to zero.)
-pub(crate) fn below_floor(budget: IterationBudget, floor: usize, available: usize) -> AllocError {
-    if budget == IterationBudget::Fixed(0) {
-        AllocError::IterationCapHit {
-            iterations: 0,
-            cap: 0,
-        }
-    } else {
-        AllocError::Infeasible {
-            needed: floor,
-            available,
-        }
-    }
 }
 
 /// Ceiling (and former global value) of the iteration budget. The
@@ -591,81 +576,37 @@ pub fn allocate_threads_stats(
     nreg: usize,
     config: EngineConfig,
 ) -> Result<(MultiAllocation, EngineStats), AllocError> {
-    let (mut results, stats) = sweep_stats(funcs, &[nreg], config);
-    results
-        .pop()
-        .expect("one verdict per target")
-        .map(|alloc| (alloc, stats))
-}
-
-/// One verified snapshot of the descent: the allocation a single-target
-/// run at `nreg` would have returned from this state.
-fn snapshot(threads: &[ThreadResult], nreg: usize) -> Result<MultiAllocation, AllocError> {
-    crate::verify::check_threads(
-        &threads.iter().map(|t| t.alloc.clone()).collect::<Vec<_>>(),
-        nreg,
-    )
-    .map_err(|e| AllocError::InvalidAllocation {
-        reason: e.to_string(),
-    })?;
-    Ok(MultiAllocation {
-        threads: threads.to_vec(),
-        nreg,
-    })
-}
-
-/// The shared engine core: the initial states of `funcs`, then one
-/// greedy descent serving every target.
-pub(crate) fn sweep_stats(
-    funcs: &[Func],
-    targets: &[usize],
-    config: EngineConfig,
-) -> (Vec<Result<MultiAllocation, AllocError>>, EngineStats) {
     let start = Instant::now();
     let threads = initial_threads(funcs, config.parallel);
     let init = start.elapsed();
-    let (results, mut stats) = sweep_from(threads, targets, config);
+    let (alloc, mut stats) = descend(threads, nreg, config)?;
     stats.init = init;
     stats.total = start.elapsed();
-    (results, stats)
+    Ok((alloc, stats))
 }
 
-/// One greedy descent serving every target, from the given initial
-/// states ([`initial_thread`] of each function). The returned stats
-/// cover the descent alone: `init` is zero.
-pub(crate) fn sweep_from(
+/// The greedy descent from the given initial states ([`initial_thread`]
+/// of each function) to the first state whose demand fits `nreg`
+/// registers, verified. The returned stats cover the descent alone:
+/// `init` is zero.
+pub(crate) fn descend(
     mut threads: Vec<ThreadResult>,
-    targets: &[usize],
+    nreg: usize,
     config: EngineConfig,
-) -> (Vec<Result<MultiAllocation, AllocError>>, EngineStats) {
+) -> Result<(MultiAllocation, EngineStats), AllocError> {
     let search_start = Instant::now();
     let mut stats = EngineStats::default();
     let n = threads.len();
     let ranges: usize = threads.iter().map(|t| t.alloc.node_ids().count()).sum();
     let budget = config.max_iterations.resolve(ranges, n);
-    // When the demand floor exceeds a target, that target is provably
-    // hopeless: it resolves immediately, without burning the iteration
-    // budget on an exhaustive descent.
     let floor = demand_floor(
         &threads
             .iter()
             .map(|t| (t.bounds.min_pr, t.bounds.min_r))
             .collect::<Vec<_>>(),
     );
-    let mut results: Vec<Option<Result<MultiAllocation, AllocError>>> = targets
-        .iter()
-        .map(|&t| (floor > t).then(|| Err(below_floor(config.max_iterations, floor, t))))
-        .collect();
-    // The live targets, easiest (largest) first: the descent satisfies
-    // them in exactly this order, peeling each off at the state where
-    // the demand first fits its file.
-    let mut active: Vec<usize> = (0..targets.len())
-        .filter(|&i| results[i].is_none())
-        .collect();
-    active.sort_by(|&a, &b| targets[b].cmp(&targets[a]));
-    let mut lo = 0usize;
     let mut cache = CandidateCache::new(n);
-    while lo < active.len() {
+    loop {
         // One aggregate pass yields everything each candidate's
         // objective test needs: `m_others(i)` is `second_sr` when `i` is
         // the unique maximum holder and `max_sr` otherwise.
@@ -687,30 +628,36 @@ pub(crate) fn sweep_from(
             }
         }
         let total = sum_pr + max_sr;
-        // Peel off every target the current state already satisfies.
-        // The step selection below never consults the target, so the
-        // state at which the demand first drops to `t` is the same
-        // state a dedicated run for `t` would stop at — each snapshot
-        // is bit-identical to an independent `allocate_threads` call.
-        while lo < active.len() && total <= targets[active[lo]] {
+        if total <= nreg {
             let verify_start = Instant::now();
-            results[active[lo]] = Some(snapshot(&threads, targets[active[lo]]));
-            stats.verify += verify_start.elapsed();
-            lo += 1;
-        }
-        if lo == active.len() {
-            break;
+            crate::verify::check_threads(
+                &threads.iter().map(|t| t.alloc.clone()).collect::<Vec<_>>(),
+                nreg,
+            )
+            .map_err(|e| AllocError::InvalidAllocation {
+                reason: e.to_string(),
+            })?;
+            stats.verify = verify_start.elapsed();
+            stats.search = search_start.elapsed().saturating_sub(stats.verify);
+            stats.total = search_start.elapsed();
+            return Ok((MultiAllocation { threads, nreg }, stats));
         }
         if let Some(cap) = budget {
             if stats.iterations >= cap {
-                for &i in &active[lo..] {
-                    results[i] = Some(Err(AllocError::IterationCapHit {
-                        iterations: stats.iterations,
-                        cap,
-                    }));
-                }
-                break;
+                return Err(AllocError::IterationCapHit {
+                    iterations: stats.iterations,
+                    cap,
+                });
             }
+        }
+        // Below the demand floor the file is provably out of reach: the
+        // first pass resolves it, without burning the budget on an
+        // exhaustive descent (a zero budget reports its cap first).
+        if floor > nreg {
+            return Err(AllocError::Infeasible {
+                needed: floor,
+                available: nreg,
+            });
         }
         stats.iterations += 1;
 
@@ -807,31 +754,19 @@ pub(crate) fn sweep_from(
                     cache.invalidate(i);
                 }
             }
+            // No feasible step anywhere: the file is out of reach from
+            // here, short by the current demand.
             None => {
-                // No feasible step anywhere: every still-pending target
-                // is unreachable from here, each with its own shortfall.
-                for &i in &active[lo..] {
-                    results[i] = Some(Err(AllocError::Infeasible {
-                        needed: total,
-                        available: targets[i],
-                    }));
-                }
-                break;
+                return Err(AllocError::Infeasible {
+                    needed: total,
+                    available: nreg,
+                })
             }
         }
         if !config.memoize {
             cache.clear();
         }
     }
-    stats.search = search_start.elapsed().saturating_sub(stats.verify);
-    stats.total = search_start.elapsed();
-    (
-        results
-            .into_iter()
-            .map(|r| r.expect("every target resolved"))
-            .collect(),
-        stats,
-    )
 }
 
 fn can_reduce_private(t: &ThreadResult) -> bool {
@@ -1211,32 +1146,33 @@ mod tests {
         assert!(stats.init > Duration::ZERO, "{stats:?}");
     }
 
-    /// One shared descent must give every swept register-file size the
+    /// One trajectory asked every size in turn must give each the
     /// verdict a dedicated run would: same allocation bits on success,
-    /// same error payload on failure. The sweep spans the feasible
-    /// range, the infeasible floor, and duplicate and unsorted targets.
+    /// same error payload on failure. The sizes span the feasible
+    /// range, the infeasible floor, and duplicate and unsorted sizes.
     #[test]
     fn sweep_matches_independent_runs_bit_for_bit() {
         let funcs = vec![odd_cycle(), hungry(), lean()];
-        let targets: Vec<usize> = vec![128, 6, 32, 8, 32, 5, 0, 200, 10];
-        let swept =
-            crate::SpillTrajectory::new(&funcs, EngineConfig::default(), crate::DEFAULT_SPILL_BASE)
-                .balanced(&targets);
-        assert_eq!(swept.len(), targets.len());
-        for (&t, got) in targets.iter().zip(&swept) {
-            let solo =
-                allocate_threads_stats(&funcs, t, EngineConfig::default()).map(|(a, _)| a);
+        let mut trajectory = crate::SpillTrajectory::new(
+            &funcs[..],
+            EngineConfig::default(),
+            crate::DEFAULT_SPILL_BASE,
+        );
+        for t in [128, 6, 32, 8, 32, 5, 0, 200, 10] {
+            let got = trajectory.balanced(t);
+            let solo = allocate_threads_stats(&funcs, t, EngineConfig::default()).map(|(a, _)| a);
             assert_eq!(
                 format!("{got:?}"),
                 format!("{solo:?}"),
-                "sweep verdict diverged from the dedicated run at nreg={t}"
+                "trajectory verdict diverged from the dedicated run at nreg={t}"
             );
         }
     }
 
-    /// Cap-bounded sweeps resolve exactly like cap-bounded single runs,
-    /// including a zero budget (cap before floor) and a cap that lands
-    /// mid-descent so some targets succeed while tighter ones cap out.
+    /// A cap-bounded trajectory resolves each size exactly like a
+    /// cap-bounded single run, including a zero budget (cap before
+    /// floor) and a cap that lands mid-descent so some sizes succeed
+    /// while tighter ones cap out.
     #[test]
     fn sweep_honors_iteration_caps_per_target() {
         let funcs = vec![odd_cycle(), hungry(), lean()];
@@ -1245,10 +1181,10 @@ mod tests {
                 max_iterations: IterationBudget::Fixed(cap),
                 ..EngineConfig::default()
             };
-            let targets: Vec<usize> = (4..=40).collect();
-            let swept = crate::SpillTrajectory::new(&funcs, config, crate::DEFAULT_SPILL_BASE)
-                .balanced(&targets);
-            for (&t, got) in targets.iter().zip(&swept) {
+            let mut trajectory =
+                crate::SpillTrajectory::new(&funcs[..], config, crate::DEFAULT_SPILL_BASE);
+            for t in 4..=40 {
+                let got = trajectory.balanced(t);
                 let solo = allocate_threads_stats(&funcs, t, config).map(|(a, _)| a);
                 assert_eq!(
                     format!("{got:?}"),

@@ -17,13 +17,22 @@
 //! idea applied to a multithreaded NPU). It is a post-pass over a plain
 //! result ([`SpillTrajectory::scratch`]): no decision of the loop can
 //! see where a slot lives, so the loop always spills to memory.
+//!
+//! One thread group's loop is one lazy [`SpillTrajectory`], built with
+//! the programs, the engine configuration and the spill base. Each of
+//! its queries — [`SpillTrajectory::balanced`],
+//! [`SpillTrajectory::hybrid`], [`SpillTrajectory::scratch`] and the
+//! fallback ladder's [`SpillTrajectory::ladder`] — takes one `nreg` and
+//! returns one verdict. A size runs the engine's one-size descent, the
+//! one [`crate::allocate_threads_stats`] runs, from the start states
+//! the trajectory keeps for the round it resolves in.
 
 use crate::alloc::ThreadAlloc;
 use crate::bounds::Bounds;
 use crate::chaitin::insert_spill_code;
 use crate::engine::{
-    below_floor, demand_floor, initial_state, initial_threads, par_map, sweep_from, EngineConfig,
-    IterationBudget, MultiAllocation, ThreadResult, ThreadSummary,
+    demand_floor, descend, initial_state, initial_threads, par_map, EngineConfig, IterationBudget,
+    MultiAllocation, ThreadResult, ThreadSummary,
 };
 use crate::error::AllocError;
 use regbal_analysis::{ProgramInfo, SpillCosts};
@@ -149,10 +158,7 @@ pub fn allocate_threads_with_spill(
     funcs: &[Func],
     nreg: usize,
 ) -> Result<HybridAllocation, AllocError> {
-    SpillTrajectory::new(funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
-        .hybrid(&[nreg])
-        .pop()
-        .expect("one verdict per target")
+    SpillTrajectory::new(funcs, EngineConfig::default(), DEFAULT_SPILL_BASE).hybrid(nreg)
 }
 
 /// The most register-file sizes a trajectory memoizes per side.
@@ -166,56 +172,36 @@ const MEMO_SIZES: usize = 32;
 struct Memo<V>(BTreeMap<usize, V>);
 
 impl<V: Clone> Memo<V> {
-    /// The sizes of `targets` not memoized, sorted and deduplicated.
-    fn missing(&self, targets: &[usize]) -> Vec<usize> {
-        let mut missing: Vec<usize> = targets
-            .iter()
-            .copied()
-            .filter(|t| !self.0.contains_key(t))
-            .collect();
-        missing.sort_unstable();
-        missing.dedup();
-        missing
+    /// The memoized verdict at `nreg`, if any.
+    fn get(&self, nreg: usize) -> Option<V> {
+        self.0.get(&nreg).cloned()
     }
 
-    /// The verdict at each of `targets`, read from the memo or from
-    /// `fresh` — the verdicts at `missing` — which are memoized after.
-    fn answer(&mut self, targets: &[usize], missing: Vec<usize>, fresh: Vec<V>) -> Vec<V> {
-        let fresh: BTreeMap<usize, V> = missing.into_iter().zip(fresh).collect();
-        let answers = targets
-            .iter()
-            .map(|t| {
-                fresh
-                    .get(t)
-                    .or_else(|| self.0.get(t))
-                    .expect("every size resolved")
-                    .clone()
-            })
-            .collect();
-        for (nreg, verdict) in fresh {
-            if self.0.len() == MEMO_SIZES {
-                let (&lo, _) = self.0.first_key_value().expect("a full memo");
-                let (&hi, _) = self.0.last_key_value().expect("a full memo");
-                let far = if nreg.abs_diff(lo) >= nreg.abs_diff(hi) {
-                    lo
-                } else {
-                    hi
-                };
-                self.0.remove(&far);
-            }
-            self.0.insert(nreg, verdict);
+    /// Memoizes `verdict` at `nreg`, a size not memoized, first
+    /// evicting the size farthest from it when the memo is full.
+    fn insert(&mut self, nreg: usize, verdict: V) {
+        if self.0.len() == MEMO_SIZES {
+            let (&lo, _) = self.0.first_key_value().expect("a full memo");
+            let (&hi, _) = self.0.last_key_value().expect("a full memo");
+            let far = if nreg.abs_diff(lo) >= nreg.abs_diff(hi) {
+                lo
+            } else {
+                hi
+            };
+            self.0.remove(&far);
         }
-        answers
+        self.0.insert(nreg, verdict);
     }
 }
 
 /// The hybrid spill loop of one thread group as one lazy trajectory
 /// that answers the balanced and the hybrid verdict at every
 /// register-file size, asked in any order and any number of times.
-/// Each answer is exactly what a dedicated one-target run returns.
+/// Each answer is exactly what a dedicated one-size run returns.
 ///
 /// It is built with everything that fixes its answers — the programs,
-/// the engine configuration and the spill base — and asked only sizes.
+/// the engine configuration and the spill base — and each query takes
+/// one size and returns one verdict.
 ///
 /// The greedy descent reads `nreg` only to decide where to stop, and
 /// which range spills in round `r` depends only on the spill-augmented
@@ -228,7 +214,10 @@ impl<V: Clone> Memo<V> {
 /// floor, raised by every `Infeasible` verdict's `needed`) — and a size
 /// below it moves on to the next round without a descent.
 ///
-/// It keeps the input programs, round 0's analyses and engine start
+/// Each size not memoized runs its own descent, from the kept start
+/// states of the round it resolves in; what the sizes share is the
+/// analyses, the start states, the rounds and their bounds. It keeps
+/// the input programs, round 0's analyses and engine start
 /// states (every descent of round 0 starts there), the deepest round
 /// reached with its programs, analyses and spill bookkeeping, each
 /// round's bound, and a bounded memo of recent verdicts per side. A
@@ -243,7 +232,7 @@ impl<V: Clone> Memo<V> {
 /// spill code inserted for other registers.
 #[derive(Debug)]
 pub struct SpillTrajectory {
-    funcs: Vec<Func>,
+    funcs: Arc<[Func]>,
     config: EngineConfig,
     /// Where the memory spill slots live: thread `t`'s from
     /// `spill_base + t·0x1000`.
@@ -270,10 +259,15 @@ pub struct SpillTrajectory {
 impl SpillTrajectory {
     /// A trajectory over `funcs` under `config`, with thread `t`'s
     /// memory spill slots from `spill_base + t·0x1000`. Nothing is
-    /// computed until the first query.
-    pub fn new(funcs: &[Func], config: EngineConfig, spill_base: i64) -> SpillTrajectory {
+    /// computed until the first query. An `Arc<[Func]>` is shared, not
+    /// copied, so a caller that keeps the programs too holds one copy.
+    pub fn new(
+        funcs: impl Into<Arc<[Func]>>,
+        config: EngineConfig,
+        spill_base: i64,
+    ) -> SpillTrajectory {
         SpillTrajectory {
-            funcs: funcs.to_vec(),
+            funcs: funcs.into(),
             config,
             spill_base,
             first: Vec::new(),
@@ -286,35 +280,46 @@ impl SpillTrajectory {
         }
     }
 
-    /// The balancing verdict at each of `targets` — bit-identical to a
+    /// The balancing verdict at `nreg` registers — bit-identical to a
     /// dedicated [`crate::allocate_threads_stats`] run under this
-    /// trajectory's config. Sizes not memoized descend together from
-    /// round 0's start states.
-    pub fn balanced(&mut self, targets: &[usize]) -> Vec<Result<MultiAllocation, AllocError>> {
-        let missing = self.balanced.missing(targets);
-        let fresh = if missing.is_empty() {
-            Vec::new()
-        } else {
-            let config = self.config;
-            balance_round(self.first(), &missing, config)
-        };
-        self.balanced.answer(targets, missing, fresh)
+    /// trajectory's config. A size not memoized descends from round 0's
+    /// start states.
+    ///
+    /// # Errors
+    ///
+    /// The engine's own verdict, memoized like a success.
+    pub fn balanced(&mut self, nreg: usize) -> Result<MultiAllocation, AllocError> {
+        if let Some(verdict) = self.balanced.get(nreg) {
+            return verdict;
+        }
+        let config = self.config;
+        let verdict = balance_round(self.first(), nreg, config);
+        self.balanced.insert(nreg, verdict.clone());
+        verdict
     }
 
-    /// The hybrid verdict at each of `targets` — bit-identical to a
-    /// fresh trajectory asked that size alone, which is what
-    /// [`allocate_threads_with_spill`] runs at the default base and
-    /// config. Sizes not memoized walk the rounds together; a round
-    /// past the deepest is built by one more spill.
-    pub fn hybrid(&mut self, targets: &[usize]) -> Vec<Result<HybridAllocation, AllocError>> {
+    /// The hybrid verdict at `nreg` registers — bit-identical to a
+    /// fresh trajectory's, which is what [`allocate_threads_with_spill`]
+    /// runs at the default base and config. A size not memoized walks
+    /// the rounds from round 0; a round past the deepest is built by
+    /// one more spill.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::SpillDiverged`] when the loop gives up before the
+    /// demand fits, or the balancing verdict that ended the walk.
+    pub fn hybrid(&mut self, nreg: usize) -> Result<HybridAllocation, AllocError> {
+        if let Some(verdict) = self.hybrid.get(nreg) {
+            return verdict;
+        }
         self.start_hybrid();
-        let missing = self.hybrid.missing(targets);
-        let fresh = self.walk_rounds(&missing);
-        self.hybrid.answer(targets, missing, fresh)
+        let verdict = self.walk_rounds(nreg);
+        self.hybrid.insert(nreg, verdict.clone());
+        verdict
     }
 
-    /// The hybrid verdict at each of `targets` with the scratchpad
-    /// tier: the picks are replayed in eviction order over the input
+    /// The hybrid verdict at `nreg` registers with the scratchpad tier:
+    /// the picks are replayed in eviction order over the input
     /// programs, packing the first `scratch.capacity` of them into
     /// scratchpad words from `scratch.base` and numbering the overflow's
     /// memory slots exactly as the plain loop numbers its own.
@@ -325,24 +330,24 @@ impl SpillTrajectory {
     /// for any slot, so the loop would have picked the same victims and
     /// reached the same balancing verdict with the scratch slots in
     /// place.
+    ///
+    /// # Errors
+    ///
+    /// As [`SpillTrajectory::hybrid`].
     pub fn scratch(
         &mut self,
-        targets: &[usize],
+        nreg: usize,
         scratch: &ScratchParams,
-    ) -> Vec<Result<HybridAllocation, AllocError>> {
-        self.hybrid(targets)
-            .into_iter()
-            .map(|verdict| {
-                verdict.map(|plain| {
-                    SpillState::replay(&self.funcs, self.spill_base, Some(*scratch), &plain.picks)
-                        .allocation(plain.alloc)
-                })
-            })
-            .collect()
+    ) -> Result<HybridAllocation, AllocError> {
+        let plain = self.hybrid(nreg)?;
+        Ok(
+            SpillState::replay(&self.funcs, self.spill_base, Some(*scratch), &plain.picks)
+                .allocation(plain.alloc),
+        )
     }
 
     /// The input programs.
-    pub(crate) fn funcs(&self) -> &[Func] {
+    pub(crate) fn funcs(&self) -> &Arc<[Func]> {
         &self.funcs
     }
 
@@ -365,42 +370,25 @@ impl SpillTrajectory {
             .collect()
     }
 
-    /// The hybrid verdicts of `targets`, each walking the rounds from
-    /// round 0 until one resolves it.
-    fn walk_rounds(&mut self, targets: &[usize]) -> Vec<Result<HybridAllocation, AllocError>> {
-        let mut results: Vec<Option<Result<HybridAllocation, AllocError>>> =
-            targets.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..targets.len()).collect();
+    /// The hybrid verdict at `nreg`, walking the rounds from round 0
+    /// until one resolves it. A round whose bound exceeds `nreg` is
+    /// passed without a descent.
+    fn walk_rounds(&mut self, nreg: usize) -> Result<HybridAllocation, AllocError> {
         let mut round = 0;
-        while !pending.is_empty() {
-            let (descend, mut next): (Vec<usize>, Vec<usize>) = pending
-                .into_iter()
-                .partition(|&i| targets[i] >= self.bounds[round]);
-            if !descend.is_empty() {
-                let sizes: Vec<usize> = descend.iter().map(|&i| targets[i]).collect();
-                for (i, verdict) in descend.into_iter().zip(self.resolve_round(round, &sizes)) {
-                    match verdict {
-                        Some(verdict) => results[i] = Some(verdict),
-                        None => next.push(i),
-                    }
+        loop {
+            if nreg >= self.bounds[round] {
+                if let Some(verdict) = self.resolve_round(round, nreg) {
+                    return verdict;
                 }
             }
-            if !next.is_empty() && round == self.bounds.len() - 1 && !self.extend() {
+            if round == self.bounds.len() - 1 && !self.extend() {
                 let rounds = self
                     .diverged
                     .expect("a trajectory that cannot extend has diverged");
-                for &i in &next {
-                    results[i] = Some(Err(AllocError::SpillDiverged { rounds }));
-                }
-                break;
+                return Err(AllocError::SpillDiverged { rounds });
             }
-            pending = next;
             round += 1;
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every target resolved"))
-            .collect()
     }
 
     /// Round 0's analyses, built on first need.
@@ -430,43 +418,36 @@ impl SpillTrajectory {
         }
     }
 
-    /// The hybrid verdicts of `sizes` in round `round`, each `None`
-    /// when the round's descent ends [`AllocError::Infeasible`] there
-    /// (the size moves on, and the round's bound rises to the verdict's
-    /// `needed`). Round 0 answers from the balanced verdicts; a round
+    /// The hybrid verdict at `nreg` in round `round`, `None` when the
+    /// round's descent ends [`AllocError::Infeasible`] there (the walk
+    /// moves on, and the round's bound rises to the verdict's
+    /// `needed`). Round 0 answers from the balanced side; a later round
     /// before the deepest is rebuilt for the query.
     fn resolve_round(
         &mut self,
         round: usize,
-        sizes: &[usize],
-    ) -> Vec<Option<Result<HybridAllocation, AllocError>>> {
-        let depth = self.bounds.len() - 1;
-        let mut rebuilt = (round < depth).then(|| self.rebuild(round));
-        let verdicts = if round == 0 {
-            self.balanced(sizes)
+        nreg: usize,
+    ) -> Option<Result<HybridAllocation, AllocError>> {
+        let verdict = if round == 0 {
+            self.balanced(nreg)
+                .map(|alloc| HybridAllocation::unspilled(&self.funcs, alloc))
+        } else if round < self.bounds.len() - 1 {
+            let mut rebuilt = self.rebuild(round);
+            balance_round(&mut rebuilt.analyses, nreg, self.config)
+                .map(|alloc| rebuilt.state.allocation(alloc))
         } else {
-            let analyses = match &mut rebuilt {
-                Some(r) => &mut r.analyses,
-                None => &mut self.deep.as_mut().expect("hybrid started").analyses,
-            };
-            balance_round(analyses, sizes, self.config)
+            let deep = self.deep.as_mut().expect("hybrid started");
+            balance_round(&mut deep.analyses, nreg, self.config)
+                .map(|alloc| deep.state.allocation(alloc))
         };
-        let state = match &rebuilt {
-            Some(r) => &r.state,
-            None => &self.deep.as_ref().expect("hybrid started").state,
-        };
-        let bound = &mut self.bounds[round];
-        verdicts
-            .into_iter()
-            .map(|verdict| match verdict {
-                Ok(alloc) => Some(Ok(state.allocation(alloc))),
-                Err(AllocError::Infeasible { needed, .. }) => {
-                    *bound = (*bound).max(needed);
-                    None
-                }
-                Err(other) => Some(Err(other)),
-            })
-            .collect()
+        match verdict {
+            Err(AllocError::Infeasible { needed, .. }) => {
+                let bound = &mut self.bounds[round];
+                *bound = (*bound).max(needed);
+                None
+            }
+            verdict => Some(verdict),
+        }
     }
 
     /// Round `round` (before the deepest) rebuilt from the inputs: the
@@ -651,44 +632,31 @@ impl Analysis {
     }
 }
 
-/// The demand floor of a round's threads.
-fn round_floor(analyses: &[Analysis]) -> usize {
-    demand_floor(
-        &analyses
-            .iter()
-            .map(|a| (a.info.pressure.min_pr(), a.info.pressure.min_r()))
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// The bound a round starts with: below its demand floor every descent
-/// ends `Infeasible` — unless a zero budget reports
+/// The bound a round starts with: below its threads' demand floor
+/// every descent ends `Infeasible` — unless a zero budget reports
 /// [`AllocError::IterationCapHit`] there instead.
 fn floor_bound(analyses: &[Analysis], config: EngineConfig) -> usize {
     if config.max_iterations == IterationBudget::Fixed(0) {
         0
     } else {
-        round_floor(analyses)
+        demand_floor(
+            &analyses
+                .iter()
+                .map(|a| (a.info.pressure.min_pr(), a.info.pressure.min_r()))
+                .collect::<Vec<_>>(),
+        )
     }
 }
 
-/// One round's balancing verdicts for `targets` — each exactly what
-/// [`crate::allocate_threads_stats`] over the round's programs returns.
-/// A round whose demand floor exceeds every target resolves from the
-/// analyses alone; any other descends from the kept initial states,
-/// building only the missing ones.
+/// One round's balancing verdict at `nreg` — exactly what
+/// [`crate::allocate_threads_stats`] over the round's programs returns:
+/// a descent from the kept initial states, building only the missing
+/// ones.
 fn balance_round(
     analyses: &mut [Analysis],
-    targets: &[usize],
+    nreg: usize,
     config: EngineConfig,
-) -> Vec<Result<MultiAllocation, AllocError>> {
-    let floor = round_floor(analyses);
-    if targets.iter().all(|&t| floor > t) {
-        return targets
-            .iter()
-            .map(|&t| Err(below_floor(config.max_iterations, floor, t)))
-            .collect();
-    }
+) -> Result<MultiAllocation, AllocError> {
     let missing: Vec<usize> = (0..analyses.len())
         .filter(|&t| analyses[t].start.is_none())
         .collect();
@@ -709,7 +677,7 @@ fn balance_round(
             }
         })
         .collect();
-    sweep_from(threads, targets, config).0
+    descend(threads, nreg, config).map(|(alloc, _)| alloc)
 }
 
 /// The thread whose register floor is highest — the one whose pressure
@@ -756,7 +724,7 @@ fn spill_candidate(info: &ProgramInfo, already: &[bool], costs: &SpillCosts) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{allocate_threads, allocate_threads_stats, sweep_stats};
+    use crate::engine::{allocate_threads, allocate_threads_stats};
     use regbal_ir::parse_func;
 
     /// A function with five co-live values across a switch.
@@ -813,10 +781,7 @@ bb0:
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        SpillTrajectory::new(funcs, EngineConfig::default(), spill_base)
-            .hybrid(&[nreg])
-            .pop()
-            .unwrap()
+        SpillTrajectory::new(funcs, EngineConfig::default(), spill_base).hybrid(nreg)
     }
 
     #[test]
@@ -838,25 +803,26 @@ bb0:
     /// the fresh run's verdict.
     #[test]
     fn memos_stay_bounded_under_ever_new_sizes() {
-        let funcs = vec![hot(), hot()];
-        let fresh = || SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE);
+        let funcs = [hot(), hot()];
+        let fresh =
+            || SpillTrajectory::new(&funcs[..], EngineConfig::default(), DEFAULT_SPILL_BASE);
         let mut traj = fresh();
         let sizes: Vec<usize> = (1..=3 * MEMO_SIZES).collect();
         for &n in sizes.iter().chain(&sizes) {
-            traj.balanced(&[n]);
-            traj.hybrid(&[n]);
+            let _ = traj.balanced(n);
+            let _ = traj.hybrid(n);
             assert!(traj.balanced.0.len() <= MEMO_SIZES, "nreg={n}");
             assert!(traj.hybrid.0.len() <= MEMO_SIZES, "nreg={n}");
         }
         for n in [1, 8, 2 * MEMO_SIZES, 3 * MEMO_SIZES] {
             assert_eq!(
-                format!("{:?}", traj.balanced(&[n])),
-                format!("{:?}", fresh().balanced(&[n])),
+                format!("{:?}", traj.balanced(n)),
+                format!("{:?}", fresh().balanced(n)),
                 "nreg={n}"
             );
             assert_eq!(
-                format!("{:?}", traj.hybrid(&[n])),
-                format!("{:?}", fresh().hybrid(&[n])),
+                format!("{:?}", traj.hybrid(n)),
+                format!("{:?}", fresh().hybrid(n)),
                 "nreg={n}"
             );
         }
@@ -868,21 +834,21 @@ bb0:
     #[test]
     fn seeded_round_zero_matches_the_unseeded_loop() {
         let funcs = vec![hot(), hot()];
-        let mut traj = SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE);
-        let balanced = traj.balanced(&[8, 32]);
+        let mut traj =
+            SpillTrajectory::new(&funcs[..], EngineConfig::default(), DEFAULT_SPILL_BASE);
+        let balanced = [8, 32].map(|nreg| traj.balanced(nreg));
         for (nreg, verdict) in [8, 32].into_iter().zip(&balanced) {
             let solo =
                 allocate_threads_stats(&funcs, nreg, EngineConfig::default()).map(|(a, _)| a);
             assert_eq!(format!("{verdict:?}"), format!("{solo:?}"));
         }
         assert!(balanced[0].is_err());
-        let mut seeded = traj.hybrid(&[8, 32]).into_iter();
         let plain = allocate_threads_with_spill(&funcs, 8).unwrap();
-        let spilled = seeded.next().unwrap().unwrap();
+        let spilled = traj.hybrid(8).unwrap();
         assert_eq!(spilled.funcs, plain.funcs);
         assert_eq!(spilled.spills, plain.spills);
         // A size round 0 fits is answered without touching code.
-        let fit = seeded.next().unwrap().unwrap();
+        let fit = traj.hybrid(32).unwrap();
         assert_eq!(fit.spills, vec![0, 0]);
         assert_eq!(fit.funcs[0], hot());
     }
@@ -895,7 +861,10 @@ bb0:
     fn spill_sweep_matches_independent_runs() {
         let funcs = vec![hot(), hot()];
         let targets = [32usize, 8, 1, 12, 8, 2];
-        let swept = trajectory(&funcs, &targets, EngineConfig::default(), false).hybrid(&targets);
+        let swept = hybrid_at_each(
+            &mut trajectory(&funcs, &targets, EngineConfig::default(), false),
+            &targets,
+        );
         for (&t, got) in targets.iter().zip(&swept) {
             let solo = allocate_threads_with_spill(&funcs, t);
             match (got, &solo) {
@@ -912,8 +881,11 @@ bb0:
                 other => panic!("verdict kind diverged at nreg={t}: {other:?}"),
             }
         }
-        // Answering round 0 from a balanced sweep is behaviour-preserving.
-        let seeded = trajectory(&funcs, &targets, EngineConfig::default(), true).hybrid(&targets);
+        // Answering round 0 from balanced queries is behaviour-preserving.
+        let seeded = hybrid_at_each(
+            &mut trajectory(&funcs, &targets, EngineConfig::default(), true),
+            &targets,
+        );
         for ((&t, a), b) in targets.iter().zip(&swept).zip(&seeded) {
             assert_eq!(
                 format!("{a:?}"),
@@ -963,9 +935,7 @@ bb0:
     /// scratchpad, at the default spill base and config.
     fn scratched(funcs: &[Func], nreg: usize, capacity: usize) -> HybridAllocation {
         SpillTrajectory::new(funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
-            .scratch(&[nreg], &scratch(capacity))
-            .pop()
-            .unwrap()
+            .scratch(nreg, &scratch(capacity))
             .unwrap()
     }
 
@@ -1101,14 +1071,36 @@ bb0:
     ) -> SpillTrajectory {
         let mut traj = SpillTrajectory::new(funcs, config, DEFAULT_SPILL_BASE);
         if seeded {
-            traj.balanced(targets);
+            for &nreg in targets {
+                let _ = traj.balanced(nreg);
+            }
         }
         traj
     }
 
+    /// `traj`'s hybrid verdict at each of `targets`, asked in order.
+    fn hybrid_at_each(
+        traj: &mut SpillTrajectory,
+        targets: &[usize],
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        targets.iter().map(|&nreg| traj.hybrid(nreg)).collect()
+    }
+
+    /// `traj`'s scratch replay at each of `targets`, asked in order.
+    fn scratch_at_each(
+        traj: &mut SpillTrajectory,
+        targets: &[usize],
+        params: &ScratchParams,
+    ) -> Vec<Result<HybridAllocation, AllocError>> {
+        targets
+            .iter()
+            .map(|&nreg| traj.scratch(nreg, params))
+            .collect()
+    }
+
     /// The spill loop without kept state, with the scratchpad slot
-    /// policy applied while it spills: every round descends over all
-    /// programs through the engine's own sweep, from fresh analyses,
+    /// policy applied while it spills: every round runs one dedicated
+    /// [`allocate_threads_stats`] per pending size, from fresh analyses,
     /// and recomputes each analysis for the pressure and the candidate.
     fn recomputing_spill_sweep(
         funcs: &[Func],
@@ -1122,12 +1114,10 @@ bb0:
             targets.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..targets.len()).collect();
         for _ in 0..MAX_SPILL_ROUNDS {
-            let pending_targets: Vec<usize> = pending.iter().map(|&i| targets[i]).collect();
-            let verdicts = sweep_stats(&state.work, &pending_targets, config).0;
             let mut still = Vec::new();
-            for (&i, verdict) in pending.iter().zip(verdicts) {
-                match verdict {
-                    Ok(alloc) => results[i] = Some(Ok(state.allocation(alloc))),
+            for &i in &pending {
+                match allocate_threads_stats(&state.work, targets[i], config) {
+                    Ok((alloc, _)) => results[i] = Some(Ok(state.allocation(alloc))),
                     Err(AllocError::Infeasible { .. }) => still.push(i),
                     Err(other) => results[i] = Some(Err(other)),
                 }
@@ -1177,14 +1167,16 @@ bb0:
                 max_iterations: budget,
                 ..EngineConfig::default()
             };
+            let params = [None, Some(scratch(0)), Some(scratch(2))];
+            let wants = params
+                .map(|params| recomputing_spill_sweep(&funcs, &targets, config, params.as_ref()));
             for seeded in [false, true] {
                 let mut traj = trajectory(&funcs, &targets, config, seeded);
-                for params in [None, Some(scratch(0)), Some(scratch(2))] {
-                    let got = match &params {
-                        None => traj.hybrid(&targets),
-                        Some(params) => traj.scratch(&targets, params),
+                for (params, want) in params.iter().zip(&wants) {
+                    let got = match params {
+                        None => hybrid_at_each(&mut traj, &targets),
+                        Some(params) => scratch_at_each(&mut traj, &targets, params),
                     };
-                    let want = recomputing_spill_sweep(&funcs, &targets, config, params.as_ref());
                     assert_eq!(
                         format!("{got:?}"),
                         format!("{want:?}"),
@@ -1220,13 +1212,15 @@ bb0:
         let config = EngineConfig::default();
         let mut kinds = std::collections::BTreeMap::new();
         for (name, funcs) in groups {
+            let capacities = [0, 1, 3, 16];
+            let wants = capacities.map(|capacity| {
+                recomputing_spill_sweep(funcs, targets, config, Some(&scratch(capacity)))
+            });
             for seeded in [false, true] {
                 let mut traj = trajectory(funcs, targets, config, seeded);
-                for capacity in [0, 1, 3, 16] {
-                    let params = scratch(capacity);
-                    let got = traj.scratch(targets, &params);
-                    let want = recomputing_spill_sweep(funcs, targets, config, Some(&params));
-                    for ((&nreg, g), w) in targets.iter().zip(&got).zip(&want) {
+                for (&capacity, want) in capacities.iter().zip(&wants) {
+                    let got = scratch_at_each(&mut traj, targets, &scratch(capacity));
+                    for ((&nreg, g), w) in targets.iter().zip(&got).zip(want) {
                         assert_eq!(
                             format!("{g:?}"),
                             format!("{w:?}"),
@@ -1354,16 +1348,17 @@ bb0:
                 };
                 let mut fresh = std::collections::BTreeMap::new();
                 for &n in sizes {
-                    let fresh_traj = || SpillTrajectory::new(funcs, config, DEFAULT_SPILL_BASE);
-                    let balanced = fresh_traj().balanced(&[n]).pop();
-                    let hybrid = fresh_traj().hybrid(&[n]).pop();
+                    let fresh_traj =
+                        || SpillTrajectory::new(&funcs[..], config, DEFAULT_SPILL_BASE);
+                    let balanced = fresh_traj().balanced(n);
+                    let hybrid = fresh_traj().hybrid(n);
                     for kind in [
-                        verdict_kind(&balanced.clone().unwrap()),
-                        verdict_kind(&hybrid.clone().unwrap().map(|h| h.alloc)),
+                        verdict_kind(&balanced),
+                        verdict_kind(&hybrid.clone().map(|h| h.alloc)),
                     ] {
                         *kinds.entry(kind).or_insert(0) += 1;
                     }
-                    if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty()) {
+                    if matches!(&hybrid, Ok(h) if !h.picks.is_empty()) {
                         *kinds.entry("spilled").or_insert(0) += 1;
                     }
                     let walk = (n % ladder_every == 0)
@@ -1391,19 +1386,19 @@ bb0:
                     );
                 }
                 for (k, order) in orders(sizes, g as u64).into_iter().enumerate() {
-                    let mut traj = SpillTrajectory::new(funcs, config, DEFAULT_SPILL_BASE);
+                    let mut traj = SpillTrajectory::new(&funcs[..], config, DEFAULT_SPILL_BASE);
                     for &n in &order {
                         let what = format!("{name} {budget:?} order {k} nreg={n}");
                         let ask_balanced = |traj: &mut SpillTrajectory| {
-                            let balanced = traj.balanced(&[n]).pop();
+                            let balanced = traj.balanced(n);
                             assert_eq!(debug_digest(&balanced), fresh[&n].0, "{what}");
                         };
                         if k % 2 == 0 {
                             ask_balanced(&mut traj);
                         }
                         let depth = traj.bounds.len().saturating_sub(1);
-                        let hybrid = traj.hybrid(&[n]).pop();
-                        if matches!(&hybrid, Some(Ok(h)) if !h.picks.is_empty() && h.picks.len() < depth)
+                        let hybrid = traj.hybrid(n);
+                        if matches!(&hybrid, Ok(h) if !h.picks.is_empty() && h.picks.len() < depth)
                         {
                             *kinds.entry("rebuilt").or_insert(0) += 1;
                         }

@@ -358,8 +358,11 @@ impl SpillTrajectory {
                                 max_iterations: IterationBudget::Fixed(retry_cap),
                                 ..self.config()
                             };
-                            let trajectory =
-                                SpillTrajectory::new(self.funcs(), engine, self.spill_base());
+                            let trajectory = SpillTrajectory::new(
+                                self.funcs().clone(),
+                                engine,
+                                self.spill_base(),
+                            );
                             retried.push((retry_cap, trajectory));
                             retried.len() - 1
                         }
@@ -419,20 +422,11 @@ impl SpillTrajectory {
         let base = rung_base(self.spill_base(), step);
         let hybrid = match step {
             LadderStep::Balanced => {
-                let alloc = self
-                    .balanced(&[nreg])
-                    .pop()
-                    .expect("one verdict per target")?;
+                let alloc = self.balanced(nreg)?;
                 HybridAllocation::unspilled(self.funcs(), alloc)
             }
-            LadderStep::BalancedScratch => self
-                .scratch(&[nreg], scratch)
-                .pop()
-                .expect("one verdict per target")?,
-            LadderStep::BalancedSpill => self
-                .hybrid(&[nreg])
-                .pop()
-                .expect("one verdict per target")?,
+            LadderStep::BalancedScratch => self.scratch(nreg, scratch)?,
+            LadderStep::BalancedSpill => self.hybrid(nreg)?,
             LadderStep::FixedPartition => {
                 return chaitin::partition(self.funcs(), nreg, base + THREAD_STRIDE / 2)
                     .map(LadderOutcome::Partitioned)
@@ -546,12 +540,12 @@ bb0:
 
     #[test]
     fn zero_capacity_config_reproduces_the_four_rung_ladder() {
-        let funcs = vec![hot(), hot()];
+        let funcs = [hot(), hot()];
         let scratch = ScratchParams {
             capacity: 0,
             ..ScratchParams::default()
         };
-        let a = SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE)
+        let a = SpillTrajectory::new(&funcs[..], EngineConfig::default(), DEFAULT_SPILL_BASE)
             .ladder(8, &scratch)
             .unwrap();
         assert_eq!(a.step, LadderStep::BalancedSpill);
@@ -601,7 +595,7 @@ bb0:
         // doesn't iterate the greedy engine and still delivers.
         let zero_work = allocate_ladder(&funcs, 64).unwrap();
         let nreg = zero_work.registers_used() - 1;
-        let a = SpillTrajectory::new(&funcs, engine, DEFAULT_SPILL_BASE)
+        let a = SpillTrajectory::new(&funcs[..], engine, DEFAULT_SPILL_BASE)
             .ladder(nreg, &ScratchParams::default())
             .unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
@@ -663,7 +657,7 @@ bb0:
             max_iterations: IterationBudget::Fixed(cap),
             ..EngineConfig::default()
         };
-        let a = SpillTrajectory::new(&funcs, engine, DEFAULT_SPILL_BASE)
+        let a = SpillTrajectory::new(&funcs[..], engine, DEFAULT_SPILL_BASE)
             .ladder(nreg, &ScratchParams::default())
             .unwrap();
         assert_eq!(a.step, LadderStep::Balanced);
@@ -693,7 +687,7 @@ bb0:
             max_iterations: IterationBudget::Fixed(1),
             ..EngineConfig::default()
         };
-        let a = SpillTrajectory::new(&funcs, engine, DEFAULT_SPILL_BASE)
+        let a = SpillTrajectory::new(&funcs[..], engine, DEFAULT_SPILL_BASE)
             .ladder(nreg, &ScratchParams::default())
             .unwrap();
         assert_eq!(a.step, LadderStep::FixedPartition);
@@ -722,9 +716,10 @@ bb0:
         // lands on balanced-scratch either way.
         let plain = allocate_ladder(&funcs, 8).unwrap();
         assert_eq!(plain.step, LadderStep::BalancedScratch);
-        let mut used = SpillTrajectory::new(&funcs, EngineConfig::default(), DEFAULT_SPILL_BASE);
-        used.balanced(&[8]);
-        used.hybrid(&[8]);
+        let mut used =
+            SpillTrajectory::new(&funcs[..], EngineConfig::default(), DEFAULT_SPILL_BASE);
+        let _ = used.balanced(8);
+        let _ = used.hybrid(8);
         let seeded = used.ladder(8, &ScratchParams::default()).unwrap();
         assert_eq!(seeded.step, plain.step);
         assert_eq!(seeded.degraded_count(), plain.degraded_count());

@@ -17,9 +17,9 @@
 //! `(scenario index, pu)` ([`AllocCache::column`]), built with the PU's
 //! thread set and spill base: within a scenario both are fixed and the
 //! engine config is the default everywhere, so the key pins every input
-//! of the search, and a lookup at any `Nreg` is answered from the
-//! column's one trajectory. The allocation server keeps one column per
-//! resident module for the same reason.
+//! of the search. Each lookup asks the column's one trajectory one
+//! `Nreg` and gets one verdict. The allocation server keeps one column
+//! per resident module for the same reason.
 //!
 //! Sharing is behaviour-preserving by construction: the engine is
 //! deterministic and the trajectory returns bit-identical verdicts to
@@ -48,7 +48,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// behind a lock. Each lookup resolves only the size it asks, from the
 /// trajectory, which memoizes recent verdicts per side. Callers racing
 /// on one column block on its lock, so a verdict the trajectory still
-/// holds is computed once.
+/// holds is computed once. The column and its trajectory share one
+/// copy of the thread programs, which [`SweepColumn::funcs`] reads
+/// without the lock.
 ///
 /// A balanced, hybrid or scratch lookup holds the lock for its own
 /// verdict. A ladder lookup holds it for the whole walk: the rung plan,
@@ -57,7 +59,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// rungs after balanced-spill — the Chaitin rungs.
 #[derive(Debug)]
 pub struct SweepColumn {
-    funcs: Vec<Func>,
+    funcs: Arc<[Func]>,
     spill_base: i64,
     descents: Arc<AtomicU64>,
     state: Mutex<ColumnState>,
@@ -78,7 +80,7 @@ impl SweepColumn {
     /// is asked.
     pub fn new(funcs: &[Func], spill_base: i64, descents: Arc<AtomicU64>) -> SweepColumn {
         SweepColumn {
-            funcs: funcs.to_vec(),
+            funcs: funcs.into(),
             spill_base,
             descents,
             state: Mutex::default(),
@@ -107,7 +109,7 @@ impl SweepColumn {
         });
         let state = &mut *state;
         let trajectory = state.trajectory.get_or_insert_with(|| {
-            SpillTrajectory::new(&self.funcs, EngineConfig::default(), self.spill_base)
+            SpillTrajectory::new(self.funcs.clone(), EngineConfig::default(), self.spill_base)
         });
         let (answer, [balanced, hybrid]) = query(trajectory);
         for (asked, started) in [
@@ -129,10 +131,7 @@ impl SweepColumn {
     /// The engine's own verdict — [`AllocError::Infeasible`] and
     /// friends are cached and replayed like successes.
     pub fn balanced(&self, nreg: usize) -> Result<MultiAllocation, AllocError> {
-        self.query(|trajectory| {
-            let verdict = trajectory.balanced(&[nreg]).pop();
-            (verdict.expect("one verdict per target"), [true, false])
-        })
+        self.query(|trajectory| (trajectory.balanced(nreg), [true, false]))
     }
 
     /// The hybrid (balancing + last-resort spilling) verdict at `nreg`
@@ -145,10 +144,7 @@ impl SweepColumn {
     ///
     /// The hybrid allocator's own verdict.
     pub fn hybrid(&self, nreg: usize) -> Result<HybridAllocation, AllocError> {
-        self.query(|trajectory| {
-            let verdict = trajectory.hybrid(&[nreg]).pop();
-            (verdict.expect("one verdict per target"), [false, true])
-        })
+        self.query(|trajectory| (trajectory.hybrid(nreg), [false, true]))
     }
 
     /// [`SweepColumn::hybrid`]'s verdict with its picks replayed into
@@ -162,10 +158,7 @@ impl SweepColumn {
         nreg: usize,
         scratch: &ScratchParams,
     ) -> Result<HybridAllocation, AllocError> {
-        self.query(|trajectory| {
-            let verdict = trajectory.scratch(&[nreg], scratch).pop();
-            (verdict.expect("one verdict per target"), [false, true])
-        })
+        self.query(|trajectory| (trajectory.scratch(nreg, scratch), [false, true]))
     }
 
     /// The fallback ladder's walk at `nreg` registers with the
@@ -417,10 +410,7 @@ mod tests {
         nreg: usize,
         spill_base: i64,
     ) -> Result<HybridAllocation, AllocError> {
-        SpillTrajectory::new(funcs, EngineConfig::default(), spill_base)
-            .hybrid(&[nreg])
-            .pop()
-            .unwrap()
+        SpillTrajectory::new(funcs, EngineConfig::default(), spill_base).hybrid(nreg)
     }
 
     fn hot() -> Func {
@@ -530,6 +520,33 @@ mod tests {
             );
         }
         assert_eq!(cache.descents.load(Ordering::Relaxed), 2);
+    }
+
+    /// A panic inside a lookup poisons the column's lock. The next
+    /// lookup drops the trajectory it may have left half-updated and
+    /// answers as a fresh column does, and each side still counts once.
+    #[test]
+    fn a_column_recovers_from_a_poisoned_lock() {
+        let funcs = vec![hot(), hot()];
+        let descents = Arc::new(AtomicU64::new(0));
+        let column = SweepColumn::new(&funcs, 0x8_0000, descents.clone());
+        assert!(column.balanced(8).is_err());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            column.query(|_| -> ((), [bool; 2]) { panic!("an allocation panicked") })
+        }));
+        assert!(panicked.is_err());
+        assert!(column.state.is_poisoned());
+        let fresh = SweepColumn::new(&funcs, 0x8_0000, Arc::default());
+        assert_eq!(
+            format!("{:?}", column.balanced(8)),
+            format!("{:?}", fresh.balanced(8))
+        );
+        assert_eq!(
+            format!("{:?}", column.hybrid(8)),
+            format!("{:?}", fresh.hybrid(8))
+        );
+        assert!(!column.state.is_poisoned());
+        assert_eq!(descents.load(Ordering::Relaxed), 2);
     }
 
     /// SimCache key distinctness: binaries, sanitizer layouts and
@@ -673,10 +690,8 @@ mod tests {
             capacity: 4,
         };
         let cached = scratch(&cache, (0, 0, 8), &funcs, 0x8_0000, sp).unwrap();
-        let direct = SpillTrajectory::new(&funcs, EngineConfig::default(), 0x8_0000)
-            .scratch(&[8], &sp)
-            .pop()
-            .unwrap()
+        let direct = SpillTrajectory::new(&funcs[..], EngineConfig::default(), 0x8_0000)
+            .scratch(8, &sp)
             .unwrap();
         assert_eq!(cached.funcs, direct.funcs);
         assert_eq!(cached.scratch_spills, direct.scratch_spills);

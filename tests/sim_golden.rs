@@ -324,7 +324,7 @@ fn golden_lines() -> Vec<String> {
             capacity: scratch_capacity,
             ..ScratchParams::default()
         };
-        let alloc = SpillTrajectory::new(&virt, EngineConfig::default(), DEFAULT_SPILL_BASE)
+        let alloc = SpillTrajectory::new(&virt[..], EngineConfig::default(), DEFAULT_SPILL_BASE)
             .ladder(nreg, &scratch)
             .expect("the ladder settles");
         assert!(

@@ -22,6 +22,14 @@ for f in crates/core/src/*.rs crates/igraph/src/*.rs \
 done
 
 cargo build --release --workspace
+# Every example must run to a zero exit. `quickstart`,
+# `producer_consumer` and `chip_pipeline` assert that their allocated
+# code reproduces the virtual-register run; the others stop on any
+# allocation failure.
+cargo build --release --examples
+for f in examples/*.rs; do
+    "./target/release/examples/$(basename "$f" .rs)"
+done
 cargo test -q
 # The benchmark's contract test: every workload at smoke size (a few
 # seconds). It builds against the library crates' public API, so

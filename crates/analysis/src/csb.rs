@@ -73,14 +73,6 @@ impl Csbs {
     pub fn iter(&self) -> impl Iterator<Item = (Point, &BitSet)> {
         self.points.iter().copied().zip(self.live_across.iter())
     }
-
-    /// The live-across set at a CSB point, if `p` is one.
-    pub fn live_across_at(&self, p: Point) -> Option<&BitSet> {
-        self.points
-            .binary_search(&p)
-            .ok()
-            .map(|i| &self.live_across[i])
-    }
 }
 
 #[cfg(test)]
@@ -94,6 +86,11 @@ mod tests {
         let lv = Liveness::compute(&f, &pm);
         let cs = Csbs::compute(&f, &pm, &lv);
         (pm, cs)
+    }
+
+    /// The live-across set at `p`, if `p` is a CSB.
+    fn across_at(cs: &Csbs, p: Point) -> Option<&BitSet> {
+        cs.iter().find(|&(q, _)| q == p).map(|(_, set)| set)
     }
 
     #[test]
@@ -118,11 +115,11 @@ mod tests {
         let (_, cs) = analyze(
             "func f {\nbb0:\n v0 = mov 256\n v1 = load sram[v0+0]\n store sdram[v0+0], v1\n halt\n}",
         );
-        let load_across = cs.live_across_at(Point(1)).unwrap();
+        let load_across = across_at(&cs, Point(1)).unwrap();
         assert!(load_across.contains(0), "base v0 survives the load");
         assert!(!load_across.contains(1), "load dst uses transfer regs");
         // At the store, everything is consumed.
-        let store_across = cs.live_across_at(Point(2)).unwrap();
+        let store_across = across_at(&cs, Point(2)).unwrap();
         assert!(store_across.is_empty());
     }
 
@@ -131,7 +128,7 @@ mod tests {
         let (_, cs) = analyze(
             "func f {\nbb0:\n v0 = mov 1\n v1 = mov 2\n store scratch[v0+0], v1\n store scratch[v0+4], v0\n halt\n}",
         );
-        let first = cs.live_across_at(Point(2)).unwrap();
+        let first = across_at(&cs, Point(2)).unwrap();
         assert!(!first.contains(1), "v1 dead after its last use");
         assert!(first.contains(0), "v0 needed by the second store");
     }
@@ -139,8 +136,8 @@ mod tests {
     #[test]
     fn live_across_at_non_csb_is_none() {
         let (_, cs) = analyze("func f {\nbb0:\n nop\n ctx\n halt\n}");
-        assert!(cs.live_across_at(Point(0)).is_none());
-        assert!(cs.live_across_at(Point(1)).is_some());
+        assert!(across_at(&cs, Point(0)).is_none());
+        assert!(across_at(&cs, Point(1)).is_some());
     }
 
     #[test]

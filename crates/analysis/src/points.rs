@@ -157,12 +157,6 @@ impl PointMap {
         self.block_of[p.index()]
     }
 
-    /// Whether the point is the terminator of its block.
-    pub fn is_terminator(&self, p: Point) -> bool {
-        let b = self.block_of[p.index()];
-        p.0 + 1 == self.block_start[b.index() + 1]
-    }
-
     /// The slot (instruction or terminator) at a point.
     pub fn slot<'f>(&self, func: &'f Func, p: Point) -> Slot<'f> {
         let (block, idx) = self.location(p);
@@ -188,11 +182,6 @@ impl PointMap {
     /// Iterates over all points.
     pub fn points(&self) -> impl Iterator<Item = Point> {
         (0..self.num_points() as u32).map(Point)
-    }
-
-    /// The half-open point range of a block.
-    pub fn block_points(&self, block: BlockId) -> impl Iterator<Item = Point> {
-        (self.block_start[block.index()]..self.block_start[block.index() + 1]).map(Point)
     }
 }
 
@@ -222,16 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn terminator_detection() {
-        let f = sample();
-        let pm = PointMap::new(&f);
-        assert!(!pm.is_terminator(Point(0)));
-        assert!(pm.is_terminator(Point(1)));
-        assert!(pm.is_terminator(Point(3)));
-        assert!(pm.is_terminator(Point(4)));
-    }
-
-    #[test]
     fn successor_relations() {
         let f = sample();
         let pm = PointMap::new(&f);
@@ -254,14 +233,6 @@ mod tests {
         assert!(!pm.slot(&f, Point(1)).is_ctx_switch());
         assert_eq!(pm.slot(&f, Point(0)).defs_vreg(), vec![VReg(0)]);
         assert_eq!(pm.slot(&f, Point(1)).uses().len(), 1);
-    }
-
-    #[test]
-    fn block_points_ranges() {
-        let f = sample();
-        let pm = PointMap::new(&f);
-        let b1: Vec<_> = pm.block_points(BlockId(1)).collect();
-        assert_eq!(b1, vec![Point(2), Point(3)]);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   `regbal device --sanitize --out` (run in-process through
 //!   [`regbal_cli::run_cli`]).
 //!
+//! A second test holds `EXPERIMENTS.md` to the same file: every fenced
+//! block under its Table 1, Figure 14, Table 2, Table 3 and Ablations
+//! headings must be a contiguous run of lines of that binary's section.
+//!
 //! Table 3 and the `fixed-partition` cells of the sweep run the
 //! fixed-partition Chaitin baseline, so this file pins its every
 //! output. After an intentional change, regenerate the file with
@@ -22,6 +26,17 @@ use std::path::Path;
 use std::process::Command;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/paper.txt");
+const EXPERIMENTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+
+/// The `EXPERIMENTS.md` headings whose blocks quote a binary, by the
+/// heading's prefix.
+const QUOTED: [(&str, &str); 5] = [
+    ("## Table 1 ", "table1"),
+    ("## Figure 14 ", "figure14"),
+    ("## Table 2 ", "table2"),
+    ("## Table 3 ", "table3"),
+    ("## Ablations ", "ablation"),
+];
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -132,6 +147,58 @@ fn paper_outputs_match_the_golden_file() {
                 first + 1,
                 want.lines().nth(first).unwrap_or("<end of section>"),
                 got.lines().nth(first).unwrap_or("<end of output>"),
+            );
+        }
+    }
+}
+
+/// The fenced blocks of a Markdown text as `(heading, lines)`, where
+/// `heading` is the closest `#` or `##` heading above the block.
+fn fenced_blocks(text: &str) -> Vec<(&str, Vec<&str>)> {
+    let mut blocks = Vec::new();
+    let mut heading = "";
+    let mut open: Option<Vec<&str>> = None;
+    for line in text.lines() {
+        match open.as_mut() {
+            Some(_) if line.starts_with("```") => {
+                blocks.push((heading, open.take().unwrap()));
+            }
+            Some(block) => block.push(line),
+            None if line.starts_with("```") => open = Some(Vec::new()),
+            None if line.starts_with("# ") || line.starts_with("## ") => heading = line,
+            None => {}
+        }
+    }
+    assert!(open.is_none(), "{EXPERIMENTS}: unclosed code fence");
+    blocks
+}
+
+#[test]
+fn experiments_md_blocks_are_the_binaries_stdout() {
+    let golden = std::fs::read_to_string(GOLDEN).unwrap_or_else(|e| panic!("{GOLDEN}: {e}"));
+    let golden = parse(&golden);
+    let doc = std::fs::read_to_string(EXPERIMENTS).unwrap_or_else(|e| panic!("{EXPERIMENTS}: {e}"));
+    let blocks = fenced_blocks(&doc);
+    for (prefix, bin) in QUOTED {
+        let (_, stdout) = golden
+            .iter()
+            .find(|(name, _)| name == bin)
+            .unwrap_or_else(|| panic!("{GOLDEN}: no `{bin}` section"));
+        let stdout: Vec<&str> = stdout.lines().collect();
+        let quoted: Vec<&Vec<&str>> = blocks
+            .iter()
+            .filter(|(heading, _)| heading.starts_with(prefix))
+            .map(|(_, lines)| lines)
+            .collect();
+        assert!(
+            !quoted.is_empty(),
+            "{EXPERIMENTS}: no block under `{prefix}…`"
+        );
+        for block in quoted {
+            assert!(
+                !block.is_empty() && stdout.windows(block.len()).any(|run| run == &block[..]),
+                "{EXPERIMENTS}: a block under `{prefix}…` is not a run of `{bin}`'s stdout:\n{}",
+                block.join("\n")
             );
         }
     }

@@ -260,25 +260,6 @@ impl ThreadAlloc {
         self.recolor(id, color);
     }
 
-    /// Forcibly flips fragment `id`'s boundary flag (see
-    /// [`force_color`](Self::force_color) — fault injection only).
-    pub fn force_boundary(&mut self, id: NodeId, boundary: bool) {
-        self.nodes[id.index()].boundary = boundary;
-    }
-
-    /// Forcibly replaces both palettes (see
-    /// [`force_color`](Self::force_color) — fault injection only).
-    pub fn force_palettes(&mut self, private: Vec<u32>, shared: Vec<u32>) {
-        self.private = private;
-        self.shared = shared;
-    }
-
-    /// Forcibly replaces fragment `id`'s program points (see
-    /// [`force_color`](Self::force_color) — fault injection only).
-    pub fn force_points(&mut self, id: NodeId, points: BitSet) {
-        self.nodes[id.index()].points = points;
-    }
-
     // ------------------------------------------------------------------
     // Conflict queries
     // ------------------------------------------------------------------
@@ -967,6 +948,27 @@ pub struct MoveSite {
     pub new_color: u32,
 }
 
+/// The verifier's fault injection beyond [`ThreadAlloc::force_color`]:
+/// each breaks one invariant that [`crate::verify`] must catch.
+#[cfg(test)]
+impl ThreadAlloc {
+    /// Forcibly flips fragment `id`'s boundary flag.
+    pub(crate) fn force_boundary(&mut self, id: NodeId, boundary: bool) {
+        self.nodes[id.index()].boundary = boundary;
+    }
+
+    /// Forcibly replaces both palettes.
+    pub(crate) fn force_palettes(&mut self, private: Vec<u32>, shared: Vec<u32>) {
+        self.private = private;
+        self.shared = shared;
+    }
+
+    /// Forcibly replaces fragment `id`'s program points.
+    pub(crate) fn force_points(&mut self, id: NodeId, points: BitSet) {
+        self.nodes[id.index()].points = points;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1114,7 +1116,7 @@ bb0:
         }
         assert_eq!(alloc.move_sites().len(), alloc.moves());
         for site in alloc.move_sites() {
-            assert!(site.from.is_after());
+            assert!(!site.from.is_before());
             assert!(site.to.is_before());
             assert_ne!(site.old_color, site.new_color);
         }

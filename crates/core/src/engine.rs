@@ -340,7 +340,8 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The reference configuration: every candidate recomputed serially
-    /// on every iteration. Kept for differential tests and benchmarks.
+    /// on every iteration. Kept as the oracle of the differential tests
+    /// that hold the memoized and parallel engines to it.
     pub fn naive() -> Self {
         EngineConfig {
             memoize: false,
@@ -1167,6 +1168,27 @@ mod tests {
                 "trajectory verdict diverged from the dedicated run at nreg={t}"
             );
         }
+    }
+
+    #[test]
+    fn results_land_in_index_order_at_any_width() {
+        let serial = steal_map(17, 1, |i| i * i);
+        for workers in [2, 4, 9, 32] {
+            assert_eq!(steal_map(17, workers, |i| i * i), serial);
+        }
+        assert_eq!(steal_map(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(steal_map(1, 4, |i| i + 1), vec![1]);
+    }
+
+    #[test]
+    fn every_index_is_computed_exactly_once() {
+        let calls = AtomicUsize::new(0);
+        let out = steal_map(100, 7, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 100);
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
     /// A cap-bounded trajectory resolves each size exactly like a

@@ -34,11 +34,6 @@ impl HalfPoint {
         self.0.is_multiple_of(2)
     }
 
-    /// Whether this is an *after* position.
-    pub fn is_after(self) -> bool {
-        self.0 % 2 == 1
-    }
-
     /// Dense index (for bit sets over `2 × num_points`).
     pub fn index(self) -> usize {
         self.0 as usize
@@ -70,7 +65,6 @@ mod tests {
         assert_eq!(HalfPoint::before(p).point(), p);
         assert_eq!(HalfPoint::after(p).point(), p);
         assert!(HalfPoint::before(p).is_before());
-        assert!(HalfPoint::after(p).is_after());
         assert!(!HalfPoint::after(p).is_before());
         assert_eq!(HalfPoint::before(p).index(), 14);
         assert_eq!(HalfPoint::after(p).index(), 15);

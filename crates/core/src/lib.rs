@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod alloc;
-pub mod banks;
 mod bounds;
 pub mod chaitin;
 mod engine;

@@ -414,10 +414,13 @@ bb3:
         // Exactly the allocator's move count appears as reg-to-reg movs
         // (no parallel-copy cycles in this small case).
         if t.moves() > 0 {
+            let reg_moves = out
+                .iter_insts()
+                .filter(|(_, _, inst)| inst.is_reg_move())
+                .count();
             assert!(
-                out.num_reg_moves() >= t.moves(),
-                "{} movs for {} cut edges",
-                out.num_reg_moves(),
+                reg_moves >= t.moves(),
+                "{reg_moves} movs for {} cut edges",
                 t.moves()
             );
         }

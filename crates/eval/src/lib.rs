@@ -44,7 +44,6 @@
 pub mod cache;
 pub mod device;
 pub mod json;
-pub mod pool;
 pub mod report;
 pub mod scenario;
 pub mod strategy;

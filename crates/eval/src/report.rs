@@ -33,7 +33,6 @@
 
 use crate::cache::{AllocCache, SimCache, SimKey};
 use crate::json::Json;
-use crate::pool;
 use crate::scenario::{scenarios, Scenario};
 use crate::strategy::{all_strategies, CompileCtx, CompiledPu, PuLadderTrail, Strategy};
 use regbal_ir::{Func, MemSpace};
@@ -376,12 +375,12 @@ fn run_eval_threads(
         cell
     };
 
-    // Work stealing over a shared cursor ([`pool::shard`]): cells
-    // differ wildly in cost (a timeout burns the whole cycle budget,
-    // an infeasible cell returns instantly), so static striping would
-    // idle workers, and the positional merge keeps the report
+    // Work stealing over a shared cursor ([`regbal_core::steal_map`]):
+    // cells differ wildly in cost (a timeout burns the whole cycle
+    // budget, an infeasible cell returns instantly), so static striping
+    // would idle workers, and the positional merge keeps the report
     // byte-identical at any worker count.
-    let mut cells = pool::shard(total, threads, compute).into_iter();
+    let mut cells = regbal_core::steal_map(total, threads, compute).into_iter();
 
     let scenario_reports = ctxs
         .iter()

@@ -34,8 +34,8 @@ pub fn build_gig(info: &ProgramInfo) -> Graph {
     g
 }
 
-/// Reference pairwise implementation of [`build_gig`], kept for
-/// differential tests and the `engine_speed` benchmark.
+/// Reference pairwise implementation of [`build_gig`], kept as the
+/// oracle of the `bulk_graph_construction_matches_naive` property test.
 pub fn build_gig_naive(info: &ProgramInfo) -> Graph {
     let nv = info.num_vregs();
     let mut g = Graph::new(nv);
@@ -77,8 +77,8 @@ pub fn build_big(info: &ProgramInfo) -> Graph {
     g
 }
 
-/// Reference pairwise implementation of [`build_big`], kept for
-/// differential tests and the `engine_speed` benchmark.
+/// Reference pairwise implementation of [`build_big`], kept as the
+/// oracle of the `bulk_graph_construction_matches_naive` property test.
 pub fn build_big_naive(info: &ProgramInfo) -> Graph {
     let nv = info.num_vregs();
     let mut g = Graph::new(nv);

@@ -224,13 +224,6 @@ pub struct Coloring {
     pub num_colors: usize,
 }
 
-impl Coloring {
-    /// Nodes left uncolored within the attempted subset.
-    pub fn uncolored<'a>(&'a self, subset: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
-        subset.iter().filter(|&i| self.colors[i].is_none())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +305,7 @@ mod tests {
         assert!(c.colors[1].is_some());
         assert!(c.colors[2].is_none());
         assert!(c.colors[3].is_none());
-        assert_eq!(c.uncolored(&padded).count(), 0);
+        assert_eq!(padded.iter().filter(|&i| c.colors[i].is_none()).count(), 0);
     }
 
     #[test]

@@ -122,15 +122,6 @@ impl Func {
             .count()
     }
 
-    /// Number of register-to-register `mov` instructions.
-    pub fn num_reg_moves(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.insts)
-            .filter(|i| i.is_reg_move())
-            .count()
-    }
-
     /// Computes the predecessor lists of every block.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];

@@ -23,7 +23,6 @@
 //! slot with probability `cap/n` instead of being dropped, so the
 //! p50/p99 of a long run reflect the whole run, not its first minutes.
 
-use regbal_eval::pool::PoolMeter;
 use regbal_eval::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -68,9 +67,12 @@ pub struct ServeMetrics {
     /// Requests answered with an in-band `timeout` error because they
     /// exceeded `--deadline-ms` before dispatch.
     timeouts: AtomicU64,
-    /// Work-stealing pool counters (waves dispatched, tasks computed,
-    /// largest wave).
-    pub pool: PoolMeter,
+    /// Waves dispatched to the work-stealing pool.
+    pool_waves: AtomicU64,
+    /// Tasks (cache misses) the pool computed across all waves.
+    pool_tasks: AtomicU64,
+    /// Largest single wave, in tasks (high-water mark).
+    pool_max_wave: AtomicU64,
     /// Per-connection counters, keyed by connection id.
     conns: Mutex<Vec<(u64, ConnCounters)>>,
 }
@@ -204,6 +206,15 @@ impl ServeMetrics {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one wave dispatched to the pool with `tasks` misses to
+    /// compute (a wave of hits only counts with 0 tasks).
+    pub fn note_wave(&self, tasks: usize) {
+        self.pool_waves.fetch_add(1, Ordering::Relaxed);
+        self.pool_tasks.fetch_add(tasks as u64, Ordering::Relaxed);
+        self.pool_max_wave
+            .fetch_max(tasks as u64, Ordering::Relaxed);
+    }
+
     /// The current summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut waits = self
@@ -212,7 +223,6 @@ impl ServeMetrics {
             .expect("metrics lock poisoned")
             .clone();
         waits.sort_unstable();
-        let (pool_waves, pool_tasks, pool_max_wave) = self.pool.snapshot();
         MetricsSnapshot {
             queue_depth_high_water: self.queue_high_water.load(Ordering::Relaxed),
             admission_wait_p50_us: percentile(&waits, 50.0),
@@ -223,9 +233,9 @@ impl ServeMetrics {
             dropped: self.dropped.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             wait_samples: self.waits_total.load(Ordering::Relaxed),
-            pool_waves,
-            pool_tasks,
-            pool_max_wave,
+            pool_waves: self.pool_waves.load(Ordering::Relaxed),
+            pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
+            pool_max_wave: self.pool_max_wave.load(Ordering::Relaxed),
         }
     }
 
@@ -387,6 +397,19 @@ mod tests {
             snap.admission_wait_p99_us > ServeMetrics::MAX_SAMPLES as u64,
             "p99 {} stuck in the startup window",
             snap.admission_wait_p99_us
+        );
+    }
+
+    #[test]
+    fn waves_count_their_tasks_and_high_water() {
+        let m = ServeMetrics::default();
+        m.note_wave(5);
+        m.note_wave(11);
+        m.note_wave(0);
+        let snap = m.snapshot();
+        assert_eq!(
+            (snap.pool_waves, snap.pool_tasks, snap.pool_max_wave),
+            (3, 16, 11)
         );
     }
 

@@ -11,7 +11,7 @@
 //! admission-wait metric). The dispatcher owns every connection's write
 //! half. It drains whatever is queued into a *wave*, resolves cache
 //! hits serially in admission order, shards the misses across the
-//! work-stealing pool ([`regbal_eval::pool::shard_metered`]), then
+//! work-stealing pool ([`regbal_core::steal_map`]), then
 //! writes every response in admission order. Because all cache mutation
 //! is serial and the workers only race on each trajectory's
 //! [`regbal_eval::SweepColumn`] — whose verdicts equal dedicated runs
@@ -49,7 +49,7 @@ use crate::faults::{FaultPlan, FaultSite};
 use crate::metrics::ServeMetrics;
 use crate::proto::{self, AllocRequest, ProtoError, Request, Source};
 use crate::store::DiskStore;
-use regbal_eval::{pool, Json, SweepColumn};
+use regbal_eval::{Json, SweepColumn};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
@@ -359,8 +359,10 @@ fn resolve_wave(
     // The parallel phase: shard the misses across the pool. Workers
     // race only on the trajectories' columns, so a module's analyses
     // and spill rounds are computed once and shared.
-    let meter = metrics.map(|m| &m.pool);
-    let outcomes = pool::shard_metered(compute.len(), config.workers, meter, |i| {
+    if let Some(m) = metrics {
+        m.note_wave(compute.len());
+    }
+    let outcomes = regbal_core::steal_map(compute.len(), config.workers, |i| {
         let item = &compute[i];
         column_outcome(&item.column, item.nreg, item.strategy)
     });

@@ -30,11 +30,6 @@ pub struct SimConfig {
     pub sdram_size: usize,
     /// Spill-scratchpad size in bytes.
     pub spad_size: usize,
-    /// Serialise accesses per memory space (one port each): concurrent
-    /// requests queue behind each other, extending their latency. Off
-    /// by default (the IXP's deep memory pipelines overlap thread
-    /// requests well; turn on to study contention).
-    pub serialize_memory: bool,
     /// Global cycle budget; the run stops when it is exhausted.
     pub max_cycles: u64,
     /// Per-thread private physical-register banks for the safety
@@ -51,7 +46,6 @@ impl Default for SimConfig {
             sdram_latency: 150,
             spad_latency: 4,
             ctx_switch_cost: 1,
-            serialize_memory: false,
             scratch_size: 64 << 10,
             sram_size: 1 << 20,
             sdram_size: 4 << 20,

@@ -475,8 +475,6 @@ pub struct Simulator {
     trace: Option<TraceBuf>,
     sanitizer: Option<Sanitizer>,
     error: Option<SimError>,
-    /// Per-space earliest next issue time under `serialize_memory`.
-    port_free: [u64; 4],
     /// Degradation count stamped by the harness (plain data: the
     /// simulator does not depend on the allocator).
     degraded: u64,
@@ -504,7 +502,6 @@ impl Simulator {
             trace: None,
             sanitizer: None,
             error: None,
-            port_free: [0; 4],
             degraded: 0,
         }
     }
@@ -513,25 +510,6 @@ impl Simulator {
     /// for this PU's code; surfaced verbatim in [`RunReport::degraded`].
     pub fn note_degraded(&mut self, count: u64) {
         self.degraded = count;
-    }
-
-    /// Completion time of a memory access issued now, honouring the
-    /// optional single-port-per-space contention model.
-    fn mem_ready_at(&mut self, space: MemSpace) -> u64 {
-        let latency = self.config.latency(space);
-        if !self.config.serialize_memory {
-            return self.now + latency;
-        }
-        let port = match space {
-            MemSpace::Scratch => 0,
-            MemSpace::Sram => 1,
-            MemSpace::Sdram => 2,
-            MemSpace::Spad => 3,
-        };
-        let start = self.now.max(self.port_free[port]);
-        let done = start + latency;
-        self.port_free[port] = done;
-        done
     }
 
     /// Enables event tracing, keeping at most `capacity` events (the
@@ -628,11 +606,6 @@ impl Simulator {
     /// Mutable access to the memories.
     pub fn memory_mut(&mut self) -> &mut Memory {
         &mut self.memory
-    }
-
-    /// Current value of a physical register.
-    pub fn regfile(&self, index: u32) -> u32 {
-        self.regfile[index as usize]
     }
 
     /// Runs until `stop` (or the configured global cycle budget).
@@ -1020,7 +993,7 @@ impl Simulator {
     /// the access completes.
     fn block_on(&mut self, i: usize, pc: Pc, space: MemSpace, addr: u32, write: bool) {
         self.note_csb(i, pc);
-        let ready_at = self.mem_ready_at(space);
+        let ready_at = self.now + self.config.latency(space);
         let t = &mut self.threads[i];
         t.ready_at = ready_at;
         t.ctx_switches += 1;
@@ -1681,65 +1654,6 @@ mod trace_tests {
         let r = s.run(StopWhen::Cycles(100));
         assert!(s.trace().is_empty());
         assert_eq!(r.trace_dropped, 0);
-    }
-}
-
-#[cfg(test)]
-mod contention_tests {
-    use super::*;
-    use regbal_ir::parse_func;
-
-    fn loader() -> Func {
-        parse_func(
-            "func t {\nbb0:\n v0 = mov 0\n v1 = load sdram[v0+0]\n v2 = add v1, 1\n halt\n}",
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn serialized_memory_queues_concurrent_loads() {
-        let run = |serialize: bool| {
-            let config = SimConfig {
-                serialize_memory: serialize,
-                ..SimConfig::default()
-            };
-            let mut s = Simulator::new(config);
-            for _ in 0..4 {
-                s.add_thread(loader());
-            }
-            s.run(StopWhen::Cycles(1_000_000)).cycles
-        };
-        let overlapped = run(false);
-        let queued = run(true);
-        assert!(
-            queued > overlapped + SimConfig::default().sdram_latency,
-            "serialisation must lengthen the run: {queued} vs {overlapped}"
-        );
-    }
-
-    #[test]
-    fn spaces_have_independent_ports() {
-        // One thread hits SDRAM, the other SRAM: no queueing between
-        // them even when serialised.
-        let sram = parse_func(
-            "func s {\nbb0:\n v0 = mov 0\n v1 = load sram[v0+0]\n halt\n}",
-        )
-        .unwrap();
-        let config = SimConfig {
-            serialize_memory: true,
-            ..SimConfig::default()
-        };
-        let mut both = Simulator::new(config.clone());
-        both.add_thread(loader());
-        both.add_thread(sram.clone());
-        let mixed = both.run(StopWhen::Cycles(1_000_000)).cycles;
-
-        let mut solo = Simulator::new(config);
-        solo.add_thread(loader());
-        let alone = solo.run(StopWhen::Cycles(1_000_000)).cycles;
-        // The SRAM thread hides entirely inside the SDRAM thread's
-        // stall: adding it costs only a few scheduling cycles.
-        assert!(mixed <= alone + 10, "{mixed} vs {alone}");
     }
 }
 

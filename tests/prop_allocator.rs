@@ -258,37 +258,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The dual-bank diagnostic never panics on allocator output, and
-    /// any assignment it produces is internally consistent (paired
-    /// operands land in opposite banks).
-    #[test]
-    fn bank_diagnostics_are_total(seed in any::<u64>()) {
-        let config = GenConfig { blocks: 4, pool: 6, block_len: 6, outer_loop: false };
-        let funcs = variants(seed, config, 2);
-        let est = estimate_bounds(&ProgramInfo::compute(&funcs[0]));
-        let nreg = 2 * est.bounds.max_pr + (est.bounds.max_r - est.bounds.max_pr);
-        let sra = allocate_sra(&funcs[0], 2, nreg).expect("feasible");
-        let physical = sra.to_multi().rewrite_funcs(&funcs);
-        if let Ok(banks) = regbal_core::banks::assign_banks(&physical) {
-            for f in &physical {
-                for (_, _, inst) in f.iter_insts() {
-                    if let regbal_ir::Inst::Bin {
-                        lhs: regbal_ir::Reg::Phys(a),
-                        rhs: regbal_ir::Operand::Reg(regbal_ir::Reg::Phys(b)),
-                        ..
-                    } = inst
-                    {
-                        if a != b {
-                            prop_assert_ne!(banks.bank_of(a.0), banks.bank_of(b.0));
-                        }
-                    }
-                }
-            }
-        }
-        // A conflict (odd cycle) is a legitimate outcome, not a failure.
-    }
-}
